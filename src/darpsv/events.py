@@ -1,13 +1,22 @@
 """Event-based network: nodes are (location, onboard-set) states, arcs are
 feasible transitions.  Capacity, pairing and precedence are implicit in the
-state space; a time-window reachability filter prunes states that cannot
+state space; time-window reachability filters prune states that cannot
 occur in any feasible schedule.
+
+The builder never generates a state that cannot reach the destination
+depot through its location graph (arcs with e_i + T_ij <= l_j): from
+(loc, S) every customer still on board must be delivered before the
+vehicle returns, so the transitive closure of that graph must lead from
+loc to each of their delivery locations and to the destination.  The test
+is necessary for co-reachability, so it removes only states that the
+co-reachability pass would discard; the network is the same as without it.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .instance import EPS, Instance
 
@@ -15,7 +24,9 @@ from .instance import EPS, Instance
 @dataclass(frozen=True)
 class Event:
     loc: int
-    onboard: tuple  # sorted customer ids on board after serving loc
+    # sorted ids of the customers on board both before and after serving
+    # loc: a pickup's own customer is not among them
+    onboard: tuple
 
     def label(self) -> str:
         if not self.onboard:
@@ -35,13 +46,11 @@ class EventArc:
 def cap(inst: Instance, u: Event, v: Event) -> int:
     """Vehicle cap of an event arc: min of the endpoint location
     requirements, with depot ends taking the other side's value."""
-    qi, qj = abs(int(inst.demand[u.loc])), abs(int(inst.demand[v.loc]))
-    need = lambda q: max(1, math.ceil(q / inst.capacity))
     if u.loc == inst.origin:
-        return need(qj)
+        return inst.vehicles_required(v.loc)
     if v.loc == inst.destination:
-        return need(qi)
-    return min(need(qi), need(qj))
+        return inst.vehicles_required(u.loc)
+    return min(inst.vehicles_required(u.loc), inst.vehicles_required(v.loc))
 
 
 class EventNetwork:
@@ -66,11 +75,6 @@ class EventNetwork:
     @property
     def num_arcs(self):
         return len(self.arcs)
-
-    def arcs_from_location(self, i):
-        """Event arcs whose location arc starts at i (the set A+(i))."""
-        return [aid for (a, b), aids in self.by_loc_arc.items() if a == i
-                for aid in aids]
 
 
 def _successors(inst: Instance, ev: Event):
@@ -102,25 +106,58 @@ def _successors(inst: Instance, ev: Event):
     return out
 
 
+def _location_closure(inst: Instance):
+    """R[i][j]: some path of location arcs with e_a + T_ab <= l_b leads from
+    i to j (R[i][i] always holds).  No arc enters the origin or leaves the
+    destination, since no event path does."""
+    e, l, T = inst.earliest, inst.latest, inst.travel_time
+    R = e[:, None] + T <= l[None, :] + EPS
+    R[:, inst.origin] = False
+    R[inst.destination, :] = False
+    np.fill_diagonal(R, True)
+    for k in range(len(R)):  # Warshall
+        R |= R[:, k, None] & R[None, k, :]
+    return R.tolist()
+
+
 def enumerate_events(inst: Instance) -> EventNetwork:
     """Build the pruned event network.
 
     Forward search from the origin depot generates only capacity-feasible
     states; arcs with e_i + T_ij > l_j are dropped, and events that cannot
     reach the destination depot are removed afterwards.
+
+    A successor (loc, S) is generated only if the location closure leads
+    from loc to the destination and to the delivery of every customer
+    still to be delivered (S, plus loc's own customer at a pickup).  Any
+    path from the state to the destination runs along such arcs through
+    those deliveries, so a state failing the test is not co-reachable.
+    Every forward path to a co-reachable state runs through co-reachable
+    states only, so the prune leaves the kept network unchanged; it is
+    necessary but not sufficient, hence the co-reachability pass.
     """
     e, l, T = inst.earliest, inst.latest, inst.travel_time
+    n, dest_loc = inst.n, inst.destination
     origin = Event(inst.origin, ())
-    dest = Event(inst.destination, ())
+    dest = Event(dest_loc, ())
+    reach = _location_closure(inst)
 
     def tw_ok(i, j):
         return e[i] + T[i, j] <= l[j] + EPS
 
+    def alive(ev):
+        row = reach[ev.loc]
+        if not row[dest_loc]:
+            return False
+        if inst.is_pickup(ev.loc) and not row[ev.loc + n]:
+            return False
+        return all(row[c + n] for c in ev.onboard)
+
     adjacency = {origin: [], dest: []}
     queue = deque()
     for i in inst.pickups:
-        if tw_ok(inst.origin, i):
-            ev = Event(i, ())
+        ev = Event(i, ())
+        if tw_ok(inst.origin, i) and alive(ev):
             adjacency[origin].append(ev)
             if ev not in adjacency:
                 adjacency[ev] = None
@@ -129,13 +166,13 @@ def enumerate_events(inst: Instance) -> EventNetwork:
         ev = queue.popleft()
         succ = []
         for nxt in _successors(inst, ev):
-            if not tw_ok(ev.loc, nxt.loc):
+            if not tw_ok(ev.loc, nxt.loc) or not alive(nxt):
                 continue
             succ.append(nxt)
             if nxt not in adjacency:
                 adjacency[nxt] = None
                 queue.append(nxt)
-        if inst.is_delivery(ev.loc) and not ev.onboard and tw_ok(ev.loc, inst.destination):
+        if inst.is_delivery(ev.loc) and not ev.onboard and tw_ok(ev.loc, dest_loc):
             succ.append(dest)
         adjacency[ev] = succ
 

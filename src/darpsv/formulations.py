@@ -6,7 +6,6 @@ objectives are re-derived from the traversed location arcs.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,8 +20,11 @@ from .timespace import (DEPOT_IN, IDLE, TimeGrid, TsEventNetwork,
                         TsFragNetwork, expand_events, expand_fragments)
 
 
-def _need(inst, loc):
-    return max(1, math.ceil(abs(int(inst.demand[loc])) / inst.capacity))
+def _time_left(time_limit, start):
+    """What is left of a solve's time limit after the steps since start."""
+    if time_limit is None:
+        return None
+    return time_limit - (time.perf_counter() - start)
 
 
 def big_m(inst, i, j):
@@ -151,7 +153,7 @@ def build_ebf(inst: Instance, net: EventNetwork):
         by_tail_loc.setdefault(arc.loc_arc[0], []).append(a)
     for i in inst.pickups:
         coeffs = [(x[a], 1.0) for a in by_tail_loc.get(i, [])]
-        m.add_constr(f"cover{i}", coeffs, EQ, float(_need(inst, i)))
+        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
     m.add_constr("fleet", [(x[a], 1.0) for a in net.out_arcs[net.origin_id]],
                  LE, float(inst.vehicles))
     for (i, j), aids in sorted(net.by_loc_arc.items()):
@@ -228,7 +230,8 @@ def solve_ebf(inst: Instance, time_limit=None, backend=None, net=None) -> SolveR
                          float(len(arcs) - 1)))
         return cuts
 
-    sol, info = milp.resolve_with_cuts(model, subtours, time_limit, backend)
+    sol, info = milp.resolve_with_cuts(model, subtours,
+                                     _time_left(time_limit, start), backend)
     seconds = time.perf_counter() - start
     stats = {"V_E": net.num_events, "A_E": net.num_arcs}
     if not sol.ok:
@@ -317,7 +320,7 @@ def build_abf(inst: Instance):
 
     for i in list(inst.pickups) + list(inst.deliveries):
         coeffs = [(f[a + (v,)], 1.0) for a in out_arcs.get(i, []) for v in V]
-        m.add_constr(f"cover{i}", coeffs, EQ, float(_need(inst, i)))
+        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
     for v in V:
         for i in inst.pickups:
             coeffs = [(f[a + (v,)], 1.0) for a in out_arcs.get(i, [])]
@@ -638,7 +641,8 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None, backend=None,
                     f"cut_ip{model.num_constrs}_{len(cuts)}"))
         return cuts
 
-    sol, info = milp.resolve_with_cuts(model, generator, time_limit, backend)
+    sol, info = milp.resolve_with_cuts(model, generator,
+                                     _time_left(time_limit, start), backend)
     seconds = time.perf_counter() - start
     stats = dict(net.stats())
     method = "tsfrag+c" if callbacks else "tsfrag"
@@ -684,7 +688,7 @@ def build_tsef(inst: Instance, net: TsEventNetwork):
         in_loc.setdefault(arc.loc_arc[1], []).append(a)
     for i in inst.pickups:
         coeffs = [(chi[a], 1.0) for a in out_loc.get(i, [])]
-        m.add_constr(f"cover{i}", coeffs, EQ, float(_need(inst, i)))
+        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
     m.add_constr("fleet", [(chi[a], 1.0) for a in net.out_arcs[net.origin_node]],
                  LE, float(inst.vehicles))
     # ride limit at discrete stamps: arrival at the delivery minus departure
@@ -785,7 +789,8 @@ def solve_tsef(inst: Instance, resolution=1.0, time_limit=None, backend=None,
                                          f"cut_st{model.num_constrs}_{k}"))
         return cuts
 
-    sol, info = milp.resolve_with_cuts(model, subtours, time_limit, backend)
+    sol, info = milp.resolve_with_cuts(model, subtours,
+                                     _time_left(time_limit, start), backend)
     seconds = time.perf_counter() - start
     stats = dict(net.stats())
     if not sol.ok:

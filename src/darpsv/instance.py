@@ -149,9 +149,11 @@ class Instance:
     def small_pickups(self) -> tuple:
         return tuple(i for i in self.pickups if not self.is_large(i))
 
-    def vehicles_required(self, customer: int) -> int:
-        """Number of synchronized vehicles a customer needs."""
-        return math.ceil(self.demand[customer] / self.capacity)
+    def vehicles_required(self, loc: int) -> int:
+        """Number of synchronized vehicles that serve location loc: a
+        customer needs ceil(q / Q) at its pickup and its delivery, a depot
+        counts one."""
+        return max(1, math.ceil(abs(int(self.demand[loc])) / self.capacity))
 
     def _validate(self):
         m = self.num_locations

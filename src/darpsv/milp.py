@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EPS = 1e-6
+from .instance import EPS
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"

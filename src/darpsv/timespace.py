@@ -8,7 +8,6 @@ round_down(max(t + T, e)).
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
@@ -147,10 +146,6 @@ class _TsBase:
             self.in_arcs[arc.head].append(aid)
 
 
-def _need(inst, loc):
-    return max(1, math.ceil(abs(int(inst.demand[loc])) / inst.capacity))
-
-
 class TsFragNetwork(_TsBase):
     """Time-space fragment network G(N_N, F, A_N)."""
 
@@ -224,7 +219,8 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
                 aid = len(net.arcs)
                 net.arcs.append(TsArc(net.node(d, t), net.node(p, r), (d, p), MOVE,
                                       float(C[d, p]),
-                                      min(_need(inst, d), _need(inst, p)),
+                                      min(inst.vehicles_required(d),
+                                          inst.vehicles_required(p)),
                                       arrival - r))
                 net.by_loc_arc.setdefault((d, p), []).append(aid)
     for p in inst.pickups:  # depot departures
@@ -236,7 +232,7 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
             continue
         aid = len(net.arcs)
         net.arcs.append(TsArc(net.origin_node, net.node(p, r), (origin, p),
-                              DEPOT_OUT, float(C[origin, p]), _need(inst, p),
+                              DEPOT_OUT, float(C[origin, p]), inst.vehicles_required(p),
                               arrival - r))
         net.by_loc_arc.setdefault((origin, p), []).append(aid)
     for d in inst.deliveries:  # depot returns
@@ -245,13 +241,14 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
                 continue
             aid = len(net.arcs)
             net.arcs.append(TsArc(net.node(d, t), net.dest_node, (d, dest),
-                                  DEPOT_IN, float(C[d, dest]), _need(inst, d), 0.0))
+                                  DEPOT_IN, float(C[d, dest]),
+                                  inst.vehicles_required(d), 0.0))
             net.by_loc_arc.setdefault((d, dest), []).append(aid)
     for loc in list(inst.pickups) + list(inst.deliveries):  # waiting
         ts = grid[loc]
         for a, b in zip(ts, ts[1:]):
             net.arcs.append(TsArc(net.node(loc, a), net.node(loc, b), (loc, loc),
-                                  IDLE, 0.0, _need(inst, loc), 0.0))
+                                  IDLE, 0.0, inst.vehicles_required(loc), 0.0))
 
     net.finalize_adjacency()
     net.out_frags = [[] for _ in net.nodes]
@@ -399,7 +396,7 @@ def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
         for a, b in zip(ts, ts[1:]):
             net.arcs.append(TsArc(net.node_ev(ev_id, a), net.node_ev(ev_id, b),
                                   (ev.loc, ev.loc), IDLE, 0.0,
-                                  _need(inst, ev.loc), 0.0))
+                                  inst.vehicles_required(ev.loc), 0.0))
     net.finalize_adjacency()
     _prune_event_network(net)
     return net

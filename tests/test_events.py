@@ -1,9 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from darpsv.events import (Event, brute_force_events, cap, dump_events,
+from darpsv.events import (Event, EventArc, EventNetwork, _location_closure,
+                           _successors, brute_force_events, cap, dump_events,
                            enumerate_events)
-from darpsv.instance import random_instance
+from darpsv.instance import EPS, random_instance
 
 from conftest import make_instance
 
@@ -132,3 +135,101 @@ def test_dump_deterministic():
     inst = random_instance(2, n=3)
     assert dump_events(enumerate_events(inst)) == \
         dump_events(enumerate_events(inst))
+
+
+def unpruned_events(inst):
+    """Reference builder without the closure prune: forward search with the
+    pairwise window test, then the co-reachability pass."""
+    e, l, T = inst.earliest, inst.latest, inst.travel_time
+    origin, dest = Event(inst.origin, ()), Event(inst.destination, ())
+
+    def tw_ok(i, j):
+        return e[i] + T[i, j] <= l[j] + EPS
+
+    adjacency = {origin: [Event(i, ()) for i in inst.pickups
+                          if tw_ok(inst.origin, i)], dest: []}
+    queue = deque(adjacency[origin])
+    while queue:
+        ev = queue.popleft()
+        if ev in adjacency:
+            continue
+        succ = [nxt for nxt in _successors(inst, ev) if tw_ok(ev.loc, nxt.loc)]
+        if inst.is_delivery(ev.loc) and not ev.onboard \
+                and tw_ok(ev.loc, inst.destination):
+            succ.append(dest)
+        adjacency[ev] = succ
+        queue.extend(nxt for nxt in succ if nxt not in adjacency)
+
+    reverse = {}
+    for ev, succ in adjacency.items():
+        for nxt in succ:
+            reverse.setdefault(nxt, []).append(ev)
+    keep, stack = {dest}, [dest]
+    while stack:
+        for prev in reverse.get(stack.pop(), ()):
+            if prev not in keep:
+                keep.add(prev)
+                stack.append(prev)
+    keep.add(origin)
+
+    events = sorted(keep, key=lambda ev: (ev.loc, ev.onboard))
+    index = {ev: k for k, ev in enumerate(events)}
+    arcs = sorted((EventArc(index[ev], index[nxt], (ev.loc, nxt.loc),
+                            float(inst.travel_cost[ev.loc, nxt.loc]),
+                            cap(inst, ev, nxt))
+                   for ev in events for nxt in adjacency[ev] if nxt in keep),
+                  key=lambda a: (a.tail, a.head))
+    return EventNetwork(inst, events, arcs, index[origin], index[dest])
+
+
+def origin_detour_instance():
+    """Customer 2 is picked up long after customer 1 must be delivered, so
+    (2,{1}) is dead; only a detour through the origin, whose window stays
+    open, would lead from 2 back to 1's delivery in time."""
+    T = np.full((6, 6), 1.0)
+    np.fill_diagonal(T, 0.0)
+    return make_instance(2, T, [0, 0, 100, 0, 100, 0],
+                         [5000, 10, 110, 20, 200, 5000],
+                         [0, 100, 100], [0, 1, 1, -1, -1, 0], capacity=2)
+
+
+def non_metric_instance(seed, n=4):
+    """Random travel times without the triangle inequality, so the closure
+    reaches pairs the direct arc test rejects."""
+    rng = np.random.default_rng(seed)
+    m = 2 * n + 2
+    T = rng.uniform(1.0, 60.0, size=(m, m))
+    np.fill_diagonal(T, 0.0)
+    earliest = np.zeros(m)
+    latest = np.full(m, 1000.0)
+    for i in range(1, n + 1):
+        earliest[i] = rng.uniform(0.0, 60.0)
+        latest[i] = earliest[i] + rng.uniform(5.0, 40.0)
+        earliest[i + n] = earliest[i] + T[i, i + n]
+        latest[i + n] = latest[i] + rng.uniform(20.0, 80.0)
+    demand = [0] + [1] * n + [-1] * n + [0]
+    return make_instance(n, T, earliest, latest, [0.0] + [1000.0] * n, demand,
+                         capacity=2)
+
+
+def test_closure_never_passes_through_origin():
+    inst = origin_detour_instance()
+    reach = _location_closure(inst)
+    assert not reach[2][3]  # 2 -> 0 -> 3 fits the windows but is no path
+    assert reach[1][3] and reach[2][4] and reach[3][5]
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(random_instance(seed, n=3 + seed % 4, capacity=2 + seed // 4 % 2,
+                                 large_share=0.3 * (seed // 8 % 2)),
+                 id=f"random{seed}")
+    for seed in range(24)
+] + [
+    pytest.param(non_metric_instance(seed), id=f"non-metric{seed}")
+    for seed in range(8)
+] + [
+    pytest.param(origin_detour_instance(), id="origin-detour"),
+])
+def test_closure_prune_keeps_network(inst):
+    assert dump_events(enumerate_events(inst)) == \
+        dump_events(unpruned_events(inst))

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from darpsv import milp
+from darpsv import formulations, milp
 from darpsv.events import enumerate_events
 from darpsv.formulations import (build_ebf, build_tsfrag, solve_abf, solve_ebf,
                                  solve_tsef, solve_tsfrag)
@@ -268,3 +270,22 @@ def test_tsef_extraction_idle_semantics(single_customer):
     if 1 in idled:
         assert stops[1] > arrive_p  # pickup service shifted by the wait
     assert stops[2] == pytest.approx(arrive_d)  # delivery pinned to arrival
+
+
+@pytest.mark.parametrize("solve, builder", [
+    (solve_ebf, "enumerate_events"),
+    (solve_tsef, "enumerate_events"),
+    (solve_tsfrag, "enumerate_fragments"),
+])
+def test_time_limit_counts_network_building(single_customer, monkeypatch,
+                                            solve, builder):
+    build = getattr(formulations, builder)
+
+    def slow_build(inst):
+        time.sleep(0.2)
+        return build(inst)
+
+    monkeypatch.setattr(formulations, builder, slow_build)
+    report = solve(single_customer, time_limit=0.1)
+    assert report.status == milp.Status.TIME_LIMIT
+    assert report.routes is None
