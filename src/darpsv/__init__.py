@@ -25,10 +25,25 @@ from .validate import Violation, brute_optimum, check
 
 __version__ = "0.1.0"
 
+METHODS = ("ebf", "abf", "tsef", "tsfrag", "tsef+ddd", "tsfrag+ddd", "tsfrag+c")
+
+
+def run_method(inst: Instance, method: str, resolution=1.0, time_limit=1800.0,
+               initial_delta=50.0, trace=None) -> SolveReport:
+    """Dispatch one solve; `method` is one of METHODS."""
+    if method == "ebf":
+        return solve_ebf(inst, time_limit)
+    if method == "abf":
+        return solve_abf(inst, time_limit)
+    if method == "tsef":
+        return solve_tsef(inst, resolution, time_limit)
+    if method in ("tsfrag", "tsfrag+c"):
+        return solve_tsfrag(inst, resolution, time_limit,
+                            callbacks=method == "tsfrag+c")
+    if method in ("tsef+ddd", "tsfrag+ddd"):
+        return ddd_solve(inst, method.split("+")[0], time_limit,
+                         initial_delta=initial_delta, trace=trace)
+    raise ValueError(f"unknown method {method!r}")
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
-
-
-def run_method(inst, method, **kwargs):
-    """Dispatch a solve by method name; see cli.run_method."""
-    from .cli import run_method as _run
-    return _run(inst, method, **kwargs)

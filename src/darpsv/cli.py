@@ -11,19 +11,16 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from . import METHODS, run_method
 from . import instance as inst_mod
-from .ddd import ddd_solve
 from .events import dump_events, enumerate_events
-from .formulations import (RouteSet, Route, SolveReport, solve_abf, solve_ebf,
-                           solve_tsef, solve_tsfrag)
+from .formulations import RouteSet, Route, SolveReport
 from .fragments import dump_fragments, enumerate_fragments
 from .instance import DatasetParams, Instance, load_instance, tighten_windows
-from .milp import Status, available_backends
+from .milp import Status
 from .validate import check
 
 EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE, EXIT_TIME = 0, 1, 2, 3
-
-METHODS = ("ebf", "abf", "tsef", "tsfrag", "tsef+ddd", "tsfrag+ddd", "tsfrag+c")
 
 BENCH_COLUMNS = ["instance", "r_l", "p_tw", "p_de", "fleet_multiplier", "method",
                  "V_E", "A_E", "F", "time_s", "obj", "lb", "gap", "iter", "nc"]
@@ -37,25 +34,6 @@ def prepare_instance(path, set1=False, r_l=1.0 / 3.0, fleet_mult=3,
     if tighten:
         inst = tighten_windows(inst)
     return inst
-
-
-def run_method(inst: Instance, method: str, resolution=1.0, time_limit=1800.0,
-               backend=None, initial_delta=50.0, trace=None) -> SolveReport:
-    """Dispatch one solve; `method` is one of METHODS."""
-    if method == "ebf":
-        return solve_ebf(inst, time_limit, backend)
-    if method == "abf":
-        return solve_abf(inst, time_limit, backend)
-    if method == "tsef":
-        return solve_tsef(inst, resolution, time_limit, backend)
-    if method == "tsfrag":
-        return solve_tsfrag(inst, resolution, time_limit, backend)
-    if method == "tsfrag+c":
-        return solve_tsfrag(inst, resolution, time_limit, backend, callbacks=True)
-    if method in ("tsef+ddd", "tsfrag+ddd"):
-        return ddd_solve(inst, method.split("+")[0], time_limit, backend,
-                         initial_delta=initial_delta, trace=trace)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _report_exit(report: SolveReport) -> int:
@@ -83,7 +61,7 @@ def cmd_solve(args) -> int:
         method += "+c"
     trace = (lambda line: print(line, file=sys.stderr)) if args.ddd else None
     report = run_method(inst, method, resolution=args.resolution,
-                        time_limit=args.time_limit, backend=args.backend,
+                        time_limit=args.time_limit,
                         initial_delta=args.initial_delta, trace=trace)
     payload = report.to_dict()
     payload["instance"] = inst.name
@@ -134,10 +112,10 @@ def cmd_gen_dataset(args) -> int:
 
 def bench_one(task):
     """One bench row; module-level so --parallel can pickle it."""
-    path, method, resolution, time_limit, backend, set1 = task
+    path, method, resolution, time_limit, set1 = task
     inst = prepare_instance(path, set1=set1)
     report = run_method(inst, method, resolution=resolution,
-                        time_limit=time_limit, backend=backend)
+                        time_limit=time_limit)
     meta = getattr(inst, "meta", None) or {}
     row = {c: "" for c in BENCH_COLUMNS}
     row.update(instance=inst.name, method=method,
@@ -169,7 +147,7 @@ def cmd_bench(args) -> int:
             print(f"unknown method {m!r}; choices: {', '.join(METHODS)}",
                   file=sys.stderr)
             return EXIT_USAGE
-    tasks = [(path, m, args.resolution, args.time_limit, args.backend, args.set1)
+    tasks = [(path, m, args.resolution, args.time_limit, args.set1)
              for path in args.instances for m in methods]
     if args.parallel > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
@@ -255,7 +233,6 @@ def build_parser():
     p.add_argument("--callbacks", action="store_true",
                    help="TSFrag+C: infeasible-path cuts instead of DDD")
     p.add_argument("--time-limit", type=float, default=1800.0)
-    p.add_argument("--backend", choices=available_backends(), default=None)
     p.add_argument("--initial-delta", type=float, default=50.0,
                    help="initial DDD grid step in minutes")
     p.add_argument("--out", help="write the solution JSON here")
@@ -281,7 +258,6 @@ def build_parser():
     p.add_argument("--methods", default="ebf,tsfrag+ddd")
     p.add_argument("--resolution", type=float, default=1.0)
     p.add_argument("--time-limit", type=float, default=1800.0)
-    p.add_argument("--backend", choices=available_backends(), default=None)
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--json", action="store_true",

@@ -19,8 +19,8 @@ from .formulations import (Route, RouteSet, SolveReport, build_tsef,
                            build_tsfrag, cycle_physical_elements,
                            decompose_tsef, decompose_tsfrag,
                            subtour_cut_tsef, subtour_cut_tsfrag,
-                           _sync_groups_from_paths)
-from .fragments import enumerate_fragments
+                           _sync_groups_from_paths, _time_left)
+from .fragments import enumerate_fragments, feasible_schedule, start_interval
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
 from .timespace import IDLE, TimeGrid, expand_events, expand_fragments
@@ -48,8 +48,7 @@ class SelectionResult:
     tau: dict | None  # location -> departure time (per-vehicle depots merged)
 
 
-def selection_model(inst: Instance, inputs: SelectionInputs, backend=None,
-                    floors=None):
+def selection_model(inst: Instance, inputs: SelectionInputs, floors=None):
     """Minimal number of arcs that must keep a shortened travel time for the
     given paths to schedule; Z = 0 certifies continuous feasibility.
 
@@ -89,7 +88,7 @@ def selection_model(inst: Instance, inputs: SelectionInputs, backend=None,
         if i in tau and i + inst.n in tau:
             m.add_constr(f"ride{i}", [(tau[i + inst.n], 1.0), (tau[i], -1.0)],
                          LE, float(inst.ride[i]))
-    sol = milp.solve(m, backend=backend)
+    sol = milp.solve(m)
     if sol.status == Status.INFEASIBLE:
         return SelectionResult(False, None, [], None)
     if not sol.ok:
@@ -114,8 +113,6 @@ def _refine_copy_interiors(inst, grid, inputs, flagged_arcs) -> int:
     """Grid-time candidates are blind to visit times interior to a
     fragment; when a flagged arc lies in a used copy, insert that copy's
     whole schedule so its shortened representation cannot persist."""
-    from .fragments import feasible_schedule
-
     flagged = set(flagged_arcs)
     added = 0
     for path, copy in inputs.used_copies:
@@ -128,15 +125,16 @@ def _refine_copy_interiors(inst, grid, inputs, flagged_arcs) -> int:
     return added
 
 
+def _shorten(arc_short, loc_arc, value):
+    """Keep the shortest rounded-down length seen on a location arc."""
+    prev = arc_short.get(loc_arc)
+    if prev is None or value < prev:
+        arc_short[loc_arc] = value
+
+
 def _frag_inputs(inst, net, walks):
     paths, floors, used_copies = [], [], []
     arc_short = {}
-
-    def shorten(loc_arc, value):
-        prev = arc_short.get(loc_arc)
-        if prev is None or value < prev:
-            arc_short[loc_arc] = value
-
     seen_copies = set()
     for walk in walks:
         path = [inst.origin]
@@ -151,7 +149,7 @@ def _frag_inputs(inst, net, walks):
                 seen_copies.add(idx)
                 used_copies.append((frag.path, copy))
                 for (i, j) in zip(frag.path, frag.path[1:]):
-                    shorten((i, j), inst.travel_time[i, j] - copy.disc)
+                    _shorten(arc_short, (i, j), inst.travel_time[i, j] - copy.disc)
                 floors.append((frag.start, frag.end,
                                net.nodes[copy.head].t - copy.start_eff))
             else:
@@ -160,7 +158,7 @@ def _frag_inputs(inst, net, walks):
                     continue
                 i, j = arc.loc_arc
                 path.append(j)
-                shorten((i, j), inst.travel_time[i, j] - arc.disc)
+                _shorten(arc_short, (i, j), inst.travel_time[i, j] - arc.disc)
         paths.append(path)
     return SelectionInputs(paths, arc_short, floors, used_copies)
 
@@ -176,10 +174,7 @@ def _event_inputs(inst, net, walks):
                 continue
             i, j = arc.loc_arc
             path.append(j)
-            short = inst.travel_time[i, j] - arc.disc
-            prev = arc_short.get((i, j))
-            if prev is None or short < prev:
-                arc_short[(i, j)] = short
+            _shorten(arc_short, (i, j), inst.travel_time[i, j] - arc.disc)
         paths.append(path)
     return SelectionInputs(paths, arc_short, [])
 
@@ -196,7 +191,7 @@ class _Master:
     cut: callable
 
 
-def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0, backend=None,
+def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
               initial_delta=50.0, trace=None, max_iterations=500) -> SolveReport:
     """Run DDD to a continuous-time optimum (tsfrag) or approximate
     benchmark value (tsef)."""
@@ -246,14 +241,12 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0, backend=None,
             trace(line)
 
     for k in range(1, max_iterations + 1):
-        remaining = None
-        if time_limit is not None:
-            remaining = time_limit - (time.perf_counter() - start)
-            if remaining <= 0:
-                return SolveReport(method, Status.TIME_LIMIT, None, bound, None,
-                                   time.perf_counter() - start, iterations=k - 1,
-                                   cuts=total_cuts, stats=base_stats,
-                                   approximate=approximate, history=history)
+        remaining = _time_left(time_limit, start)
+        if remaining is not None and remaining <= 0:
+            return SolveReport(method, Status.TIME_LIMIT, None, bound, None,
+                               time.perf_counter() - start, iterations=k - 1,
+                               cuts=total_cuts, stats=base_stats,
+                               approximate=approximate, history=history)
         net = master.expand(grid)
         model, vm = master.build(net)
         for c, phys in enumerate(physical_cuts):
@@ -273,7 +266,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0, backend=None,
             return cuts
 
         master_start = time.perf_counter()
-        sol, info = milp.resolve_with_cuts(model, subtours, remaining, backend)
+        sol, info = milp.resolve_with_cuts(model, subtours, remaining)
         master_seconds = time.perf_counter() - master_start
         total_cuts += info.num_cuts
         physical_cuts.extend(iteration_cuts)
@@ -317,7 +310,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0, backend=None,
             return [a for a, v in inputs.arc_short.items()
                     if v < inst.travel_time[a] - EPS]
 
-        sel = selection_model(inst, inputs, backend=backend)
+        sel = selection_model(inst, inputs)
         if sel.feasible and sel.z == 0:
             return finish_optimal(sel)
         flagged = flags_of(sel)
@@ -327,7 +320,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0, backend=None,
             # the per-copy fragment floor can overtighten; retry with the
             # fragment's true minimum duration before declaring a stall
             weak = _weak_floors(inst, inputs, floor_cache)
-            sel = selection_model(inst, inputs, backend=backend, floors=weak)
+            sel = selection_model(inst, inputs, floors=weak)
             if sel.feasible and sel.z == 0:
                 return finish_optimal(sel)
             flagged = flags_of(sel)
@@ -353,8 +346,6 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0, backend=None,
 def _weak_floors(inst, inputs, cache):
     """Valid fragment floors: the minimum duration over all feasible starts
     (durations weakly shrink as the start moves later)."""
-    from .fragments import feasible_schedule, start_interval
-
     floors = []
     for path, copy in inputs.used_copies:
         fid = copy.frag_id

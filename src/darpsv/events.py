@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import reachable
 from .instance import EPS, Instance
 
 
@@ -181,16 +182,8 @@ def enumerate_events(inst: Instance) -> EventNetwork:
     for ev, succ in adjacency.items():
         for nxt in succ or ():
             reverse.setdefault(nxt, []).append(ev)
-    keep = {dest}
-    stack = [dest]
-    while stack:
-        ev = stack.pop()
-        for prev in reverse.get(ev, ()):
-            if prev not in keep:
-                keep.add(prev)
-                stack.append(prev)
+    keep = reachable(dest, lambda ev: reverse.get(ev, ()))
     keep.add(origin)
-    keep.add(dest)
 
     events = sorted((ev for ev in adjacency if ev in keep),
                     key=lambda ev: (ev.loc, ev.onboard))

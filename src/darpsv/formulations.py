@@ -14,6 +14,7 @@ import numpy as np
 from . import milp
 from .events import EventNetwork, enumerate_events
 from .fragments import enumerate_fragments, feasible_schedule, joint_schedule
+from .graph import decompose_flow
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel, Status
 from .timespace import (DEPOT_IN, IDLE, TimeGrid, TsEventNetwork,
@@ -58,7 +59,14 @@ class RouteSet:
         return float(sum(C[i, j] for r in self.routes
                          for i, j in zip(r.path, r.path[1:])))
 
-    def retime(self, times_per_route):
+    def reschedule(self, inst):
+        """Replace inexact discrete stop times by one joint continuous
+        schedule of all routes, when such a schedule exists."""
+        if self.schedule_exact:
+            return
+        times_per_route = joint_schedule(inst, self.paths())
+        if times_per_route is None:
+            return
         for route, times in zip(self.routes, times_per_route):
             route.stops = [(loc, float(times[loc])) for loc, _ in route.stops]
         self.schedule_exact = True
@@ -170,50 +178,19 @@ def build_ebf(inst: Instance, net: EventNetwork):
 def extract_routes_ebf(inst, net, sol, vars_):
     flow = [int(round(sol.value(v))) for v in vars_.x]
     tval = {loc: sol.value(v) for loc, v in vars_.t.items()}
+    walks, cycles = decompose_flow(net.arcs, net.out_arcs, flow,
+                                   net.origin_id, net.dest_id)
     routes = []
-    vehicle = 0
-    while True:
-        start = next((a for a in net.out_arcs[net.origin_id] if flow[a] > 0), None)
-        if start is None:
-            break
-        path, cur, aid = [inst.origin], net.origin_id, start
-        while True:
-            flow[aid] -= 1
-            cur = net.arcs[aid].head
-            path.append(net.events[cur].loc)
-            if cur == net.dest_id:
-                break
-            aid = next(a for a in net.out_arcs[cur] if flow[a] > 0)
+    for vehicle, walk in enumerate(walks):
+        path = [inst.origin] + [net.events[net.arcs[a].head].loc for a in walk]
         routes.append(Route(vehicle, [(loc, float(tval[loc])) for loc in path]))
-        vehicle += 1
-    cycles = _residual_cycles_events(net, flow)
     paths = [r.path for r in routes]
     rs = RouteSet(routes, float(sol.objective),
                   _sync_groups_from_paths(inst, paths))
     return rs, cycles
 
 
-def _residual_cycles_events(net, flow):
-    cycles = []
-    for a0 in range(net.num_arcs):
-        while flow[a0] > 0:
-            cycle, seen, aid = [], {net.arcs[a0].tail: 0}, a0
-            while True:
-                cycle.append(aid)
-                flow[aid] -= 1
-                head = net.arcs[aid].head
-                if head in seen:
-                    for a in cycle[:seen[head]]:  # restore the lead-in
-                        flow[a] += 1
-                    cycle = cycle[seen[head]:]
-                    break
-                seen[head] = len(cycle)
-                aid = next(a for a in net.out_arcs[head] if flow[a] > 0)
-            cycles.append(cycle)
-    return cycles
-
-
-def solve_ebf(inst: Instance, time_limit=None, backend=None, net=None) -> SolveReport:
+def solve_ebf(inst: Instance, time_limit=None, net=None) -> SolveReport:
     start = time.perf_counter()
     net = net or enumerate_events(inst)
     model, vars_ = build_ebf(inst, net)
@@ -231,7 +208,7 @@ def solve_ebf(inst: Instance, time_limit=None, backend=None, net=None) -> SolveR
         return cuts
 
     sol, info = milp.resolve_with_cuts(model, subtours,
-                                     _time_left(time_limit, start), backend)
+                                     _time_left(time_limit, start))
     seconds = time.perf_counter() - start
     stats = {"V_E": net.num_events, "A_E": net.num_arcs}
     if not sol.ok:
@@ -376,10 +353,10 @@ def extract_routes_abf(inst, sol, vars_):
                     _sync_groups_from_paths(inst, paths))
 
 
-def solve_abf(inst: Instance, time_limit=None, backend=None) -> SolveReport:
+def solve_abf(inst: Instance, time_limit=None) -> SolveReport:
     start = time.perf_counter()
     model, vars_ = build_abf(inst)
-    sol = milp.solve(model, time_limit, backend)
+    sol = milp.solve(model, time_limit)
     seconds = time.perf_counter() - start
     stats = {"arcs": len(vars_.arcs)}
     if not sol.ok:
@@ -452,79 +429,25 @@ class TsWalk:
 
 
 def decompose_tsfrag(inst, net, sol, vars_):
-    slots = [int(round(sol.value(vars_.X[c]))) * net.ts_frags[c].vehicles
-             for c in range(len(net.ts_frags))]
-    yflow = [int(round(sol.value(vars_.Y[a]))) for a in range(len(net.arcs))]
+    flow = [int(round(sol.value(x))) * copy.vehicles
+            for x, copy in zip(vars_.X, net.ts_frags)]
+    flow += [int(round(sol.value(y))) for y in vars_.Y]
+    walks, cycles = decompose_flow(net.ts_frags + net.arcs, net.out_elems, flow,
+                                   net.origin_node, net.dest_node)
+    nf = len(net.ts_frags)
 
-    def next_element(nid):
-        for c in net.out_frags[nid]:
-            if slots[c] > 0:
-                return ("frag", c)
-        for a in net.out_arcs[nid]:
-            if yflow[a] > 0:
-                return ("arc", a)
-        return None
+    def named(elements):
+        return [("frag", e) if e < nf else ("arc", e - nf) for e in elements]
 
-    walks = []
-    while True:
-        first = next((a for a in net.out_arcs[net.origin_node] if yflow[a] > 0), None)
-        if first is None:
-            break
-        elements, cur = [], net.origin_node
-        elem = ("arc", first)
-        while True:
-            elements.append(elem)
-            if elem[0] == "frag":
-                slots[elem[1]] -= 1
-                cur = net.ts_frags[elem[1]].head
-            else:
-                yflow[elem[1]] -= 1
-                cur = net.arcs[elem[1]].head
-            if cur == net.dest_node:
-                break
-            elem = next_element(cur)
-        walks.append(TsWalk(elements))
-
-    cycles = []
-    for c0 in range(len(net.ts_frags)):
-        while slots[c0] > 0:
-            cycles.append(_residual_cycle_ts(net, slots, yflow, ("frag", c0)))
-    for a0 in range(len(net.arcs)):
-        while yflow[a0] > 0:
-            cycles.append(_residual_cycle_ts(net, slots, yflow, ("arc", a0)))
-    return walks, cycles
+    return [TsWalk(named(w)) for w in walks], [named(c) for c in cycles]
 
 
-def _residual_cycle_ts(net, slots, yflow, start_elem):
-    cycle = []
-    tail = (net.ts_frags[start_elem[1]].tail if start_elem[0] == "frag"
-            else net.arcs[start_elem[1]].tail)
-    seen = {tail: 0}
-    elem = start_elem
-    while True:
-        cycle.append(elem)
-        if elem[0] == "frag":
-            slots[elem[1]] -= 1
-            head = net.ts_frags[elem[1]].head
-        else:
-            yflow[elem[1]] -= 1
-            head = net.arcs[elem[1]].head
-        if head in seen:
-            # the walk may have led into the cycle: give that prefix its
-            # flow back, it belongs to other loops
-            for kind, idx in cycle[:seen[head]]:
-                if kind == "frag":
-                    slots[idx] += 1
-                else:
-                    yflow[idx] += 1
-            return cycle[seen[head]:]
-        seen[head] = len(cycle)
-        for c in net.out_frags[head]:
-            if slots[c] > 0:
-                elem = ("frag", c)
-                break
-        else:
-            elem = next(("arc", a) for a in net.out_arcs[head] if yflow[a] > 0)
+def _return_stop(inst, last):
+    """Destination stop after last = (delivery, time): direct travel,
+    waiting for the depot to open if early."""
+    d, t = last
+    dest = inst.destination
+    return dest, max(t + inst.travel_time[d, dest], float(inst.earliest[dest]))
 
 
 def walk_locations(net, walk: TsWalk, inst):
@@ -540,13 +463,8 @@ def walk_locations(net, walk: TsWalk, inst):
             frag = net.frags[copy.frag_id]
             inner = feasible_schedule(inst, frag.path, fixed_start=copy.start_eff)
             sched.extend(zip(frag.path, inner.times))
-        else:
-            arc = net.arcs[idx]
-            if arc.kind == DEPOT_IN:
-                d, t = sched[-1]
-                dest = inst.destination
-                sched.append((dest, max(t + inst.travel_time[d, dest],
-                                        float(inst.earliest[dest]))))
+        elif net.arcs[idx].kind == DEPOT_IN:
+            sched.append(_return_stop(inst, sched[-1]))
     return sched
 
 
@@ -605,7 +523,7 @@ def route_elements(net, walk: TsWalk):
     return frags, loc_arcs
 
 
-def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None, backend=None,
+def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
                  callbacks=False, frags=None, grid=None) -> SolveReport:
     """Fixed-grid TSFrag; with callbacks=True, continuous-time feasibility
     of extracted routes is enforced through infeasible-path cuts (TSFrag+C),
@@ -642,18 +560,15 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None, backend=None,
         return cuts
 
     sol, info = milp.resolve_with_cuts(model, generator,
-                                     _time_left(time_limit, start), backend)
+                                     _time_left(time_limit, start))
     seconds = time.perf_counter() - start
     stats = dict(net.stats())
     method = "tsfrag+c" if callbacks else "tsfrag"
     if not sol.ok:
         return SolveReport(method, sol.status, None, sol.best_bound, None, seconds,
                            cuts=info.num_cuts, stats=stats)
-    routes, walks, _ = extract_routes_tsfrag(inst, net, sol, vars_)
-    if not routes.schedule_exact:
-        fixed = joint_schedule(inst, routes.paths())
-        if fixed is not None:
-            routes.retime(fixed)
+    routes, _, _ = extract_routes_tsfrag(inst, net, sol, vars_)
+    routes.reschedule(inst)
     return SolveReport(method, sol.status, sol.objective, sol.best_bound, routes,
                        seconds, gap=sol.gap, cuts=info.num_cuts, stats=stats)
 
@@ -704,37 +619,8 @@ def build_tsef(inst: Instance, net: TsEventNetwork):
 
 def decompose_tsef(inst, net, sol, vars_):
     flow = [int(round(sol.value(v))) for v in vars_.chi]
-    walks = []
-    while True:
-        first = next((a for a in net.out_arcs[net.origin_node] if flow[a] > 0), None)
-        if first is None:
-            break
-        elements, cur, aid = [], net.origin_node, first
-        while True:
-            elements.append(aid)
-            flow[aid] -= 1
-            cur = net.arcs[aid].head
-            if cur == net.dest_node:
-                break
-            aid = next(a for a in net.out_arcs[cur] if flow[a] > 0)
-        walks.append(elements)
-    cycles = []
-    for a0 in range(len(net.arcs)):
-        while flow[a0] > 0:
-            cycle, seen, aid = [], {net.arcs[a0].tail: 0}, a0
-            while True:
-                cycle.append(aid)
-                flow[aid] -= 1
-                head = net.arcs[aid].head
-                if head in seen:
-                    for a in cycle[:seen[head]]:  # restore the lead-in
-                        flow[a] += 1
-                    cycle = cycle[seen[head]:]
-                    break
-                seen[head] = len(cycle)
-                aid = next(a for a in net.out_arcs[head] if flow[a] > 0)
-            cycles.append(cycle)
-    return walks, cycles
+    return decompose_flow(net.arcs, net.out_arcs, flow, net.origin_node,
+                          net.dest_node)
 
 
 def extract_routes_tsef(inst, net, sol, vars_):
@@ -751,10 +637,7 @@ def extract_routes_tsef(inst, net, sol, vars_):
                     stops[-1] = (stops[-1][0], net.time_of_node(arc.head))
                 continue
             if arc.kind == DEPOT_IN:
-                d, t = stops[-1]
-                dest = inst.destination
-                stops.append((dest, max(t + inst.travel_time[d, dest],
-                                        float(inst.earliest[dest]))))
+                stops.append(_return_stop(inst, stops[-1]))
                 continue
             stops.append((net.loc_of_node(arc.head), net.time_of_node(arc.head)))
         routes.append(Route(v, stops))
@@ -771,7 +654,7 @@ def subtour_cut_tsef(net, vars_, event_arcs, name):
     return (name, coeffs, LE, float(len(event_arcs) - 1))
 
 
-def solve_tsef(inst: Instance, resolution=1.0, time_limit=None, backend=None,
+def solve_tsef(inst: Instance, resolution=1.0, time_limit=None,
                enet=None, grid=None) -> SolveReport:
     start = time.perf_counter()
     enet = enet or enumerate_events(inst)
@@ -790,17 +673,14 @@ def solve_tsef(inst: Instance, resolution=1.0, time_limit=None, backend=None,
         return cuts
 
     sol, info = milp.resolve_with_cuts(model, subtours,
-                                     _time_left(time_limit, start), backend)
+                                     _time_left(time_limit, start))
     seconds = time.perf_counter() - start
     stats = dict(net.stats())
     if not sol.ok:
         return SolveReport("tsef", sol.status, None, sol.best_bound, None, seconds,
                            cuts=info.num_cuts, stats=stats, approximate=True)
-    routes, walks, _ = extract_routes_tsef(inst, net, sol, vars_)
-    if not routes.schedule_exact:
-        fixed = joint_schedule(inst, routes.paths())
-        if fixed is not None:
-            routes.retime(fixed)
+    routes, _, _ = extract_routes_tsef(inst, net, sol, vars_)
+    routes.reschedule(inst)
     return SolveReport("tsef", sol.status, sol.objective, sol.best_bound, routes,
                        seconds, gap=sol.gap, cuts=info.num_cuts, stats=stats,
                        approximate=True)

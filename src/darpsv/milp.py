@@ -1,12 +1,12 @@
-"""Solver-agnostic MILP store with pluggable backends.
+"""A small MILP store solved with HiGHS through scipy.optimize.milp.
 
-The default backend is HiGHS through scipy.optimize.milp; cvxopt's GLPK is
-wired as an alternative when installed.  Lazy constraints are emulated by
-re-solving (resolve_with_cuts) since neither backend exposes callbacks.
+Models are built row by row (MilpModel), solved in one call (solve), and
+can be written in LP file syntax (write_lp).  scipy exposes no callbacks,
+so lazy constraints are emulated by re-solving with the violated rows
+added (resolve_with_cuts).
 """
 from __future__ import annotations
 
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -31,7 +31,7 @@ class Status:
 
 
 class ConfigurationError(RuntimeError):
-    """Requested backend is unknown or unavailable."""
+    """HiGHS failed in a way no solve status describes."""
 
 
 @dataclass
@@ -109,9 +109,10 @@ class MilpSolution:
         return float(self.values[idx])
 
 
-# -- backends ----------------------------------------------------------------
+# -- solving -----------------------------------------------------------------
 
-def _solve_scipy(model: MilpModel, time_limit, mip_rel_gap):
+def solve(model: MilpModel, time_limit=None, mip_rel_gap=1e-9) -> MilpSolution:
+    """Solve a model with HiGHS."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
@@ -161,86 +162,6 @@ def _solve_scipy(model: MilpModel, time_limit, mip_rel_gap):
     raise ConfigurationError(f"scipy/HiGHS solve failed: {res.message}")
 
 
-def _solve_glpk(model: MilpModel, time_limit, mip_rel_gap):
-    try:
-        from cvxopt import matrix, spmatrix
-        from cvxopt import glpk
-    except ImportError as exc:  # pragma: no cover - environment dependent
-        raise ConfigurationError("cvxopt with GLPK is not installed") from exc
-
-    nv = model.num_vars
-    if nv == 0:
-        return MilpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0.0, 0.0, 0.0)
-    c = matrix([v.obj for v in model.vars])
-    gi, gj, gv, h = [], [], [], []
-    ai, aj, av, b = [], [], [], []
-
-    def add_row(coeffs, rhs, sign, ineq):
-        idx = len(h) if ineq else len(b)
-        for col, coef in coeffs:
-            (gi if ineq else ai).append(idx)
-            (gj if ineq else aj).append(col)
-            (gv if ineq else av).append(sign * coef)
-        (h if ineq else b).append(sign * rhs)
-
-    for con in model.constrs:
-        if con.sense == LE:
-            add_row(con.coeffs, con.rhs, 1.0, True)
-        elif con.sense == GE:
-            add_row(con.coeffs, con.rhs, -1.0, True)
-        else:
-            add_row(con.coeffs, con.rhs, 1.0, False)
-    for j, v in enumerate(model.vars):
-        if np.isfinite(v.ub):
-            add_row([(j, 1.0)], v.ub, 1.0, True)
-        if np.isfinite(v.lb):
-            add_row([(j, 1.0)], v.lb, -1.0, True)
-    G = spmatrix(gv, gi, gj, (len(h), nv)) if h else spmatrix([], [], [], (0, nv))
-    A = spmatrix(av, ai, aj, (len(b), nv)) if b else None
-    I = {j for j, v in enumerate(model.vars) if v.kind == INTEGER}
-    B = {j for j, v in enumerate(model.vars) if v.kind == BINARY}
-    options = {"msg_lev": "GLP_MSG_OFF"}
-    if time_limit is not None:
-        options["tm_lim"] = int(max(time_limit, 0.1) * 1000)
-    start = time.perf_counter()
-    status, x = glpk.ilp(c, G, matrix(h), A, matrix(b) if b else None,
-                         I=I, B=B, options=options)
-    elapsed = time.perf_counter() - start
-    if status == "optimal":
-        values = np.array(x).ravel()
-        obj = float(np.dot([v.obj for v in model.vars], values))
-        return MilpSolution(Status.OPTIMAL, values, obj, obj, elapsed, 0.0)
-    if status in ("primal infeasible", "dual infeasible"):
-        kind = Status.INFEASIBLE if status.startswith("primal") else Status.UNBOUNDED
-        return MilpSolution(kind, None, None, None, elapsed, None)
-    return MilpSolution(Status.TIME_LIMIT, None, None, None, elapsed, None)
-
-
-_BACKENDS = {"scipy": _solve_scipy, "glpk": _solve_glpk}
-DEFAULT_BACKEND = "scipy"
-
-
-def available_backends():
-    names = ["scipy"]
-    try:
-        import cvxopt.glpk  # noqa: F401
-        names.append("glpk")
-    except ImportError:
-        pass
-    return names
-
-
-def solve(model: MilpModel, time_limit=None, backend=None,
-          mip_rel_gap=1e-9) -> MilpSolution:
-    """Solve a model; backend None falls back to $DARPSV_BACKEND or scipy."""
-    name = backend or os.environ.get("DARPSV_BACKEND") or DEFAULT_BACKEND
-    fn = _BACKENDS.get(name)
-    if fn is None:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available: {sorted(_BACKENDS)}")
-    return fn(model, time_limit, mip_rel_gap)
-
-
 @dataclass
 class CutLoop:
     """Bookkeeping of a resolve_with_cuts run."""
@@ -255,12 +176,12 @@ class CutLoop:
 
 
 def resolve_with_cuts(model: MilpModel, cut_generator, time_limit=None,
-                      backend=None, mip_rel_gap=1e-9):
+                      mip_rel_gap=1e-9):
     """Iterated solve -> inspect incumbent -> add violated constraints.
 
     cut_generator(solution) returns a list of (name, coeffs, sense, rhs)
     tuples; an empty list terminates the loop.  Emulates lazy-constraint
-    callbacks for backends without them.
+    callbacks, which scipy does not expose.
     """
     info = CutLoop()
     start = time.perf_counter()
@@ -273,8 +194,7 @@ def resolve_with_cuts(model: MilpModel, cut_generator, time_limit=None,
                 return MilpSolution(Status.TIME_LIMIT, None, None,
                                     prev_bound if np.isfinite(prev_bound) else None,
                                     time.perf_counter() - start), info
-        sol = solve(model, time_limit=remaining, backend=backend,
-                    mip_rel_gap=mip_rel_gap)
+        sol = solve(model, time_limit=remaining, mip_rel_gap=mip_rel_gap)
         info.solves += 1
         info.seconds = time.perf_counter() - start
         if not sol.ok:

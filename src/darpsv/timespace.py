@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .instance import EPS, Instance
 from .fragments import FragmentSet, feasible_schedule, start_interval
+from .graph import reachable
 
 GRID_TOL = 1e-9
 
@@ -123,7 +124,19 @@ class TsArc:
     event_arc: int = -1  # event-mode: originating event arc id
 
 
+def _moved(el, tail, head):
+    """Copy of a frozen element with new end nodes.  Same as
+    dataclasses.replace (the element classes have no __post_init__), but
+    replace() inspects the fields on every call, which made
+    expand_fragments about 9% slower."""
+    new = object.__new__(type(el))
+    new.__dict__.update(el.__dict__, tail=tail, head=head)
+    return new
+
+
 class _TsBase:
+    node_key = TsNode  # (place, t) -> node key; place is a location here
+
     def __init__(self, inst, grid):
         self.inst = inst
         self.grid = grid
@@ -131,14 +144,37 @@ class _TsBase:
         self.node_index = {}
         self.arcs = []
 
-    def node(self, loc, t):
-        key = TsNode(loc, round(float(t), 9))
+    def node(self, place, t):
+        key = self.node_key(place, round(float(t), 9))
         if key not in self.node_index:
             self.node_index[key] = len(self.nodes)
             self.nodes.append(key)
         return self.node_index[key]
 
-    def finalize_adjacency(self):
+    def prune(self, *groups):
+        """Keep the nodes that lie on some origin->destination path,
+        renumbered in order, and return each element group without the
+        elements that touch a dropped node."""
+        heads = [[] for _ in self.nodes]
+        tails = [[] for _ in self.nodes]
+        for group in groups:
+            for el in group:
+                heads[el.tail].append(el.head)
+                tails[el.head].append(el.tail)
+        keep = (reachable(self.origin_node, heads.__getitem__)
+                & reachable(self.dest_node, tails.__getitem__))
+        keep |= {self.origin_node, self.dest_node}
+        remap = {old_id: k for k, old_id in enumerate(sorted(keep))}
+        self.nodes = [self.nodes[old_id] for old_id in remap]
+        self.node_index = {n: i for i, n in enumerate(self.nodes)}
+        self.origin_node = remap[self.origin_node]
+        self.dest_node = remap[self.dest_node]
+        return [[_moved(el, remap[el.tail], remap[el.head])
+                 for el in group if el.tail in remap and el.head in remap]
+                for group in groups]
+
+    def index(self):
+        """Adjacency lists, built once the network is final."""
         self.out_arcs = [[] for _ in self.nodes]
         self.in_arcs = [[] for _ in self.nodes]
         for aid, arc in enumerate(self.arcs):
@@ -147,16 +183,34 @@ class _TsBase:
 
 
 class TsFragNetwork(_TsBase):
-    """Time-space fragment network G(N_N, F, A_N)."""
+    """Time-space fragment network G(N_N, F, A_N).
+
+    Elements of a flow decomposition are the copies followed by the arcs:
+    copy c is element c, arc a is element len(ts_frags) + a, and
+    out_elems[u] tries u's copies before its arcs.
+    """
 
     def __init__(self, inst, grid, frags):
         super().__init__(inst, grid)
         self.frags = frags
         self.ts_frags = []
-        self.out_frags = []
-        self.in_frags = []
+
+    def index(self):
+        super().index()
+        self.out_frags = [[] for _ in self.nodes]
+        self.in_frags = [[] for _ in self.nodes]
         self.by_frag = {}
         self.by_loc_arc = {}
+        for cid, copy in enumerate(self.ts_frags):
+            self.out_frags[copy.tail].append(cid)
+            self.in_frags[copy.head].append(cid)
+            self.by_frag.setdefault(copy.frag_id, []).append(cid)
+        for aid, arc in enumerate(self.arcs):
+            if arc.kind != IDLE:
+                self.by_loc_arc.setdefault(arc.loc_arc, []).append(aid)
+        nf = len(self.ts_frags)
+        self.out_elems = [cs + [nf + a for a in arcs]
+                          for cs, arcs in zip(self.out_frags, self.out_arcs)]
 
     def stats(self):
         return {"ts_nodes": len(self.nodes), "ts_fragments": len(self.ts_frags),
@@ -200,7 +254,6 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
             head = net.node(frag.end, r)
             copy = TsFragment(fid, tail, head, frag.vehicles, frag.cost,
                               s_eff, end, end - r)
-            net.by_frag.setdefault(fid, []).append(len(net.ts_frags))
             net.ts_frags.append(copy)
 
     # movement node arcs: delivery -> pickup, landing at the earliest
@@ -216,13 +269,11 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
                 r = grid.round_down(p, arrival)
                 if r is None:
                     continue
-                aid = len(net.arcs)
                 net.arcs.append(TsArc(net.node(d, t), net.node(p, r), (d, p), MOVE,
                                       float(C[d, p]),
                                       min(inst.vehicles_required(d),
                                           inst.vehicles_required(p)),
                                       arrival - r))
-                net.by_loc_arc.setdefault((d, p), []).append(aid)
     for p in inst.pickups:  # depot departures
         arrival = max(t_min + T[origin, p], e[p])
         if arrival > l[p] + EPS:
@@ -230,94 +281,25 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
         r = grid.round_down(p, arrival)
         if r is None:
             continue
-        aid = len(net.arcs)
         net.arcs.append(TsArc(net.origin_node, net.node(p, r), (origin, p),
                               DEPOT_OUT, float(C[origin, p]), inst.vehicles_required(p),
                               arrival - r))
-        net.by_loc_arc.setdefault((origin, p), []).append(aid)
     for d in inst.deliveries:  # depot returns
         for t in grid[d]:
             if max(t + T[d, dest], e[dest]) > l[dest] + EPS:
                 continue
-            aid = len(net.arcs)
             net.arcs.append(TsArc(net.node(d, t), net.dest_node, (d, dest),
                                   DEPOT_IN, float(C[d, dest]),
                                   inst.vehicles_required(d), 0.0))
-            net.by_loc_arc.setdefault((d, dest), []).append(aid)
     for loc in list(inst.pickups) + list(inst.deliveries):  # waiting
         ts = grid[loc]
         for a, b in zip(ts, ts[1:]):
             net.arcs.append(TsArc(net.node(loc, a), net.node(loc, b), (loc, loc),
                                   IDLE, 0.0, inst.vehicles_required(loc), 0.0))
 
-    net.finalize_adjacency()
-    net.out_frags = [[] for _ in net.nodes]
-    net.in_frags = [[] for _ in net.nodes]
-    for cid, copy in enumerate(net.ts_frags):
-        net.out_frags[copy.tail].append(cid)
-        net.in_frags[copy.head].append(cid)
-    _prune_frag_network(net)
+    net.ts_frags, net.arcs = net.prune(net.ts_frags, net.arcs)
+    net.index()
     return net
-
-
-def _prune_frag_network(net: TsFragNetwork):
-    """Drop nodes/copies/arcs not on any origin->destination flow path."""
-    fwd = {net.origin_node}
-    stack = [net.origin_node]
-    while stack:
-        u = stack.pop()
-        heads = [net.arcs[a].head for a in net.out_arcs[u]]
-        heads += [net.ts_frags[c].head for c in net.out_frags[u]]
-        for h in heads:
-            if h not in fwd:
-                fwd.add(h)
-                stack.append(h)
-    bwd = {net.dest_node}
-    stack = [net.dest_node]
-    while stack:
-        u = stack.pop()
-        tails = [net.arcs[a].tail for a in net.in_arcs[u]]
-        tails += [net.ts_frags[c].tail for c in net.in_frags[u]]
-        for t in tails:
-            if t not in bwd:
-                bwd.add(t)
-                stack.append(t)
-    keep = fwd & bwd
-    keep.add(net.origin_node)
-    keep.add(net.dest_node)
-
-    def live(copy_or_arc):
-        return copy_or_arc.tail in keep and copy_or_arc.head in keep
-
-    net.ts_frags = [c for c in net.ts_frags if live(c)]
-    net.arcs = [a for a in net.arcs if live(a)]
-    remap = {}
-    nodes = []
-    for old_id, node in enumerate(net.nodes):
-        if old_id in keep:
-            remap[old_id] = len(nodes)
-            nodes.append(node)
-    net.nodes = nodes
-    net.node_index = {n: i for i, n in enumerate(nodes)}
-    net.ts_frags = [TsFragment(c.frag_id, remap[c.tail], remap[c.head], c.vehicles,
-                               c.cost, c.start_eff, c.end_actual, c.disc)
-                    for c in net.ts_frags]
-    net.arcs = [TsArc(remap[a.tail], remap[a.head], a.loc_arc, a.kind, a.cost,
-                      a.cap, a.disc, a.event_arc) for a in net.arcs]
-    net.origin_node = remap[net.origin_node]
-    net.dest_node = remap[net.dest_node]
-    net.finalize_adjacency()
-    net.out_frags = [[] for _ in net.nodes]
-    net.in_frags = [[] for _ in net.nodes]
-    net.by_frag = {}
-    net.by_loc_arc = {}
-    for cid, copy in enumerate(net.ts_frags):
-        net.out_frags[copy.tail].append(cid)
-        net.in_frags[copy.head].append(cid)
-        net.by_frag.setdefault(copy.frag_id, []).append(cid)
-    for aid, arc in enumerate(net.arcs):
-        if arc.kind != IDLE:
-            net.by_loc_arc.setdefault(arc.loc_arc, []).append(aid)
 
 
 class TsEventNetwork(_TsBase):
@@ -326,14 +308,17 @@ class TsEventNetwork(_TsBase):
     def __init__(self, inst, grid, enet):
         super().__init__(inst, grid)
         self.enet = enet
-        self.by_event_arc = {}
 
-    def node_ev(self, ev_id, t):
-        key = (ev_id, round(float(t), 9))
-        if key not in self.node_index:
-            self.node_index[key] = len(self.nodes)
-            self.nodes.append(key)
-        return self.node_index[key]
+    @staticmethod
+    def node_key(ev_id, t):
+        return ev_id, t
+
+    def index(self):
+        super().index()
+        self.by_event_arc = {}
+        for aid, arc in enumerate(self.arcs):
+            if arc.event_arc >= 0:
+                self.by_event_arc.setdefault(arc.event_arc, []).append(aid)
 
     def loc_of_node(self, nid):
         return self.enet.events[self.nodes[nid][0]].loc
@@ -355,8 +340,8 @@ def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
     e, l, T = inst.earliest, inst.latest, inst.travel_time
     origin, dest = inst.origin, inst.destination
     t_min, t_max = float(e[origin]), float(l[dest])
-    net.origin_node = net.node_ev(enet.origin_id, t_min)
-    net.dest_node = net.node_ev(enet.dest_id, t_max)
+    net.origin_node = net.node(enet.origin_id, t_min)
+    net.dest_node = net.node(enet.dest_id, t_max)
 
     for aid, arc in enumerate(enet.arcs):
         i, j = arc.loc_arc
@@ -367,16 +352,15 @@ def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
             r = grid.round_down(j, arrival)
             if r is None:
                 continue
-            ts_arc = TsArc(net.origin_node, net.node_ev(arc.head, r), (i, j),
+            ts_arc = TsArc(net.origin_node, net.node(arc.head, r), (i, j),
                            DEPOT_OUT, arc.cost, arc.cap, arrival - r, aid)
-            net.by_event_arc.setdefault(aid, []).append(len(net.arcs))
             net.arcs.append(ts_arc)
             continue
         for t in grid[i]:
             if arc.head == enet.dest_id:
                 if max(t + T[i, j], e[j]) > l[j] + EPS:
                     continue
-                ts_arc = TsArc(net.node_ev(arc.tail, t), net.dest_node, (i, j),
+                ts_arc = TsArc(net.node(arc.tail, t), net.dest_node, (i, j),
                                DEPOT_IN, arc.cost, arc.cap, 0.0, aid)
             else:
                 arrival = max(t + T[i, j], e[j])
@@ -385,60 +369,17 @@ def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
                 r = grid.round_down(j, arrival)
                 if r is None:
                     continue
-                ts_arc = TsArc(net.node_ev(arc.tail, t), net.node_ev(arc.head, r),
+                ts_arc = TsArc(net.node(arc.tail, t), net.node(arc.head, r),
                                (i, j), MOVE, arc.cost, arc.cap, arrival - r, aid)
-            net.by_event_arc.setdefault(aid, []).append(len(net.arcs))
             net.arcs.append(ts_arc)
     for ev_id, ev in enumerate(enet.events):
         if ev_id in (enet.origin_id, enet.dest_id):
             continue
         ts = grid[ev.loc]
         for a, b in zip(ts, ts[1:]):
-            net.arcs.append(TsArc(net.node_ev(ev_id, a), net.node_ev(ev_id, b),
+            net.arcs.append(TsArc(net.node(ev_id, a), net.node(ev_id, b),
                                   (ev.loc, ev.loc), IDLE, 0.0,
                                   inst.vehicles_required(ev.loc), 0.0))
-    net.finalize_adjacency()
-    _prune_event_network(net)
+    net.arcs = net.prune(net.arcs)[0]
+    net.index()
     return net
-
-
-def _prune_event_network(net: TsEventNetwork):
-    fwd = {net.origin_node}
-    stack = [net.origin_node]
-    while stack:
-        u = stack.pop()
-        for a in net.out_arcs[u]:
-            h = net.arcs[a].head
-            if h not in fwd:
-                fwd.add(h)
-                stack.append(h)
-    bwd = {net.dest_node}
-    stack = [net.dest_node]
-    while stack:
-        u = stack.pop()
-        for a in net.in_arcs[u]:
-            t = net.arcs[a].tail
-            if t not in bwd:
-                bwd.add(t)
-                stack.append(t)
-    keep = fwd & bwd
-    keep.add(net.origin_node)
-    keep.add(net.dest_node)
-    net.arcs = [a for a in net.arcs if a.tail in keep and a.head in keep]
-    remap = {}
-    nodes = []
-    for old_id, node in enumerate(net.nodes):
-        if old_id in keep:
-            remap[old_id] = len(nodes)
-            nodes.append(node)
-    net.nodes = nodes
-    net.node_index = {n: i for i, n in enumerate(nodes)}
-    net.arcs = [TsArc(remap[a.tail], remap[a.head], a.loc_arc, a.kind, a.cost,
-                      a.cap, a.disc, a.event_arc) for a in net.arcs]
-    net.origin_node = remap[net.origin_node]
-    net.dest_node = remap[net.dest_node]
-    net.finalize_adjacency()
-    net.by_event_arc = {}
-    for aid, arc in enumerate(net.arcs):
-        if arc.event_arc >= 0:
-            net.by_event_arc.setdefault(arc.event_arc, []).append(aid)

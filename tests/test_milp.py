@@ -3,10 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from darpsv import milp
-from darpsv.milp import (BINARY, CONTINUOUS, GE, INTEGER, LE,
-                         ConfigurationError, MilpModel, Status, resolve_with_cuts,
-                         solve, write_lp)
+from darpsv.milp import (BINARY, CONTINUOUS, GE, INTEGER, LE, MilpModel,
+                         Status, resolve_with_cuts, solve, write_lp)
 
 
 def test_empty_model_is_trivially_optimal():
@@ -67,11 +65,6 @@ def test_model_validation():
         m.add_var("y", CONTINUOUS, 2.0, 1.0)
 
 
-def test_unknown_backend_is_configuration_error():
-    with pytest.raises(ConfigurationError, match="unknown backend"):
-        solve(MilpModel(), backend="nope")
-
-
 def test_resolve_with_cuts_silent_generator_solves_once():
     m = MilpModel()
     x = m.add_var("x", INTEGER, 0, 5, obj=1.0)
@@ -110,17 +103,6 @@ def test_lp_export_syntax(tmp_path):
     for token in ("Minimize", "Subject To", "Bounds", "General", "Binary", "End"):
         assert token in text
     assert "x_one" in text
-
-
-@pytest.mark.skipif("glpk" not in milp.available_backends(),
-                    reason="cvxopt GLPK not installed")
-def test_glpk_backend_parity():
-    m = MilpModel()
-    xs = [m.add_var(f"x{i}", BINARY, obj=-v) for i, v in enumerate([5.0, 4.0, 3.0])]
-    m.add_constr("cap", [(x, w) for x, w in zip(xs, [2.0, 3.0, 1.0])], LE, 4.0)
-    a = solve(m, backend="scipy")
-    b = solve(m, backend="glpk")
-    assert a.objective == pytest.approx(b.objective)
 
 
 def test_resolve_with_cuts_exhausted_budget_returns_time_limit():
