@@ -19,9 +19,10 @@ report = darpsv.ddd_solve(inst, "tsfrag", initial_delta=50.0,
 
 print(f"\nconverged: {report.status}, objective {report.objective:.2f} "
       f"after {report.iterations} master solves, {report.cuts} subtour cuts")
-print("history rows (k, bound, Z, new_points, master_seconds, cuts):")
-for row in report.history:
-    print(f"  {row[0]:>2}  {row[1]:8.2f}  Z={row[2]}  +{row[3]} pts")
+print("history records (k, bound, z, new_points, master_seconds, cuts):")
+for rec in report.history:
+    print(f"  {rec.k:>2}  {rec.bound:8.2f}  Z={rec.z}  +{rec.new_points} pts"
+          f"  {rec.cuts} cuts")
 
 assert not darpsv.check(inst, report.routes)
 print("\nfinal schedule passes the independent validator.")

@@ -12,22 +12,38 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import milp
 from .events import enumerate_events
-from .formulations import (Route, RouteSet, SolveReport, build_tsef,
-                           build_tsfrag, cycle_physical_elements,
-                           decompose_tsef, decompose_tsfrag,
-                           subtour_cut_tsef, subtour_cut_tsfrag,
-                           _sync_groups_from_paths, _time_left)
+from .formulations import (Route, RouteSet, SolveReport, TsefMaster,
+                           TsfragMaster, separate_subtours, _time_left)
 from .fragments import enumerate_fragments, feasible_schedule, start_interval
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
-from .timespace import IDLE, TimeGrid, expand_events, expand_fragments
+from .timespace import IDLE, TimeGrid
+
+MAX_ITERATIONS = 500  # StallError beyond this many masters
 
 
 class StallError(RuntimeError):
     """Refinement added no time point while Z > 0 (convergence bug guard)."""
+
+
+class Iteration(NamedTuple):
+    """One DDD iteration, as kept in SolveReport.history."""
+
+    k: int
+    bound: float  # best master objective so far
+    z: int  # selection value; -1 when no schedule exists at all
+    new_points: int  # time points added to the grid
+    master_seconds: float  # master solve, subtour separation included
+    cuts: int  # subtour cuts added by this master
+
+    def __str__(self):
+        return (f"k={self.k} bound={self.bound:.4f} Z={self.z} "
+                f"new_points={self.new_points} "
+                f"master_seconds={self.master_seconds:.3f}")
 
 
 @dataclass
@@ -109,6 +125,15 @@ def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
     return added
 
 
+def _refine(inst, grid, inputs, sel) -> int:
+    """Grow the grid on the arcs sel flags (every shortened arc when no
+    schedule exists); returns the number of new points."""
+    flagged = sel.delta if sel.feasible else [
+        a for a, v in inputs.arc_short.items() if v < inst.travel_time[a] - EPS]
+    return (refine_grid(grid, flagged, inst)
+            + _refine_copy_interiors(inst, grid, inputs, flagged))
+
+
 def _refine_copy_interiors(inst, grid, inputs, flagged_arcs) -> int:
     """Grid-time candidates are blind to visit times interior to a
     fragment; when a flagged arc lies in a used copy, insert that copy's
@@ -138,7 +163,7 @@ def _frag_inputs(inst, net, walks):
     seen_copies = set()
     for walk in walks:
         path = [inst.origin]
-        for kind, idx in walk.elements:
+        for kind, idx in walk:
             if kind == "frag":
                 copy = net.ts_frags[idx]
                 frag = net.frags[copy.frag_id]
@@ -179,168 +204,89 @@ def _event_inputs(inst, net, walks):
     return SelectionInputs(paths, arc_short, [])
 
 
-@dataclass
-class _Master:
-    """Per-mode hooks of the DDD loop."""
-
-    expand: callable
-    build: callable
-    decompose: callable
-    inputs: callable
-    physical: callable
-    cut: callable
-
-
 def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
-              initial_delta=50.0, trace=None, max_iterations=500) -> SolveReport:
+              initial_delta=50.0, trace=None) -> SolveReport:
     """Run DDD to a continuous-time optimum (tsfrag) or approximate
     benchmark value (tsef)."""
     if mode not in ("tsfrag", "tsef"):
         raise ValueError(f"DDD is defined for time-space modes, not {mode!r}")
     start = time.perf_counter()
-    approximate = mode == "tsef"
-    method = f"{mode}+ddd"
     if mode == "tsfrag":
-        base = enumerate_fragments(inst)
-        master = _Master(
-            expand=lambda grid: expand_fragments(inst, base, grid),
-            build=lambda net: build_tsfrag(inst, net),
-            decompose=lambda net, sol, vm: decompose_tsfrag(inst, net, sol, vm),
-            inputs=_frag_inputs,
-            # cycles persist across grids as physical (fragment, location-arc)
-            # element sets
-            physical=cycle_physical_elements,
-            cut=lambda model, net, vm, phys, name: subtour_cut_tsfrag(
-                model, net, vm, phys[0], phys[1], name),
-        )
-        base_stats = {"F": len(base)}
+        frags = enumerate_fragments(inst)
+        master, inputs_of = TsfragMaster(inst, frags), _frag_inputs
+        base_stats = {"F": len(frags)}
     else:
-        base = enumerate_events(inst)
-        master = _Master(
-            expand=lambda grid: expand_events(inst, base, grid),
-            build=lambda net: build_tsef(inst, net),
-            decompose=lambda net, sol, vm: decompose_tsef(inst, net, sol, vm),
-            inputs=_event_inputs,
-            physical=lambda net, cycle: sorted(
-                {net.arcs[a].event_arc for a in cycle
-                 if net.arcs[a].kind != IDLE}),
-            cut=lambda model, net, vm, phys, name: subtour_cut_tsef(
-                net, vm, phys, name),
-        )
-        base_stats = {"V_E": base.num_events, "A_E": base.num_arcs}
-
+        enet = enumerate_events(inst)
+        master, inputs_of = TsefMaster(inst, enet), _event_inputs
+        base_stats = {"V_E": enet.num_events, "A_E": enet.num_arcs}
     grid = TimeGrid.initial_ddd(inst, initial_delta)
     history = []
-    bound = None
+    bound = objective = routes = gap = None
     physical_cuts = []  # persists across iterations, re-instantiated per grid
     total_cuts = 0
     floor_cache = {}
-
-    def emit(line):
-        if trace is not None:
-            trace(line)
-
-    for k in range(1, max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         remaining = _time_left(time_limit, start)
         if remaining is not None and remaining <= 0:
-            return SolveReport(method, Status.TIME_LIMIT, None, bound, None,
-                               time.perf_counter() - start, iterations=k - 1,
-                               cuts=total_cuts, stats=base_stats,
-                               approximate=approximate, history=history)
-        net = master.expand(grid)
-        model, vm = master.build(net)
+            status, k, stats = Status.TIME_LIMIT, k - 1, base_stats
+            break
+        net, model = master.build(grid)
         for c, phys in enumerate(physical_cuts):
-            name, coeffs, sense, rhs = master.cut(model, net, vm, phys, f"pcut{c}")
-            model.add_constr(name, coeffs, sense, rhs)
-        iteration_cuts = []
-
-        def subtours(sol):
-            decomp = master.decompose(net, sol, vm)
-            cycles = decomp[-1]
-            cuts = []
-            for kk, cycle in enumerate(cycles):
-                phys = master.physical(net, cycle)
-                iteration_cuts.append(phys)
-                cuts.append(master.cut(model, net, vm, phys,
-                                       f"cut{model.num_constrs}_{kk}"))
-            return cuts
-
+            model.add_constr(*master.cut(phys, f"pcut{c}"))
         master_start = time.perf_counter()
-        sol, info = milp.resolve_with_cuts(model, subtours, remaining)
+        sol, info, walks, cut_sets = separate_subtours(
+            model, master.decompose, master.physical, master.cut, remaining,
+            master.more_cuts)
         master_seconds = time.perf_counter() - master_start
         total_cuts += info.num_cuts
-        physical_cuts.extend(iteration_cuts)
+        physical_cuts.extend(cut_sets)
+        stats = dict(base_stats, **net.stats())
         if sol.status == Status.INFEASIBLE:
             # the partial network is a relaxation, so the instance itself is
             # infeasible (event mode: up to the documented ride-row caveat)
-            return SolveReport(method, Status.INFEASIBLE, None, None, None,
-                               time.perf_counter() - start, iterations=k,
-                               cuts=total_cuts, stats=dict(base_stats, **net.stats()),
-                               approximate=approximate, history=history)
+            status, bound = Status.INFEASIBLE, None
+            break
         if not sol.ok:
-            return SolveReport(method, sol.status, None, bound, None,
-                               time.perf_counter() - start, iterations=k,
-                               cuts=total_cuts, stats=dict(base_stats, **net.stats()),
-                               approximate=approximate, history=history)
+            status = sol.status
+            break
         if bound is not None and mode == "tsfrag" and sol.objective < bound - 1e-6:
             raise AssertionError(
                 f"lower bound regressed: {sol.objective} < {bound} at k={k}")
         bound = sol.objective if bound is None else max(bound, sol.objective)
-        decomp = master.decompose(net, sol, vm)
-        walks = decomp[0]
-        inputs = master.inputs(inst, net, walks)
-
-        def finish_optimal(sel_ok):
-            history.append((k, bound, 0, 0, master_seconds, info.num_cuts))
-            emit(f"k={k} bound={bound:.4f} Z=0 new_points=0 "
-                 f"master_seconds={master_seconds:.3f}")
-            routes = [Route(v, [(loc, sel_ok.tau[loc]) for loc in path])
-                      for v, path in enumerate(inputs.location_paths)]
-            rs = RouteSet(routes, float(sol.objective),
-                          _sync_groups_from_paths(inst, inputs.location_paths))
-            return SolveReport(method, Status.OPTIMAL, sol.objective,
-                               sol.best_bound, rs, time.perf_counter() - start,
-                               gap=0.0, iterations=k, cuts=total_cuts,
-                               stats=dict(base_stats, **net.stats()),
-                               approximate=approximate, history=history)
-
-        def flags_of(s):
-            if s.feasible:
-                return s.delta
-            return [a for a, v in inputs.arc_short.items()
-                    if v < inst.travel_time[a] - EPS]
-
-        sel = selection_model(inst, inputs)
-        if sel.feasible and sel.z == 0:
-            return finish_optimal(sel)
-        flagged = flags_of(sel)
-        new_points = refine_grid(grid, flagged, inst)
-        new_points += _refine_copy_interiors(inst, grid, inputs, flagged)
-        if new_points == 0 and mode == "tsfrag":
+        inputs = inputs_of(inst, net, walks)
+        sel = selection_model(inst, inputs)  # sel.z is None without a schedule
+        new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
+        if sel.z != 0 and new_points == 0 and mode == "tsfrag":
             # the per-copy fragment floor can overtighten; retry with the
             # fragment's true minimum duration before declaring a stall
             weak = _weak_floors(inst, inputs, floor_cache)
             sel = selection_model(inst, inputs, floors=weak)
-            if sel.feasible and sel.z == 0:
-                return finish_optimal(sel)
-            flagged = flags_of(sel)
-            new_points = refine_grid(grid, flagged, inst)
-            new_points += _refine_copy_interiors(inst, grid, inputs, flagged)
-        if new_points == 0 and mode == "tsef":
+            new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
+        if sel.z != 0 and new_points == 0 and mode == "tsef":
             # nothing left to lengthen yet no continuous schedule: the
             # discrete ride rows cut the path set (documented inexactness)
-            return SolveReport(method, Status.INFEASIBLE, None, bound, None,
-                               time.perf_counter() - start, iterations=k,
-                               cuts=total_cuts,
-                               stats=dict(base_stats, **net.stats()),
-                               approximate=True, history=history)
-        z_repr = sel.z if sel.feasible else -1
-        history.append((k, bound, z_repr, new_points, master_seconds, info.num_cuts))
-        emit(f"k={k} bound={bound:.4f} Z={z_repr} new_points={new_points} "
-             f"master_seconds={master_seconds:.3f}")
+            status = Status.INFEASIBLE
+            break
+        z = -1 if sel.z is None else sel.z
+        history.append(Iteration(k, bound, z, new_points, master_seconds,
+                                 info.num_cuts))
+        if trace is not None:
+            trace(str(history[-1]))
+        if z == 0:
+            status, objective, bound, gap = (Status.OPTIMAL, sol.objective,
+                                             sol.best_bound, 0.0)
+            routes = RouteSet.from_routes(inst, [
+                Route(v, [(loc, sel.tau[loc]) for loc in path])
+                for v, path in enumerate(inputs.location_paths)], objective)
+            break
         if new_points == 0:
-            raise StallError(f"Z={z_repr} with no grid growth at iteration {k}")
-    raise StallError(f"no convergence within {max_iterations} iterations")
+            raise StallError(f"Z={z} with no grid growth at iteration {k}")
+    else:
+        raise StallError(f"no convergence within {MAX_ITERATIONS} iterations")
+    return SolveReport(f"{mode}+ddd", status, objective, bound, routes,
+                       time.perf_counter() - start, gap=gap, iterations=k,
+                       cuts=total_cuts, stats=stats,
+                       approximate=master.approximate, history=history)
 
 
 def _weak_floors(inst, inputs, cache):

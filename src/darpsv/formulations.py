@@ -3,6 +3,13 @@
 Solvers never trust structure that can be recomputed: extraction performs
 an explicit flow decomposition, residual cycles feed the subtour cuts, and
 objectives are re-derived from the traversed location arcs.
+
+EBF, TSEF and TSFrag share one subtour-separation loop
+(separate_subtours): solve, decompose the flow once, turn each residual
+cycle into a cut over its physical elements, re-solve, and read the routes
+off the walks of the last decomposition.  TsfragMaster and TsefMaster hold
+the steps of one time-space formulation on its current grid; fixed-grid
+solves and DDD drive the same masters.
 """
 from __future__ import annotations
 
@@ -28,6 +35,13 @@ def _time_left(time_limit, start):
     return time_limit - (time.perf_counter() - start)
 
 
+def _flow(sol, idx):
+    """Rounded values of the variables idx, read with one numpy index.
+    np.rint rounds half to even like round(); the result is a list because
+    decompose_flow's unit steps are slower on numpy scalars."""
+    return np.rint(sol.values[idx]).astype(int).tolist()
+
+
 def big_m(inst, i, j):
     return max(0.0, inst.latest[i] + inst.travel_time[i, j] - inst.earliest[j])
 
@@ -50,6 +64,17 @@ class RouteSet:
     objective: float
     sync_groups: dict = field(default_factory=dict)  # large pickup -> vehicles
     schedule_exact: bool = True
+
+    @classmethod
+    def from_routes(cls, inst, routes, objective, schedule_exact=True):
+        """Route set with the vehicles of each large pickup grouped."""
+        groups = {}
+        for route in routes:
+            for loc in route.path:
+                if inst.is_pickup(loc) and inst.is_large(loc):
+                    groups.setdefault(loc, []).append(route.vehicle)
+        return cls(routes, float(objective),
+                   {loc: tuple(vs) for loc, vs in groups.items()}, schedule_exact)
 
     def paths(self):
         return [r.path for r in self.routes]
@@ -122,13 +147,45 @@ class SolveReport:
         return out
 
 
-def _sync_groups_from_paths(inst, route_paths):
-    groups = {}
-    for v, path in enumerate(route_paths):
-        for loc in path:
-            if inst.is_pickup(loc) and inst.is_large(loc):
-                groups.setdefault(loc, []).append(v)
-    return {loc: tuple(vs) for loc, vs in groups.items()}
+def _report(method, sol, info, routes, start, stats, approximate=False):
+    """Report of a separation-loop solve; routes is None unless sol.ok."""
+    return SolveReport(method, sol.status, sol.objective, sol.best_bound, routes,
+                       time.perf_counter() - start, gap=sol.gap,
+                       cuts=info.num_cuts, stats=stats, approximate=approximate)
+
+
+# -- subtour separation -----------------------------------------------------
+
+def separate_subtours(model, decompose, physical, cut, time_limit,
+                      more_cuts=None):
+    """The subtour-separation loop of every flow formulation.
+
+    Each HiGHS solution is decomposed once: decompose(sol) gives the walks
+    (EBF: its routes) and the residual cycles.  Each cycle becomes a cut,
+    cut(physical(cycle), name), and the model is re-solved; more_cuts(walks)
+    runs only when no cycle was cut.  resolve_with_cuts returns an ok
+    solution only after the generator found no cut on it, so the last
+    decomposition is that solution's.
+
+    Returns (sol, info, walks, cut_sets): the final solution's walks (None
+    unless sol.ok) and the physical element set of every cycle cut, which
+    DDD keeps across grids.
+    """
+    walks, cut_sets = None, []
+
+    def generator(sol):
+        nonlocal walks
+        walks, cycles = decompose(sol)
+        cuts = []
+        for k, cycle in enumerate(cycles):
+            cut_sets.append(physical(cycle))
+            cuts.append(cut(cut_sets[-1], f"cut{model.num_constrs}_{k}"))
+        if not cuts and more_cuts is not None:
+            cuts = more_cuts(walks)
+        return cuts
+
+    sol, info = milp.resolve_with_cuts(model, generator, time_limit)
+    return sol, info, walks if sol.ok else None, cut_sets
 
 
 # -- EBF ----------------------------------------------------------------------
@@ -176,7 +233,7 @@ def build_ebf(inst: Instance, net: EventNetwork):
 
 
 def extract_routes_ebf(inst, net, sol, vars_):
-    flow = [int(round(sol.value(v))) for v in vars_.x]
+    flow = _flow(sol, vars_.x)
     tval = {loc: sol.value(v) for loc, v in vars_.t.items()}
     walks, cycles = decompose_flow(net.arcs, net.out_arcs, flow,
                                    net.origin_id, net.dest_id)
@@ -184,39 +241,24 @@ def extract_routes_ebf(inst, net, sol, vars_):
     for vehicle, walk in enumerate(walks):
         path = [inst.origin] + [net.events[net.arcs[a].head].loc for a in walk]
         routes.append(Route(vehicle, [(loc, float(tval[loc])) for loc in path]))
-    paths = [r.path for r in routes]
-    rs = RouteSet(routes, float(sol.objective),
-                  _sync_groups_from_paths(inst, paths))
-    return rs, cycles
+    return RouteSet.from_routes(inst, routes, sol.objective), cycles
 
 
-def solve_ebf(inst: Instance, time_limit=None, net=None) -> SolveReport:
+def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
     start = time.perf_counter()
-    net = net or enumerate_events(inst)
+    net = enumerate_events(inst)
     model, vars_ = build_ebf(inst, net)
 
-    def subtours(sol):
-        # big-M time rows already forbid positive-length cycles; this only
-        # fires on zero-length residual cycles
-        _, cycles = extract_routes_ebf(inst, net, sol, vars_)
-        cuts = []
-        for k, cycle in enumerate(cycles):
-            arcs = sorted(set(cycle))
-            coeffs = [(vars_.y[a], 1.0) for a in arcs]
-            cuts.append((f"cut_st{model.num_constrs}_{k}", coeffs, LE,
-                         float(len(arcs) - 1)))
-        return cuts
+    def cut(arcs, name):
+        # the big-M time rows already forbid cycles of positive length, so
+        # this fires only on zero-length ones
+        return (name, [(vars_.y[a], 1.0) for a in arcs], LE, float(len(arcs) - 1))
 
-    sol, info = milp.resolve_with_cuts(model, subtours,
-                                     _time_left(time_limit, start))
-    seconds = time.perf_counter() - start
-    stats = {"V_E": net.num_events, "A_E": net.num_arcs}
-    if not sol.ok:
-        return SolveReport("ebf", sol.status, None, sol.best_bound, None,
-                           seconds, cuts=info.num_cuts, stats=stats)
-    routes, cycles = extract_routes_ebf(inst, net, sol, vars_)
-    return SolveReport("ebf", sol.status, sol.objective, sol.best_bound, routes,
-                       seconds, gap=sol.gap, cuts=info.num_cuts, stats=stats)
+    sol, info, routes, _ = separate_subtours(
+        model, lambda sol: extract_routes_ebf(inst, net, sol, vars_),
+        lambda cycle: sorted(set(cycle)), cut, _time_left(time_limit, start))
+    return _report("ebf", sol, info, routes, start,
+                   {"V_E": net.num_events, "A_E": net.num_arcs})
 
 
 # -- ABF ----------------------------------------------------------------------
@@ -348,9 +390,7 @@ def extract_routes_abf(inst, sol, vars_):
             continue  # idle vehicle
         stops = [(loc, sol.value(vars_.t[loc, v])) for loc in path]
         routes.append(Route(len(routes), stops))
-    paths = [r.path for r in routes]
-    return RouteSet(routes, float(sol.objective),
-                    _sync_groups_from_paths(inst, paths))
+    return RouteSet.from_routes(inst, routes, sol.objective)
 
 
 def solve_abf(inst: Instance, time_limit=None) -> SolveReport:
@@ -421,17 +461,11 @@ def build_tsfrag(inst: Instance, net: TsFragNetwork):
     return m, TsfragVars(X, Y)
 
 
-@dataclass
-class TsWalk:
-    """One vehicle's traversal: ordered (kind, id) elements."""
-
-    elements: list
-
-
 def decompose_tsfrag(inst, net, sol, vars_):
-    flow = [int(round(sol.value(x))) * copy.vehicles
-            for x, copy in zip(vars_.X, net.ts_frags)]
-    flow += [int(round(sol.value(y))) for y in vars_.Y]
+    """Walks and residual cycles as lists of ("frag", copy id) and
+    ("arc", arc id) elements."""
+    flow = [x * copy.vehicles for x, copy in zip(_flow(sol, vars_.X), net.ts_frags)]
+    flow += _flow(sol, vars_.Y)
     walks, cycles = decompose_flow(net.ts_frags + net.arcs, net.out_elems, flow,
                                    net.origin_node, net.dest_node)
     nf = len(net.ts_frags)
@@ -439,7 +473,7 @@ def decompose_tsfrag(inst, net, sol, vars_):
     def named(elements):
         return [("frag", e) if e < nf else ("arc", e - nf) for e in elements]
 
-    return [TsWalk(named(w)) for w in walks], [named(c) for c in cycles]
+    return [named(w) for w in walks], [named(c) for c in cycles]
 
 
 def _return_stop(inst, last):
@@ -450,14 +484,14 @@ def _return_stop(inst, last):
     return dest, max(t + inst.travel_time[d, dest], float(inst.earliest[dest]))
 
 
-def walk_locations(net, walk: TsWalk, inst):
+def walk_locations(net, walk, inst):
     """Location path of a walk, with the discrete node times.
 
     Movement arcs land on pickups that the following fragment re-covers, so
     only fragments and the final depot arc contribute stops.
     """
     sched = [(inst.origin, float(inst.earliest[inst.origin]))]
-    for kind, idx in walk.elements:
+    for kind, idx in walk:
         if kind == "frag":
             copy = net.ts_frags[idx]
             frag = net.frags[copy.frag_id]
@@ -468,27 +502,21 @@ def walk_locations(net, walk: TsWalk, inst):
     return sched
 
 
-def extract_routes_tsfrag(inst, net, sol, vars_):
-    walks, cycles = decompose_tsfrag(inst, net, sol, vars_)
-    routes = []
-    for v, walk in enumerate(walks):
-        routes.append(Route(v, [(loc, float(t)) for loc, t in
-                                walk_locations(net, walk, inst)]))
+def routes_tsfrag(inst, net, walks, objective):
+    routes = [Route(v, [(loc, float(t)) for loc, t in walk_locations(net, walk, inst)])
+              for v, walk in enumerate(walks)]
     exact = all(net.ts_frags[i].disc <= EPS and
                 abs(net.ts_frags[i].start_eff - net.nodes[net.ts_frags[i].tail].t) <= EPS
-                for w in walks for k, i in w.elements if k == "frag") and \
-        all(net.arcs[i].disc <= EPS for w in walks for k, i in w.elements if k == "arc")
-    paths = [r.path for r in routes]
-    rs = RouteSet(routes, float(sol.objective),
-                  _sync_groups_from_paths(inst, paths), schedule_exact=exact)
-    return rs, walks, cycles
+                for w in walks for k, i in w if k == "frag") and \
+        all(net.arcs[i].disc <= EPS for w in walks for k, i in w if k == "arc")
+    return RouteSet.from_routes(inst, routes, objective, exact)
 
 
-def cycle_physical_elements(net, cycle):
-    """Physical fragments and movement location arcs of a residual cycle;
-    idle arcs carry no physical element."""
+def cycle_physical_elements(net, elements):
+    """Physical fragments and movement location arcs of a residual cycle
+    or a walk, each once, in order; idle arcs carry no physical element."""
     frags, loc_arcs = [], []
-    for kind, idx in cycle:
+    for kind, idx in elements:
         if kind == "frag":
             fid = net.ts_frags[idx].frag_id
             if fid not in frags:
@@ -500,10 +528,12 @@ def cycle_physical_elements(net, cycle):
     return frags, loc_arcs
 
 
-def subtour_cut_tsfrag(model, net, vars_, frags, loc_arcs, name):
+def subtour_cut_tsfrag(model, net, vars_, elements, name):
     """Forbid simultaneous use of every element of a detected cycle, over
     all time copies: positive flow on the whole physical cycle forces a
-    closed precedence chain, which no continuous schedule satisfies."""
+    closed precedence chain, which no continuous schedule satisfies.
+    elements is a (fragment ids, location arcs) pair."""
+    frags, loc_arcs = elements
     coeffs = [(vars_.X[c], 1.0) for fid in frags for c in net.by_frag.get(fid, [])]
     for la in loc_arcs:
         coeffs.append((arc_usage_var(model, net, vars_, la), 1.0))
@@ -511,20 +541,8 @@ def subtour_cut_tsfrag(model, net, vars_, frags, loc_arcs, name):
     return (name, coeffs, LE, rhs)
 
 
-def route_elements(net, walk: TsWalk):
-    frags, loc_arcs = [], []
-    for kind, idx in walk.elements:
-        if kind == "frag":
-            frags.append(net.ts_frags[idx].frag_id)
-        else:
-            arc = net.arcs[idx]
-            if arc.kind != IDLE:
-                loc_arcs.append(arc.loc_arc)
-    return frags, loc_arcs
-
-
 def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
-                 callbacks=False, frags=None, grid=None) -> SolveReport:
+                 callbacks=False) -> SolveReport:
     """Fixed-grid TSFrag; with callbacks=True, continuous-time feasibility
     of extracted routes is enforced through infeasible-path cuts (TSFrag+C),
     which requires independent route schedules (no large customers)."""
@@ -532,45 +550,8 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
     if callbacks and inst.large_pickups:
         raise ValueError("infeasible-path callbacks need independent route "
                          "schedules; large customers require DDD")
-    frags = frags or enumerate_fragments(inst)
-    grid = grid or TimeGrid.fixed(inst, resolution)
-    net = expand_fragments(inst, frags, grid)
-    model, vars_ = build_tsfrag(inst, net)
-    ncuts = {"subtour": 0, "path": 0}
-
-    def generator(sol):
-        rs, walks, cycles = extract_routes_tsfrag(inst, net, sol, vars_)
-        cuts = []
-        for cycle in cycles:
-            fr, la = cycle_physical_elements(net, cycle)
-            ncuts["subtour"] += 1
-            cuts.append(subtour_cut_tsfrag(
-                model, net, vars_, fr, la,
-                f"cut_st{model.num_constrs}_{len(cuts)}"))
-        if cuts or not callbacks:
-            return cuts
-        for walk in walks:
-            locs = [loc for loc, _ in walk_locations(net, walk, inst)]
-            if feasible_schedule(inst, locs) is None:
-                fr, la = route_elements(net, walk)
-                ncuts["path"] += 1
-                cuts.append(subtour_cut_tsfrag(
-                    model, net, vars_, fr, la,
-                    f"cut_ip{model.num_constrs}_{len(cuts)}"))
-        return cuts
-
-    sol, info = milp.resolve_with_cuts(model, generator,
-                                     _time_left(time_limit, start))
-    seconds = time.perf_counter() - start
-    stats = dict(net.stats())
-    method = "tsfrag+c" if callbacks else "tsfrag"
-    if not sol.ok:
-        return SolveReport(method, sol.status, None, sol.best_bound, None, seconds,
-                           cuts=info.num_cuts, stats=stats)
-    routes, _, _ = extract_routes_tsfrag(inst, net, sol, vars_)
-    routes.reschedule(inst)
-    return SolveReport(method, sol.status, sol.objective, sol.best_bound, routes,
-                       seconds, gap=sol.gap, cuts=info.num_cuts, stats=stats)
+    master = TsfragMaster(inst, enumerate_fragments(inst), callbacks)
+    return _solve_grid(master, TimeGrid.fixed(inst, resolution), time_limit, start)
 
 
 # -- TSEF -----------------------------------------------------------------------
@@ -618,13 +599,11 @@ def build_tsef(inst: Instance, net: TsEventNetwork):
 
 
 def decompose_tsef(inst, net, sol, vars_):
-    flow = [int(round(sol.value(v))) for v in vars_.chi]
-    return decompose_flow(net.arcs, net.out_arcs, flow, net.origin_node,
-                          net.dest_node)
+    return decompose_flow(net.arcs, net.out_arcs, _flow(sol, vars_.chi),
+                          net.origin_node, net.dest_node)
 
 
-def extract_routes_tsef(inst, net, sol, vars_):
-    walks, cycles = decompose_tsef(inst, net, sol, vars_)
+def routes_tsef(inst, net, walks, objective):
     routes = []
     for v, elements in enumerate(walks):
         stops = [(inst.origin, float(inst.earliest[inst.origin]))]
@@ -642,45 +621,105 @@ def extract_routes_tsef(inst, net, sol, vars_):
             stops.append((net.loc_of_node(arc.head), net.time_of_node(arc.head)))
         routes.append(Route(v, stops))
     exact = all(net.arcs[a].disc <= EPS for w in walks for a in w)
-    paths = [r.path for r in routes]
-    rs = RouteSet(routes, float(sol.objective),
-                  _sync_groups_from_paths(inst, paths), schedule_exact=exact)
-    return rs, walks, cycles
+    return RouteSet.from_routes(inst, routes, objective, exact)
 
 
-def subtour_cut_tsef(net, vars_, event_arcs, name):
+def subtour_cut_tsef(model, net, vars_, event_arcs, name):
     coeffs = [(vars_.gamma[a], 1.0) for ea in event_arcs
               for a in net.by_event_arc.get(ea, [])]
     return (name, coeffs, LE, float(len(event_arcs) - 1))
 
 
 def solve_tsef(inst: Instance, resolution=1.0, time_limit=None,
-               enet=None, grid=None) -> SolveReport:
+               grid=None) -> SolveReport:
     start = time.perf_counter()
-    enet = enet or enumerate_events(inst)
-    grid = grid or TimeGrid.fixed(inst, resolution)
-    net = expand_events(inst, enet, grid)
-    model, vars_ = build_tsef(inst, net)
+    master = TsefMaster(inst, enumerate_events(inst))
+    return _solve_grid(master, grid or TimeGrid.fixed(inst, resolution),
+                       time_limit, start)
 
-    def subtours(sol):
-        _, _, cycles = extract_routes_tsef(inst, net, sol, vars_)
-        cuts = []
-        for k, cycle in enumerate(cycles):
-            eas = sorted({net.arcs[a].event_arc for a in cycle
-                          if net.arcs[a].kind != IDLE})
-            cuts.append(subtour_cut_tsef(net, vars_, eas,
-                                         f"cut_st{model.num_constrs}_{k}"))
-        return cuts
 
-    sol, info = milp.resolve_with_cuts(model, subtours,
-                                     _time_left(time_limit, start))
-    seconds = time.perf_counter() - start
-    stats = dict(net.stats())
-    if not sol.ok:
-        return SolveReport("tsef", sol.status, None, sol.best_bound, None, seconds,
-                           cuts=info.num_cuts, stats=stats, approximate=True)
-    routes, _, _ = extract_routes_tsef(inst, net, sol, vars_)
-    routes.reschedule(inst)
-    return SolveReport("tsef", sol.status, sol.objective, sol.best_bound, routes,
-                       seconds, gap=sol.gap, cuts=info.num_cuts, stats=stats,
-                       approximate=True)
+# -- time-space masters ----------------------------------------------------------
+
+def _solve_grid(master, grid, time_limit, start):
+    """Fixed-grid solve of a time-space master."""
+    net, model = master.build(grid)
+    sol, info, walks, _ = separate_subtours(
+        model, master.decompose, master.physical, master.cut,
+        _time_left(time_limit, start), master.more_cuts)
+    routes = None
+    if sol.ok:
+        routes = master.routes(walks, sol.objective)
+        routes.reschedule(master.inst)
+    return _report(master.method, sol, info, routes, start, net.stats(),
+                   master.approximate)
+
+
+class TsfragMaster:
+    """TSFrag over a fragment set, for any grid.  build(grid) expands the
+    grid and builds the model; the other steps act on the last build, and
+    call the module-level decomposer when they run, so tracing wrappers
+    and test patches see every call.  With callbacks (TSFrag+C), a route
+    with no continuous schedule is cut like a cycle."""
+
+    approximate = False
+
+    def __init__(self, inst, frags, callbacks=False):
+        self.inst, self.frags = inst, frags
+        self.method = "tsfrag+c" if callbacks else "tsfrag"
+        self.more_cuts = self._path_cuts if callbacks else None
+
+    def build(self, grid):
+        self.net = expand_fragments(self.inst, self.frags, grid)
+        self.model, self.vars = build_tsfrag(self.inst, self.net)
+        return self.net, self.model
+
+    def decompose(self, sol):
+        return decompose_tsfrag(self.inst, self.net, sol, self.vars)
+
+    def physical(self, cycle):
+        return cycle_physical_elements(self.net, cycle)
+
+    def cut(self, elements, name):
+        return subtour_cut_tsfrag(self.model, self.net, self.vars, elements, name)
+
+    def routes(self, walks, objective):
+        return routes_tsfrag(self.inst, self.net, walks, objective)
+
+    def _path_cuts(self, walks):
+        paths = [self.physical(w) for w in walks
+                 if feasible_schedule(self.inst, [
+                     loc for loc, _ in walk_locations(self.net, w, self.inst)]) is None]
+        return [self.cut(elements, f"cut_ip{self.model.num_constrs}_{k}")
+                for k, elements in enumerate(paths)]
+
+
+class TsefMaster:
+    """TSEF over an event network, for any grid, with the same steps as
+    TsfragMaster.  Its ride rows act on discrete stamps, so its results
+    are approximate."""
+
+    method = "tsef"
+    approximate = True
+    more_cuts = None
+
+    def __init__(self, inst, enet):
+        self.inst, self.enet = inst, enet
+
+    def build(self, grid):
+        self.net = expand_events(self.inst, self.enet, grid)
+        self.model, self.vars = build_tsef(self.inst, self.net)
+        return self.net, self.model
+
+    def decompose(self, sol):
+        return decompose_tsef(self.inst, self.net, sol, self.vars)
+
+    def physical(self, cycle):
+        """The event arcs of a residual cycle."""
+        return sorted({self.net.arcs[a].event_arc for a in cycle
+                       if self.net.arcs[a].kind != IDLE})
+
+    def cut(self, event_arcs, name):
+        return subtour_cut_tsef(self.model, self.net, self.vars, event_arcs, name)
+
+    def routes(self, walks, objective):
+        return routes_tsef(self.inst, self.net, walks, objective)

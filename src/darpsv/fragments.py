@@ -184,13 +184,6 @@ class FragmentSet:
     def __init__(self, inst: Instance, fragments):
         self.inst = inst
         self.fragments = tuple(sorted(fragments, key=lambda f: f.path))
-        self.by_start = {}
-        self.covering = {}  # pickup -> fragment ids through it
-        for fid, frag in enumerate(self.fragments):
-            self.by_start.setdefault(frag.start, []).append(fid)
-            for loc in frag.path:
-                if inst.is_pickup(loc):
-                    self.covering.setdefault(loc, []).append(fid)
 
     def __len__(self):
         return len(self.fragments)

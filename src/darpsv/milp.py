@@ -21,6 +21,8 @@ BINARY = "binary"
 
 LE, GE, EQ = "<=", ">=", "="
 
+MIP_REL_GAP = 1e-9  # every MILP here is solved to proven optimality
+
 
 class Status:
     OPTIMAL = "optimal"
@@ -111,7 +113,7 @@ class MilpSolution:
 
 # -- solving -----------------------------------------------------------------
 
-def solve(model: MilpModel, time_limit=None, mip_rel_gap=1e-9) -> MilpSolution:
+def solve(model: MilpModel, time_limit=None) -> MilpSolution:
     """Solve a model with HiGHS."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
@@ -135,7 +137,7 @@ def solve(model: MilpModel, time_limit=None, mip_rel_gap=1e-9) -> MilpSolution:
             hi.append(con.rhs if con.sense in (LE, EQ) else np.inf)
         A = csr_matrix((data, (rows, cols)), shape=(len(model.constrs), nv))
         constraints = [LinearConstraint(A, np.array(lo), np.array(hi))]
-    options = {"mip_rel_gap": mip_rel_gap, "presolve": True}
+    options = {"mip_rel_gap": MIP_REL_GAP, "presolve": True}
     if time_limit is not None:
         options["time_limit"] = max(float(time_limit), 0.05)
     start = time.perf_counter()
@@ -175,8 +177,7 @@ class CutLoop:
         return len(self.cuts)
 
 
-def resolve_with_cuts(model: MilpModel, cut_generator, time_limit=None,
-                      mip_rel_gap=1e-9):
+def resolve_with_cuts(model: MilpModel, cut_generator, time_limit=None):
     """Iterated solve -> inspect incumbent -> add violated constraints.
 
     cut_generator(solution) returns a list of (name, coeffs, sense, rhs)
@@ -194,7 +195,7 @@ def resolve_with_cuts(model: MilpModel, cut_generator, time_limit=None,
                 return MilpSolution(Status.TIME_LIMIT, None, None,
                                     prev_bound if np.isfinite(prev_bound) else None,
                                     time.perf_counter() - start), info
-        sol = solve(model, time_limit=remaining, mip_rel_gap=mip_rel_gap)
+        sol = solve(model, time_limit=remaining)
         info.solves += 1
         info.seconds = time.perf_counter() - start
         if not sol.ok:

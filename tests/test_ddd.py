@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from darpsv import ddd
 from darpsv.ddd import SelectionInputs, ddd_solve, refine_grid, selection_model
 from darpsv.formulations import solve_ebf
 from darpsv.fragments import joint_schedule
@@ -193,3 +194,37 @@ def test_figure_eight_residual_decomposes():
     report = ddd_solve(inst, "tsfrag", time_limit=60)
     assert report.status == "optimal"
     assert not check(inst, report.routes)
+
+
+def test_ddd_history_records_named_fields(subtour_regression):
+    lines = []
+    report = ddd_solve(subtour_regression, "tsfrag", initial_delta=10.0,
+                       time_limit=60, trace=lines.append)
+    assert report.status == "optimal"
+    assert [str(rec) for rec in report.history] == lines
+    last = report.history[-1]
+    assert (last.k, last.z, last.new_points) == (report.iterations, 0, 0)
+    assert last.bound == pytest.approx(report.objective)
+    assert sum(rec.cuts for rec in report.history) == report.cuts >= 1
+    assert all(rec.master_seconds >= 0 for rec in report.history)
+    assert tuple(last) == (last.k, last.bound, last.z, last.new_points,
+                           last.master_seconds, last.cuts)
+
+
+@pytest.mark.parametrize("mode, name", [("tsfrag", "enumerate_fragments"),
+                                        ("tsef", "enumerate_events")])
+def test_ddd_enumerates_through_its_own_binding(single_customer, monkeypatch,
+                                                mode, name):
+    # the benchmark's tracer replaces from-imported bindings such as
+    # darpsv.ddd.enumerate_fragments, and its self-test reads that one
+    calls = []
+    enumerate_ = getattr(ddd, name)
+
+    def counted(inst):
+        calls.append(inst)
+        return enumerate_(inst)
+
+    monkeypatch.setattr(ddd, name, counted)
+    report = ddd_solve(single_customer, mode, time_limit=60)
+    assert report.status == "optimal"
+    assert calls == [single_customer]

@@ -222,7 +222,7 @@ def test_tsef_extraction_idle_semantics(single_customer):
     # at the delivery happened on arrival, later waiting is free slack
     import numpy as np
     from darpsv.events import enumerate_events
-    from darpsv.formulations import build_tsef, extract_routes_tsef
+    from darpsv.formulations import build_tsef, decompose_tsef, routes_tsef
     from darpsv.milp import MilpSolution
     from darpsv.timespace import IDLE, TimeGrid, expand_events
 
@@ -258,7 +258,8 @@ def test_tsef_extraction_idle_semantics(single_customer):
         values[vars_.gamma[a]] = 1
     cost = sum(net.arcs[a].cost for a in flow)
     sol = MilpSolution("optimal", values, cost, cost, 0.0, 0.0)
-    routes, _, cycles = extract_routes_tsef(inst, net, sol, vars_)
+    walks, cycles = decompose_tsef(inst, net, sol, vars_)
+    routes = routes_tsef(inst, net, walks, sol.objective)
     assert not cycles and len(routes.routes) == 1
     stops = dict(routes.routes[0].stops)
     arrive_p = max(inst.earliest[0] + inst.travel_time[0, 1], inst.earliest[1])
