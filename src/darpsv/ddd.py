@@ -62,15 +62,18 @@ class SelectionResult:
     z: int | None
     delta: list  # flagged location arcs
     tau: dict | None  # location -> departure time (per-vehicle depots merged)
+    status: str = Status.OPTIMAL  # of the selection MILP
 
 
-def selection_model(inst: Instance, inputs: SelectionInputs, floors=None):
+def selection_model(inst: Instance, inputs: SelectionInputs, floors=None,
+                    time_limit=None):
     """Minimal number of arcs that must keep a shortened travel time for the
     given paths to schedule; Z = 0 certifies continuous feasibility.
 
     Ride limits are part of the system: without them a zero-shortening
     schedule could still stretch a customer's trip beyond R_i, and the
-    returned times must be valid as the final schedule.
+    returned times must be valid as the final schedule.  A solve that hits
+    time_limit before any solution returns status TIME_LIMIT and z None.
     """
     m = MilpModel("selection")
     tau = {}
@@ -104,14 +107,15 @@ def selection_model(inst: Instance, inputs: SelectionInputs, floors=None):
         if i in tau and i + inst.n in tau:
             m.add_constr(f"ride{i}", [(tau[i + inst.n], 1.0), (tau[i], -1.0)],
                          LE, float(inst.ride[i]))
-    sol = milp.solve(m)
-    if sol.status == Status.INFEASIBLE:
-        return SelectionResult(False, None, [], None)
+    sol = milp.solve(m, time_limit=time_limit)
+    if sol.status in (Status.INFEASIBLE, Status.TIME_LIMIT):
+        return SelectionResult(False, None, [], None, sol.status)
     if not sol.ok:
         raise milp.ConfigurationError(f"selection model: {sol.status}")
     flagged = sorted(a for a in arcs if sol.value(delta[a]) > 0.5)
     times = {loc: sol.value(v) for loc, v in tau.items()}
-    return SelectionResult(True, int(round(sol.objective)), flagged, times)
+    return SelectionResult(True, int(round(sol.objective)), flagged, times,
+                           sol.status)
 
 
 def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
@@ -254,13 +258,22 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
                 f"lower bound regressed: {sol.objective} < {bound} at k={k}")
         bound = sol.objective if bound is None else max(bound, sol.objective)
         inputs = inputs_of(inst, net, walks)
-        sel = selection_model(inst, inputs)  # sel.z is None without a schedule
+        # sel.z is None without a schedule
+        sel = selection_model(inst, inputs,
+                              time_limit=_time_left(time_limit, start))
+        if sel.status == Status.TIME_LIMIT:
+            status = Status.TIME_LIMIT
+            break
         new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
         if sel.z != 0 and new_points == 0 and mode == "tsfrag":
             # the per-copy fragment floor can overtighten; retry with the
             # fragment's true minimum duration before declaring a stall
             weak = _weak_floors(inst, inputs, floor_cache)
-            sel = selection_model(inst, inputs, floors=weak)
+            sel = selection_model(inst, inputs, floors=weak,
+                                  time_limit=_time_left(time_limit, start))
+            if sel.status == Status.TIME_LIMIT:
+                status = Status.TIME_LIMIT
+                break
             new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
         if sel.z != 0 and new_points == 0 and mode == "tsef":
             # nothing left to lengthen yet no continuous schedule: the

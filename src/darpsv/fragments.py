@@ -5,6 +5,24 @@ exactly at the two endpoints, with a feasible continuous schedule.  The
 oracle solves the underlying difference-constraint system (window bounds,
 travel increments, ride limits) by longest-path relaxation, so feasibility
 is exact and the least solution is the earliest schedule.
+
+Enumeration is a depth-first search over prefixes.  Besides the one-step
+window test it prunes with the completion deadline D(loc, S): the latest
+departure from loc that still lets every customer in S be delivered within
+the windows, in some order,
+
+    D(loc, {}) = l_loc
+    D(loc, S)  = max over c in S with D(c+n, S-c) >= e_{c+n}
+                 of min(l_loc, D(c+n, S-c) - T[loc, c+n]).
+
+A prefix ending at loc with customers S on board is dropped when it
+reaches loc later than D(loc, S).  Every fragment that extends the prefix
+delivers all of S before it ends, and when T obeys the triangle inequality
+a detour through further pickups never reaches a delivery sooner (beyond
+the EPS that `Instance.is_metric` tolerates), so a dropped prefix has no
+completion and the fragment set is unchanged.  On instances without the
+triangle inequality the deadline test is skipped: there a detour can
+arrive before the direct arc would.
 """
 from __future__ import annotations
 
@@ -201,10 +219,18 @@ def _path_cost(inst, path):
 
 
 def enumerate_fragments(inst: Instance) -> FragmentSet:
-    """DFS over capacity-positive extensions from each small pickup, with a
-    window/increment prefix prune; ride limits are checked on emission only
-    (they are not monotone under extension).  One pair fragment per large
-    customer."""
+    """All fragments: a DFS over capacity-positive extensions from each
+    small pickup, plus one pair fragment per large customer.
+
+    A prefix is extended only while its last visit meets its window (the
+    one-step test) and, on metric instances, its arrival is no later than
+    the completion deadline D(last, onboard) of the module docstring, up to
+    the same EPS as the window test.  D ignores ride limits, so the prune
+    is exact: it drops only prefixes that no extension completes.  Ride
+    limits are checked on emission only (they are not monotone under
+    extension).  D is memoised on (location, onboard set) for this call
+    only.
+    """
     out = []
     n = inst.n
     Q = inst.capacity
@@ -218,9 +244,27 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
                                 inst.vehicles_required(i), "large-pair"))
 
     smalls = inst.small_pickups
+    memo = {}
+
+    def deadline(loc, onboard):
+        """D(loc, onboard); -inf when no delivery order fits the windows."""
+        key = (loc, onboard)
+        if key not in memo:
+            best = float(l[loc]) if not onboard else -np.inf
+            for c in onboard:
+                d = c + n
+                later = deadline(d, onboard - {c})
+                if later >= e[d] - EPS:
+                    best = max(best, min(l[loc], later - T[loc, d]))
+            memo[key] = best
+        return memo[key]
+
+    prune = inst.is_metric
 
     def extend(path, onboard, load, arrive):
         last = path[-1]
+        if prune and arrive > deadline(last, onboard) + EPS:
+            return
         for c in sorted(onboard):
             d = c + n
             t = max(arrive + T[last, d], e[d])
@@ -242,7 +286,7 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
             extend(path + (j,), onboard | {j}, load + inst.demand[j], t)
 
     for i in smalls:
-        extend((i,), {i}, int(inst.demand[i]), float(e[i]))
+        extend((i,), frozenset((i,)), int(inst.demand[i]), float(e[i]))
     return FragmentSet(inst, out)
 
 

@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp as highs_milp
+from scipy.sparse import csr_matrix
 
 from .instance import EPS
 
@@ -115,9 +117,6 @@ class MilpSolution:
 
 def solve(model: MilpModel, time_limit=None) -> MilpSolution:
     """Solve a model with HiGHS."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_matrix
-
     nv = model.num_vars
     if nv == 0:
         return MilpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0.0, 0.0, 0.0)
@@ -141,8 +140,8 @@ def solve(model: MilpModel, time_limit=None) -> MilpSolution:
     if time_limit is not None:
         options["time_limit"] = max(float(time_limit), 0.05)
     start = time.perf_counter()
-    res = milp(c=c, integrality=integrality, bounds=bounds,
-               constraints=constraints, options=options)
+    res = highs_milp(c=c, integrality=integrality, bounds=bounds,
+                     constraints=constraints, options=options)
     elapsed = time.perf_counter() - start
     bound = getattr(res, "mip_dual_bound", None)
     gap = getattr(res, "mip_gap", None)

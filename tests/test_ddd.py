@@ -1,7 +1,10 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
-from darpsv import ddd
+from darpsv import ddd, milp
 from darpsv.ddd import SelectionInputs, ddd_solve, refine_grid, selection_model
 from darpsv.formulations import solve_ebf
 from darpsv.fragments import joint_schedule
@@ -228,3 +231,58 @@ def test_ddd_enumerates_through_its_own_binding(single_customer, monkeypatch,
     report = ddd_solve(single_customer, mode, time_limit=60)
     assert report.status == "optimal"
     assert calls == [single_customer]
+
+
+def selection_calls(monkeypatch, result=None):
+    """Record the time limit of every selection-model solve; with result
+    set, return it instead of solving."""
+    calls = []
+    solve = milp.solve
+
+    def recorded(model, time_limit=None):
+        if model.name != "selection":
+            return solve(model, time_limit=time_limit)
+        calls.append((time_limit, time.perf_counter()))
+        return solve(model, time_limit=time_limit) if result is None else result
+
+    monkeypatch.setattr(milp, "solve", recorded)
+    return calls
+
+
+def test_selection_solves_get_the_remaining_time(monkeypatch):
+    # five DDD iterations from a 20-minute grid
+    inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
+                                           large_share=0.0))
+    calls = selection_calls(monkeypatch)
+    enumerate_ = ddd.enumerate_fragments
+    pause = 0.3
+
+    def slow(inst):
+        time.sleep(pause)
+        return enumerate_(inst)
+
+    monkeypatch.setattr(ddd, "enumerate_fragments", slow)
+    limit = 30.0
+    start = time.perf_counter()
+    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)
+    assert report.status == "optimal"
+    assert len(calls) >= report.iterations >= 3
+    given = [budget for budget, _ in calls]
+    assert all(budget is not None and math.isfinite(budget) for budget in given)
+    assert given == sorted(given, reverse=True)
+    for budget, at in calls:
+        # enumeration alone used `pause` of the budget; no more than the
+        # whole wall time since the call began has gone
+        assert limit - (at - start) <= budget <= limit - pause
+
+
+def test_selection_time_limit_ends_the_solve_with_its_bound(
+        subtour_regression, monkeypatch):
+    timed_out = milp.MilpSolution(milp.Status.TIME_LIMIT, None, None, None, 0.0)
+    calls = selection_calls(monkeypatch, timed_out)
+    report = ddd_solve(subtour_regression, "tsfrag", initial_delta=10.0,
+                       time_limit=30.0)
+    assert len(calls) == 1
+    assert report.status == "time_limit"
+    assert report.objective is None and report.routes is None
+    assert report.bound is not None and report.bound > 0

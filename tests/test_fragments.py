@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from darpsv import milp
-from darpsv.fragments import (enumerate_fragments, feasible_schedule,
-                              joint_schedule, start_interval, dump_fragments)
-from darpsv.instance import random_instance
+from darpsv.fragments import (Fragment, FragmentSet, _path_cost,
+                              dump_fragments, enumerate_fragments,
+                              feasible_schedule, joint_schedule,
+                              start_interval)
+from darpsv.instance import (EPS, DatasetParams, InfeasibleCustomerError,
+                             build_dataset2, parse_cordeau, random_instance,
+                             tighten_windows)
 from darpsv.milp import CONTINUOUS, GE, LE, MilpModel
 
-from conftest import make_instance
+from conftest import CORDEAU_SAMPLE, make_instance
 
 
 def lp_schedule(inst, path, fixed_start=None):
@@ -198,3 +202,159 @@ def test_dump_is_deterministic():
     a = dump_fragments(enumerate_fragments(inst))
     b = dump_fragments(enumerate_fragments(inst))
     assert a == b and a.startswith("fragments ")
+
+
+# -- completion-deadline prune -----------------------------------------------
+
+def unpruned_fragments(inst):
+    """Reference enumeration without the completion deadline: the same DFS
+    with only the one-step window test."""
+    out = []
+    n, Q, T = inst.n, inst.capacity, inst.travel_time
+    e, l = inst.earliest, inst.latest
+    for i in inst.large_pickups:
+        path = (i, i + n)
+        if feasible_schedule(inst, path) is not None:
+            out.append(Fragment(path, _path_cost(inst, path),
+                                inst.vehicles_required(i), "large-pair"))
+    smalls = inst.small_pickups
+
+    def extend(path, onboard, load, arrive):
+        last = path[-1]
+        for c in sorted(onboard):
+            d = c + n
+            t = max(arrive + T[last, d], e[d])
+            if t > l[d] + EPS:
+                continue
+            new_load = load - inst.demand[c]
+            if new_load == 0:
+                full = path + (d,)
+                if feasible_schedule(inst, full) is not None:
+                    out.append(Fragment(full, _path_cost(inst, full), 1, "chain"))
+            else:
+                extend(path + (d,), onboard - {c}, new_load, t)
+        for j in smalls:
+            if j in path or load + inst.demand[j] > Q:
+                continue
+            t = max(arrive + T[last, j], e[j])
+            if t > l[j] + EPS:
+                continue
+            extend(path + (j,), onboard | {j}, load + inst.demand[j], t)
+
+    for i in smalls:
+        extend((i,), {i}, int(inst.demand[i]), float(e[i]))
+    return FragmentSet(inst, out)
+
+
+def detour_instance():
+    """The direct arc p1 -> d1 takes 100, the detour p1 -> p2 -> d1 takes 2.
+    Delivering 1 first costs D(p1, {1}) = 10 - 100 < 0, yet (1,2,3,4) and
+    (1,2,4,3) schedule: a deadline test would drop them on this non-metric
+    matrix."""
+    T = np.full((6, 6), 1.0)
+    np.fill_diagonal(T, 0.0)
+    T[1, 3] = 100.0
+    return make_instance(2, T, [0] * 6, [100, 10, 10, 10, 10, 100],
+                         [0, 200, 200], [0, 1, 1, -1, -1, 0], capacity=2,
+                         name="detour")
+
+
+def eps_tie_instance():
+    """Metric matrix on which (1,2,3,4) reaches d2 half an EPS after l_d2,
+    which the window tests accept.  The deadline of prefix (1,2) must come
+    from delivering 1 first, and D(d1, {2}) lies half an EPS below e_d1: a
+    deadline test with less slack than the window tests drops the
+    fragment."""
+    T = np.full((6, 6), 30.0)
+    np.fill_diagonal(T, 0.0)
+    T[3, 4] = 5.0
+    T[4, 3] = 50.0
+    return make_instance(2, T, [0, 0, 0, 70, 0, 0],
+                         [500, 10, 40, 100, 75.0 - 0.5 * EPS, 500],
+                         [0, 200, 200], [0, 1, 1, -1, -1, 0], capacity=2,
+                         name="eps-tie")
+
+
+def non_metric_fragments(seed, n=4):
+    """Random travel times without the triangle inequality, windows wide
+    enough that chains of two or three customers fit."""
+    rng = np.random.default_rng(seed)
+    m = 2 * n + 2
+    T = rng.uniform(1.0, 40.0, size=(m, m))
+    np.fill_diagonal(T, 0.0)
+    earliest = np.zeros(m)
+    latest = np.full(m, 1000.0)
+    for i in range(1, n + 1):
+        earliest[i] = rng.uniform(0.0, 40.0)
+        latest[i] = earliest[i] + rng.uniform(10.0, 40.0)
+        earliest[i + n] = earliest[i] + T[i, i + n]
+        latest[i + n] = latest[i] + T[i, i + n] + rng.uniform(0.0, 40.0)
+    demand = [0] + [1] * n + [-1] * n + [0]
+    return make_instance(n, T, earliest, latest, [0.0] + [200.0] * n, demand,
+                         capacity=3, name=f"non-metric{seed}")
+
+
+def dataset2_fragments():
+    """Small second-dataset instances from the sample file and from random
+    bases; bases the tightening rejects are skipped."""
+    out = []
+    bases = [parse_cordeau(CORDEAU_SAMPLE, name="sample")] + [
+        random_instance(seed, n=5, vehicles=2, capacity=3, large_share=0.0,
+                        horizon=400.0, window=60.0) for seed in range(6)]
+    for base in bases:
+        for params in (DatasetParams(r_l=0.0, p_tw=30.0, p_de=2.0,
+                                     variant="darp", fleet_multiplier=3),
+                       DatasetParams(r_l=1.0 / 3.0, p_tw=15.0, p_de=1.5)):
+            try:
+                out.append(tighten_windows(build_dataset2(
+                    tighten_windows(base), params)))
+            except InfeasibleCustomerError:
+                continue
+    return out
+
+
+PRUNE_CASES = [
+    pytest.param(random_instance(seed, n=3 + seed % 4,
+                                 capacity=2 + seed // 4 % 2,
+                                 large_share=0.3 * (seed // 8 % 2)),
+                 id=f"random{seed}")
+    for seed in range(24)
+] + [
+    pytest.param(inst, id=f"dataset2-{k}")
+    for k, inst in enumerate(dataset2_fragments())
+] + [
+    pytest.param(non_metric_fragments(seed), id=f"non-metric{seed}")
+    for seed in range(6)
+] + [
+    pytest.param(detour_instance(), id="detour"),
+    pytest.param(eps_tie_instance(), id="eps-tie"),
+]
+
+
+@pytest.mark.parametrize("inst", PRUNE_CASES)
+def test_deadline_prune_keeps_fragments(inst):
+    assert dump_fragments(enumerate_fragments(inst)) == \
+        dump_fragments(unpruned_fragments(inst))
+
+
+def test_prune_cases_cover_both_guards():
+    cases = [p.values[0] for p in PRUNE_CASES]
+    metric = [inst for inst in cases if inst.is_metric]
+    assert len(metric) >= 25 and len(cases) - len(metric) >= 5
+    assert len(dataset2_fragments()) >= 3
+    # the non-metric draws do produce fragments, so equality is not vacuous
+    assert all(len(enumerate_fragments(inst)) > 0
+               for inst in cases if not inst.is_metric)
+
+
+def test_detour_needs_the_metric_guard():
+    inst = detour_instance()
+    assert not inst.is_metric
+    paths = {f.path for f in enumerate_fragments(inst)}
+    assert {(1, 2, 3, 4), (1, 2, 4, 3)} <= paths
+
+
+def test_eps_tie_keeps_the_late_chain():
+    inst = eps_tie_instance()
+    assert inst.is_metric
+    assert (1, 2, 3, 4) in {f.path for f in enumerate_fragments(inst)}

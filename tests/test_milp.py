@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import darpsv
 from darpsv.milp import (BINARY, CONTINUOUS, GE, INTEGER, LE, MilpModel,
                          Status, resolve_with_cuts, solve, write_lp)
 
@@ -111,3 +116,14 @@ def test_resolve_with_cuts_exhausted_budget_returns_time_limit():
     m.add_constr("c", [(x, 1.0)], GE, 2.0)
     sol, info = resolve_with_cuts(m, lambda s: [], time_limit=0.0)
     assert sol.status == Status.TIME_LIMIT and info.solves == 0
+
+
+def test_scipy_is_imported_with_the_module():
+    # importing SciPy inside solve() would bill ~0.5 s of import time to the
+    # first solve of a process
+    src = str(Path(darpsv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, darpsv.milp; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "True"
