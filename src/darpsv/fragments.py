@@ -13,16 +13,15 @@ the windows, in some order,
 
     D(loc, {}) = l_loc
     D(loc, S)  = max over c in S with D(c+n, S-c) >= e_{c+n}
-                 of min(l_loc, D(c+n, S-c) - T[loc, c+n]).
+                 of min(l_loc, D(c+n, S-c) - T*[loc, c+n]),
 
-A prefix ending at loc with customers S on board is dropped when it
-reaches loc later than D(loc, S).  Every fragment that extends the prefix
-delivers all of S before it ends, and when T obeys the triangle inequality
-a detour through further pickups never reaches a delivery sooner (beyond
-the EPS that `Instance.is_metric` tolerates), so a dropped prefix has no
-completion and the fragment set is unchanged.  On instances without the
-triangle inequality the deadline test is skipped: there a detour can
-arrive before the direct arc would.
+where T* is the shortest-path closure of T.  A prefix ending at loc with
+customers S on board is dropped when it reaches loc later than D(loc, S).
+Every fragment that extends the prefix delivers all of S before it ends,
+and no path of arcs, however it detours or waits, reaches a delivery
+sooner than T* allows, so a dropped prefix has no completion and the
+fragment set is unchanged, whether or not T obeys the triangle inequality
+(on matrices that do, T* = T).
 """
 from __future__ import annotations
 
@@ -218,18 +217,27 @@ def _path_cost(inst, path):
     return float(sum(C[i, j] for i, j in zip(path, path[1:])))
 
 
+def _shortest_times(T):
+    """Shortest-path closure of T (Floyd-Warshall, one k-slice at a time):
+    no path of arcs gets from i to j sooner than the result's [i, j]."""
+    Ts = T.copy()
+    for k in range(len(Ts)):
+        np.minimum(Ts, Ts[:, k, None] + Ts[None, k, :], out=Ts)
+    return Ts
+
+
 def enumerate_fragments(inst: Instance) -> FragmentSet:
     """All fragments: a DFS over capacity-positive extensions from each
     small pickup, plus one pair fragment per large customer.
 
     A prefix is extended only while its last visit meets its window (the
-    one-step test) and, on metric instances, its arrival is no later than
-    the completion deadline D(last, onboard) of the module docstring, up to
-    the same EPS as the window test.  D ignores ride limits, so the prune
-    is exact: it drops only prefixes that no extension completes.  Ride
-    limits are checked on emission only (they are not monotone under
-    extension).  D is memoised on (location, onboard set) for this call
-    only.
+    one-step test) and its arrival is no later than the completion
+    deadline D(last, onboard) of the module docstring, up to the same EPS
+    as the window test.  D bounds travel by the closure T*, which no
+    detour beats, and ignores ride limits, so the prune is exact: it drops
+    only prefixes that no extension completes.  Ride limits are checked on
+    emission only (they are not monotone under extension).  D is memoised
+    on (location, onboard set) for this call only.
     """
     out = []
     n = inst.n
@@ -244,6 +252,7 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
                                 inst.vehicles_required(i), "large-pair"))
 
     smalls = inst.small_pickups
+    Ts = _shortest_times(T)
     memo = {}
 
     def deadline(loc, onboard):
@@ -255,15 +264,13 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
                 d = c + n
                 later = deadline(d, onboard - {c})
                 if later >= e[d] - EPS:
-                    best = max(best, min(l[loc], later - T[loc, d]))
+                    best = max(best, min(l[loc], later - Ts[loc, d]))
             memo[key] = best
         return memo[key]
 
-    prune = inst.is_metric
-
     def extend(path, onboard, load, arrive):
         last = path[-1]
-        if prune and arrive > deadline(last, onboard) + EPS:
+        if arrive > deadline(last, onboard) + EPS:
             return
         for c in sorted(onboard):
             d = c + n

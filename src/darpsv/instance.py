@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -149,15 +148,6 @@ class Instance:
     @property
     def small_pickups(self) -> tuple:
         return tuple(i for i in self.pickups if not self.is_large(i))
-
-    @cached_property
-    def is_metric(self) -> bool:
-        """Whether T obeys the triangle inequality, T[i,j] <= T[i,k] +
-        T[k,j] + EPS for all i, j, k.  Checked one k-slice at a time, so
-        memory stays O(m^2); computed once per instance."""
-        T = self.travel_time
-        return all(bool(np.all(T <= T[:, k, None] + T[None, k, :] + EPS))
-                   for k in range(self.num_locations))
 
     def vehicles_required(self, loc: int) -> int:
         """Number of synchronized vehicles that serve location loc: a

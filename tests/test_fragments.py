@@ -248,15 +248,41 @@ def unpruned_fragments(inst):
 
 def detour_instance():
     """The direct arc p1 -> d1 takes 100, the detour p1 -> p2 -> d1 takes 2.
-    Delivering 1 first costs D(p1, {1}) = 10 - 100 < 0, yet (1,2,3,4) and
-    (1,2,4,3) schedule: a deadline test would drop them on this non-metric
-    matrix."""
+    A deadline on the direct arc, 10 - 100 < 0, would drop (1,2,3,4) and
+    (1,2,4,3), which schedule; the closure gives 10 - 2."""
     T = np.full((6, 6), 1.0)
     np.fill_diagonal(T, 0.0)
     T[1, 3] = 100.0
     return make_instance(2, T, [0] * 6, [100, 10, 10, 10, 10, 100],
                          [0, 200, 200], [0, 1, 1, -1, -1, 0], capacity=2,
                          name="detour")
+
+
+def sub_eps_detour_instance():
+    """Every triangle holds up to 0.9 EPS, but the chain p1 -> p2 -> p3 -> d1
+    of unit arcs beats the direct arc T[p1,d1] = 3 + 1.8 EPS.  Fragments
+    from p1 reach d1 at 3, within l_d1 + EPS = 3 + 0.5 EPS; a deadline on
+    T, 3 - 0.5 EPS - T[p1,d1], lies 2.3 EPS below the start at 0, so it
+    would drop them even with an EPS-tolerant triangle guard."""
+    delta = 0.9 * EPS
+    T = np.full((8, 8), 10.0)
+    chain = (1, 2, 3, 4)  # p1, p2, p3, d1 on a line
+    for a in chain:
+        for b in chain:
+            T[a, b] = abs(a - b)
+    T[1, 3] = T[2, 4] = 2.0 + delta
+    T[1, 4] = 3.0 + 2 * delta
+    np.fill_diagonal(T, 0.0)
+    latest = [100.0] * 8
+    latest[4] = 3.0 - 0.5 * EPS
+    return make_instance(3, T, [0.0] * 8, latest, [0, 200, 200, 200],
+                         [0, 1, 1, 1, -1, -1, -1, 0], capacity=3,
+                         name="sub-eps-detour")
+
+
+def triangle_slack(T):
+    """Largest T[i,j] - (T[i,k] + T[k,j]) over all i, j, k."""
+    return float(np.max(T[:, None, :] - T[:, :, None] - T[None, :, :]))
 
 
 def eps_tie_instance():
@@ -327,6 +353,7 @@ PRUNE_CASES = [
     for seed in range(6)
 ] + [
     pytest.param(detour_instance(), id="detour"),
+    pytest.param(sub_eps_detour_instance(), id="sub-eps-detour"),
     pytest.param(eps_tie_instance(), id="eps-tie"),
 ]
 
@@ -337,24 +364,26 @@ def test_deadline_prune_keeps_fragments(inst):
         dump_fragments(unpruned_fragments(inst))
 
 
-def test_prune_cases_cover_both_guards():
+def test_prune_cases_include_non_metric_matrices():
     cases = [p.values[0] for p in PRUNE_CASES]
-    metric = [inst for inst in cases if inst.is_metric]
-    assert len(metric) >= 25 and len(cases) - len(metric) >= 5
+    broken = [inst for inst in cases
+              if triangle_slack(inst.travel_time) > 0.0]
+    assert len(cases) - len(broken) >= 25 and len(broken) >= 6
     assert len(dataset2_fragments()) >= 3
     # the non-metric draws do produce fragments, so equality is not vacuous
-    assert all(len(enumerate_fragments(inst)) > 0
-               for inst in cases if not inst.is_metric)
+    assert all(len(enumerate_fragments(inst)) > 0 for inst in broken)
 
 
-def test_detour_needs_the_metric_guard():
-    inst = detour_instance()
-    assert not inst.is_metric
-    paths = {f.path for f in enumerate_fragments(inst)}
-    assert {(1, 2, 3, 4), (1, 2, 4, 3)} <= paths
+def test_hand_built_cases_keep_their_chains():
+    """Each hand-built case has the chain that a too-tight deadline drops,
+    so comparing it with the unpruned DFS is not vacuous."""
+    def paths(inst):
+        return {f.path for f in enumerate_fragments(inst)}
 
-
-def test_eps_tie_keeps_the_late_chain():
+    assert {(1, 2, 3, 4), (1, 2, 4, 3)} <= paths(detour_instance())
+    inst = sub_eps_detour_instance()
+    assert 0.0 < triangle_slack(inst.travel_time) < EPS
+    assert (1, 2, 3, 4) in {p[:4] for p in paths(inst)}
     inst = eps_tie_instance()
-    assert inst.is_metric
-    assert (1, 2, 3, 4) in {f.path for f in enumerate_fragments(inst)}
+    assert triangle_slack(inst.travel_time) <= 0.0
+    assert (1, 2, 3, 4) in paths(inst)

@@ -201,39 +201,3 @@ def test_dataset2_zero_large_customers_warns_not_errors():
     with pytest.warns(UserWarning, match="no large customers"):
         out = build_dataset2(inst, params)  # k = 6 > n: nobody qualifies
     assert out.large_pickups == ()
-
-
-# -- triangle inequality -------------------------------------------------------
-
-def interior_shortcut_matrix():
-    """Depot arcs 10, customer arcs 2, except 1 -> 2 -> 3 at 1 + 1 against
-    T[1,3] = 3: the triangle inequality fails only through location 2."""
-    T = np.full((6, 6), 2.0)
-    T[0, :] = T[:, 0] = T[5, :] = T[:, 5] = 10.0
-    np.fill_diagonal(T, 0.0)
-    T[1, 2] = T[2, 3] = 1.0
-    T[1, 3] = 3.0
-    return T
-
-
-def test_is_metric_on_random_and_bench_recipe_instances():
-    for seed in range(10):
-        assert random_instance(seed, n=4, large_share=0.3).is_metric
-    base = tighten_windows(parse_cordeau(CORDEAU_SAMPLE))
-    inst = tighten_windows(build_dataset2(
-        base, DatasetParams(r_l=0.0, p_tw=30.0, p_de=2.0, variant="darp",
-                            fleet_multiplier=3)))
-    assert inst.is_metric
-
-
-def test_is_metric_false_on_shortcut():
-    inst = random_instance(0, n=2)
-    assert not inst.replace(travel_time=interior_shortcut_matrix()).is_metric
-
-
-def test_is_metric_is_cached():
-    inst = random_instance(3, n=2)
-    assert inst.is_metric
-    inst.travel_time[...] = interior_shortcut_matrix()
-    assert inst.is_metric  # computed once, not re-read from T
-    assert not inst.replace().is_metric
