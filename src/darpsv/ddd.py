@@ -17,7 +17,8 @@ from typing import NamedTuple
 from . import milp
 from .events import enumerate_events
 from .formulations import (Route, RouteSet, SolveReport, TsefMaster,
-                           TsfragMaster, separate_subtours, _time_left)
+                           TsfragMaster, paths_tsef, paths_tsfrag,
+                           separate_subtours, _time_left)
 from .fragments import enumerate_fragments, feasible_schedule, start_interval
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
@@ -162,20 +163,17 @@ def _shorten(arc_short, loc_arc, value):
 
 
 def _frag_inputs(inst, net, walks):
-    paths, floors, used_copies = [], [], []
+    floors, used_copies = [], []
     arc_short = {}
     seen_copies = set()
     for walk in walks:
-        path = [inst.origin]
         for kind, idx in walk:
             if kind == "frag":
-                copy = net.ts_frags[idx]
-                frag = net.frags[copy.frag_id]
-                # the preceding node arc already landed on the start pickup
-                path.extend(frag.path[1:] if path[-1] == frag.start else frag.path)
                 if idx in seen_copies:
                     continue  # synchronized vehicles share one copy
                 seen_copies.add(idx)
+                copy = net.ts_frags[idx]
+                frag = net.frags[copy.frag_id]
                 used_copies.append((frag.path, copy))
                 for (i, j) in zip(frag.path, frag.path[1:]):
                     _shorten(arc_short, (i, j), inst.travel_time[i, j] - copy.disc)
@@ -183,29 +181,22 @@ def _frag_inputs(inst, net, walks):
                                net.nodes[copy.head].t - copy.start_eff))
             else:
                 arc = net.arcs[idx]
-                if arc.kind == IDLE:
-                    continue
-                i, j = arc.loc_arc
-                path.append(j)
-                _shorten(arc_short, (i, j), inst.travel_time[i, j] - arc.disc)
-        paths.append(path)
-    return SelectionInputs(paths, arc_short, floors, used_copies)
+                if arc.kind != IDLE:
+                    _shorten(arc_short, arc.loc_arc,
+                             inst.travel_time[arc.loc_arc] - arc.disc)
+    return SelectionInputs(paths_tsfrag(inst, net, walks), arc_short, floors,
+                           used_copies)
 
 
 def _event_inputs(inst, net, walks):
-    paths = []
     arc_short = {}
     for elements in walks:
-        path = [inst.origin]
         for aid in elements:
             arc = net.arcs[aid]
-            if arc.kind == IDLE:
-                continue
-            i, j = arc.loc_arc
-            path.append(j)
-            _shorten(arc_short, (i, j), inst.travel_time[i, j] - arc.disc)
-        paths.append(path)
-    return SelectionInputs(paths, arc_short, [])
+            if arc.kind != IDLE:
+                _shorten(arc_short, arc.loc_arc,
+                         inst.travel_time[arc.loc_arc] - arc.disc)
+    return SelectionInputs(paths_tsef(inst, net, walks), arc_short, [])
 
 
 def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
@@ -223,7 +214,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         enet = enumerate_events(inst)
         master, inputs_of = TsefMaster(inst, enet), _event_inputs
         base_stats = {"V_E": enet.num_events, "A_E": enet.num_arcs}
-    grid = TimeGrid.initial_ddd(inst, initial_delta)
+    grid = TimeGrid.fixed(inst, initial_delta)
     history = []
     bound = objective = routes = gap = None
     physical_cuts = []  # persists across iterations, re-instantiated per grid

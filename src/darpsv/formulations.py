@@ -10,6 +10,11 @@ cycle into a cut over its physical elements, re-solve, and read the routes
 off the walks of the last decomposition.  TsfragMaster and TsefMaster hold
 the steps of one time-space formulation on its current grid; fixed-grid
 solves and DDD drive the same masters.
+
+A fixed grid rounds arcs down, so its optimum is a relaxation whose paths
+may admit no continuous schedule.  Its routes are timed one way, by the
+earliest joint schedule of their location paths (timed_routes); without
+one the report has status RELAXATION and the master's bound.
 """
 from __future__ import annotations
 
@@ -24,8 +29,8 @@ from .fragments import enumerate_fragments, feasible_schedule, joint_schedule
 from .graph import decompose_flow
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel, Status
-from .timespace import (DEPOT_IN, IDLE, TimeGrid, TsEventNetwork,
-                        TsFragNetwork, expand_events, expand_fragments)
+from .timespace import (IDLE, TimeGrid, TsEventNetwork, TsFragNetwork,
+                        expand_events, expand_fragments)
 
 
 def _time_left(time_limit, start):
@@ -63,10 +68,9 @@ class RouteSet:
     routes: list
     objective: float
     sync_groups: dict = field(default_factory=dict)  # large pickup -> vehicles
-    schedule_exact: bool = True
 
     @classmethod
-    def from_routes(cls, inst, routes, objective, schedule_exact=True):
+    def from_routes(cls, inst, routes, objective):
         """Route set with the vehicles of each large pickup grouped."""
         groups = {}
         for route in routes:
@@ -74,7 +78,7 @@ class RouteSet:
                 if inst.is_pickup(loc) and inst.is_large(loc):
                     groups.setdefault(loc, []).append(route.vehicle)
         return cls(routes, float(objective),
-                   {loc: tuple(vs) for loc, vs in groups.items()}, schedule_exact)
+                   {loc: tuple(vs) for loc, vs in groups.items()})
 
     def paths(self):
         return [r.path for r in self.routes]
@@ -83,18 +87,6 @@ class RouteSet:
         C = inst.travel_cost
         return float(sum(C[i, j] for r in self.routes
                          for i, j in zip(r.path, r.path[1:])))
-
-    def reschedule(self, inst):
-        """Replace inexact discrete stop times by one joint continuous
-        schedule of all routes, when such a schedule exists."""
-        if self.schedule_exact:
-            return
-        times_per_route = joint_schedule(inst, self.paths())
-        if times_per_route is None:
-            return
-        for route, times in zip(self.routes, times_per_route):
-            route.stops = [(loc, float(times[loc])) for loc, _ in route.stops]
-        self.schedule_exact = True
 
     def to_dict(self):
         return {
@@ -140,7 +132,6 @@ class SolveReport:
         }
         if self.routes is not None:
             out.update(self.routes.to_dict())
-            out["stats"]["schedule_exact"] = self.routes.schedule_exact
         else:
             out["routes"] = []
             out["sync_groups"] = {}
@@ -476,40 +467,18 @@ def decompose_tsfrag(inst, net, sol, vars_):
     return [named(w) for w in walks], [named(c) for c in cycles]
 
 
-def _return_stop(inst, last):
-    """Destination stop after last = (delivery, time): direct travel,
-    waiting for the depot to open if early."""
-    d, t = last
-    dest = inst.destination
-    return dest, max(t + inst.travel_time[d, dest], float(inst.earliest[dest]))
-
-
-def walk_locations(net, walk, inst):
-    """Location path of a walk, with the discrete node times.
-
-    Movement arcs land on pickups that the following fragment re-covers, so
-    only fragments and the final depot arc contribute stops.
-    """
-    sched = [(inst.origin, float(inst.earliest[inst.origin]))]
-    for kind, idx in walk:
-        if kind == "frag":
-            copy = net.ts_frags[idx]
-            frag = net.frags[copy.frag_id]
-            inner = feasible_schedule(inst, frag.path, fixed_start=copy.start_eff)
-            sched.extend(zip(frag.path, inner.times))
-        elif net.arcs[idx].kind == DEPOT_IN:
-            sched.append(_return_stop(inst, sched[-1]))
-    return sched
-
-
-def routes_tsfrag(inst, net, walks, objective):
-    routes = [Route(v, [(loc, float(t)) for loc, t in walk_locations(net, walk, inst)])
-              for v, walk in enumerate(walks)]
-    exact = all(net.ts_frags[i].disc <= EPS and
-                abs(net.ts_frags[i].start_eff - net.nodes[net.ts_frags[i].tail].t) <= EPS
-                for w in walks for k, i in w if k == "frag") and \
-        all(net.arcs[i].disc <= EPS for w in walks for k, i in w if k == "arc")
-    return RouteSet.from_routes(inst, routes, objective, exact)
+def paths_tsfrag(inst, net, walks):
+    """Location path of each walk: the origin, every fragment's stops in
+    order, then the destination.  Movement arcs land on the pickup that
+    the next fragment starts at, so node arcs add no stop of their own."""
+    paths = []
+    for walk in walks:
+        path = [inst.origin]
+        for kind, idx in walk:
+            if kind == "frag":
+                path.extend(net.frags[net.ts_frags[idx].frag_id].path)
+        paths.append(path + [inst.destination])
+    return paths
 
 
 def cycle_physical_elements(net, elements):
@@ -603,25 +572,12 @@ def decompose_tsef(inst, net, sol, vars_):
                           net.origin_node, net.dest_node)
 
 
-def routes_tsef(inst, net, walks, objective):
-    routes = []
-    for v, elements in enumerate(walks):
-        stops = [(inst.origin, float(inst.earliest[inst.origin]))]
-        for aid in elements:
-            arc = net.arcs[aid]
-            if arc.kind == IDLE:
-                # waiting at a pickup delays service; at a delivery service
-                # happened on arrival and the wait is free slack
-                if inst.is_pickup(stops[-1][0]):
-                    stops[-1] = (stops[-1][0], net.time_of_node(arc.head))
-                continue
-            if arc.kind == DEPOT_IN:
-                stops.append(_return_stop(inst, stops[-1]))
-                continue
-            stops.append((net.loc_of_node(arc.head), net.time_of_node(arc.head)))
-        routes.append(Route(v, stops))
-    exact = all(net.arcs[a].disc <= EPS for w in walks for a in w)
-    return RouteSet.from_routes(inst, routes, objective, exact)
+def paths_tsef(inst, net, walks):
+    """Location path of each walk: the origin plus the head location of
+    every non-idle arc."""
+    return [[inst.origin] + [net.arcs[a].loc_arc[1] for a in walk
+                             if net.arcs[a].kind != IDLE]
+            for walk in walks]
 
 
 def subtour_cut_tsef(model, net, vars_, event_arcs, name):
@@ -640,18 +596,31 @@ def solve_tsef(inst: Instance, resolution=1.0, time_limit=None,
 
 # -- time-space masters ----------------------------------------------------------
 
+def timed_routes(inst, paths, objective):
+    """Routes along paths at their earliest continuous joint schedule, or
+    None when the paths have none."""
+    times = joint_schedule(inst, paths)
+    if times is None:
+        return None
+    return RouteSet.from_routes(inst, [
+        Route(v, [(loc, times[v][loc]) for loc in path])
+        for v, path in enumerate(paths)], objective)
+
+
 def _solve_grid(master, grid, time_limit, start):
-    """Fixed-grid solve of a time-space master."""
+    """Fixed-grid solve of a time-space master: a RELAXATION, with the
+    master's bound and no routes, when its paths have no schedule."""
     net, model = master.build(grid)
     sol, info, walks, _ = separate_subtours(
         model, master.decompose, master.physical, master.cut,
         _time_left(time_limit, start), master.more_cuts)
-    routes = None
-    if sol.ok:
-        routes = master.routes(walks, sol.objective)
-        routes.reschedule(master.inst)
-    return _report(master.method, sol, info, routes, start, net.stats(),
-                   master.approximate)
+    routes = timed_routes(master.inst, master.paths(walks),
+                          sol.objective) if sol.ok else None
+    report = _report(master.method, sol, info, routes, start, net.stats(),
+                     master.approximate)
+    if sol.ok and routes is None:
+        report.status, report.objective, report.gap = Status.RELAXATION, None, None
+    return report
 
 
 class TsfragMaster:
@@ -682,15 +651,14 @@ class TsfragMaster:
     def cut(self, elements, name):
         return subtour_cut_tsfrag(self.model, self.net, self.vars, elements, name)
 
-    def routes(self, walks, objective):
-        return routes_tsfrag(self.inst, self.net, walks, objective)
+    def paths(self, walks):
+        return paths_tsfrag(self.inst, self.net, walks)
 
     def _path_cuts(self, walks):
-        paths = [self.physical(w) for w in walks
-                 if feasible_schedule(self.inst, [
-                     loc for loc, _ in walk_locations(self.net, w, self.inst)]) is None]
+        unscheduled = [self.physical(w) for w, path in zip(walks, self.paths(walks))
+                       if feasible_schedule(self.inst, path) is None]
         return [self.cut(elements, f"cut_ip{self.model.num_constrs}_{k}")
-                for k, elements in enumerate(paths)]
+                for k, elements in enumerate(unscheduled)]
 
 
 class TsefMaster:
@@ -721,5 +689,5 @@ class TsefMaster:
     def cut(self, event_arcs, name):
         return subtour_cut_tsef(self.model, self.net, self.vars, event_arcs, name)
 
-    def routes(self, walks, objective):
-        return routes_tsef(self.inst, self.net, walks, objective)
+    def paths(self, walks):
+        return paths_tsef(self.inst, self.net, walks)

@@ -21,10 +21,9 @@ GRID_TOL = 1e-9
 class TimeGrid:
     """Per-location sorted time sets T_p within [e_p, l_p]."""
 
-    def __init__(self, inst: Instance, times: dict, tag: str):
+    def __init__(self, inst: Instance, times: dict):
         self.inst = inst
         self.times = {loc: sorted(ts) for loc, ts in times.items()}
-        self.tag = tag
 
     @classmethod
     def fixed(cls, inst: Instance, delta: float) -> "TimeGrid":
@@ -40,19 +39,10 @@ class TimeGrid:
             if not ts or ts[-1] < l - GRID_TOL:
                 ts.append(l)
             times[loc] = ts
-        return cls(inst, times, f"fixed-{delta:g}min")
-
-    @classmethod
-    def initial_ddd(cls, inst: Instance, delta: float = 50.0) -> "TimeGrid":
-        return cls.fixed(inst, delta).retag("ddd-partial")
-
-    def retag(self, tag):
-        self.tag = tag
-        return self
+        return cls(inst, times)
 
     def copy(self) -> "TimeGrid":
-        return TimeGrid(self.inst, {loc: list(ts) for loc, ts in self.times.items()},
-                        self.tag)
+        return TimeGrid(self.inst, {loc: list(ts) for loc, ts in self.times.items()})
 
     def __getitem__(self, loc):
         return self.times[loc]

@@ -90,7 +90,7 @@ def check(inst: Instance, rs: RouteSet) -> list:
             elif inst.is_delivery(loc):
                 c = loc - n
                 load -= inst.capacity if inst.is_large(c) else int(inst.demand[loc - n])
-            if load > inst.capacity + 0:
+            if load > inst.capacity:
                 out.append(Violation(CAPACITY, route.vehicle, loc,
                                      f"load {load} > Q={inst.capacity}"))
             if load < 0:
@@ -151,10 +151,6 @@ def _vehicle_orders(inst, customers):
     tuples.  Large customers are atomic pickup-delivery blocks that need an
     empty vehicle."""
 
-    items = []
-    for c in customers:
-        items.append(c)
-
     def grow(seq, onboard, load, remaining):
         if not remaining and not onboard:
             yield seq
@@ -171,7 +167,7 @@ def _vehicle_orders(inst, customers):
             yield from grow(seq + (c + inst.n,), onboard - {c},
                             load - int(inst.demand[c]), remaining)
 
-    yield from grow((), frozenset(), 0, frozenset(items))
+    yield from grow((), frozenset(), 0, frozenset(customers))
 
 
 def brute_optimum(inst: Instance, max_n=4, max_vehicles=3):
@@ -181,7 +177,6 @@ def brute_optimum(inst: Instance, max_n=4, max_vehicles=3):
         raise OracleSizeError(
             f"n={inst.n}, |V|={inst.vehicles} beyond guard "
             f"({max_n}, {max_vehicles})")
-    C = inst.travel_cost
     smalls = list(inst.small_pickups)
     larges = list(inst.large_pickups)
     V = inst.vehicles
@@ -217,7 +212,7 @@ def brute_optimum(inst: Instance, max_n=4, max_vehicles=3):
                 best = (cost, routes)
     if best[1] is None:
         return None, None
-    rs = RouteSet(best[1], best[0], {}, schedule_exact=True)
+    rs = RouteSet(best[1], best[0], {})
     rs.sync_groups = {i: tuple(v for v, r in enumerate(best[1])
                                if i in r.path)
                       for i in larges}

@@ -77,8 +77,7 @@ def test_selection_zero_agrees_with_joint_oracle(seed):
 def test_refine_inserts_single_point():
     inst = make_instance(1, np.full((4, 4), 7.0), [0, 0, 0, 0],
                          [100, 50, 60, 100], [0, 100], [0, 1, -1, 0])
-    grid = TimeGrid(inst, {0: [0.0], 1: [10.0], 2: [0.0, 60.0], 3: [100.0]},
-                    "manual")
+    grid = TimeGrid(inst, {0: [0.0], 1: [10.0], 2: [0.0, 60.0], 3: [100.0]})
     added = refine_grid(grid, [(1, 2)], inst)
     assert added == 1 and 17.0 in grid[2]
 
@@ -86,8 +85,7 @@ def test_refine_inserts_single_point():
 def test_refine_window_clamp():
     inst = make_instance(1, np.full((4, 4), 7.0), [0, 0, 0, 0],
                          [100, 50, 20, 100], [0, 100], [0, 1, -1, 0])
-    grid = TimeGrid(inst, {0: [0.0], 1: [40.0], 2: [0.0, 20.0], 3: [100.0]},
-                    "manual")
+    grid = TimeGrid(inst, {0: [0.0], 1: [40.0], 2: [0.0, 20.0], 3: [100.0]})
     assert refine_grid(grid, [(1, 2)], inst) == 0  # 47 > l = 20
 
 
@@ -95,7 +93,7 @@ def test_refine_reaches_fixed_point():
     inst = make_instance(1, np.full((4, 4), 7.0), [0, 0, 0, 0],
                          [100, 30, 60, 100], [0, 100], [0, 1, -1, 0])
     grid = TimeGrid(inst, {0: [0.0], 1: [0.0, 15.0, 30.0], 2: [0.0, 60.0],
-                           3: [100.0]}, "manual")
+                           3: [100.0]})
     rounds = 0
     while refine_grid(grid, [(1, 2)], inst):
         rounds += 1

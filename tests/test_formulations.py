@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from darpsv import formulations, milp
+from darpsv import formulations, milp, run_method
 from darpsv.events import enumerate_events
 from darpsv.formulations import (build_ebf, build_tsfrag, solve_abf, solve_ebf,
                                  solve_tsef, solve_tsfrag)
@@ -198,6 +198,49 @@ def test_formulation_agreement_on_exact_grid():
             assert max(objs) - min(objs) < 1e-4
 
 
+def test_fixed_grid_optimal_routes_validate():
+    # a fixed grid rounds arcs down, so its optimum is a relaxation: it may
+    # report optimal only with routes that schedule in continuous time, and
+    # otherwise reports a bound that no feasible plan beats
+    failures, relaxations = [], 0
+    for seed in range(40):
+        inst = tighten_windows(random_instance(
+            seed, n=4, vehicles=3, capacity=2 + seed % 2,
+            large_share=0.0 if seed % 4 < 2 else 0.3))
+        ebf = solve_ebf(inst).objective
+        best = np.inf if ebf is None else ebf
+        for method in ("tsfrag", "tsef", "tsfrag+c"):
+            if method == "tsfrag+c" and inst.large_pickups:
+                continue
+            for resolution in (5.0, 10.0):
+                report = run_method(inst, method, resolution=resolution)
+                case = (seed, method, resolution, report.status)
+                if report.status == "optimal":
+                    if check(inst, report.routes):
+                        failures.append(case + ("rejected routes",))
+                    if method != "tsef" and \
+                            abs(report.objective - best) > 1e-4:
+                        failures.append(case + (report.objective, ebf))
+                elif report.status == "relaxation":
+                    relaxations += 1
+                    if report.routes is not None or \
+                            report.bound > best + 1e-4:
+                        failures.append(case + (report.bound, ebf))
+    assert failures == []
+    assert relaxations > 0  # the draws do reach paths with no schedule
+
+
+def test_exact_grid_tsef_synchronized_routes_validate():
+    # demo 03's integer instance: the 1-minute TSEF optimum has the two
+    # vehicles of its large customer on different grid stamps, and is
+    # reported with their earliest joint schedule
+    inst = tighten_windows(integerized(11, large_share=0.4))
+    assert inst.large_pickups
+    report = solve_tsef(inst, resolution=1.0)
+    assert report.status == "optimal"
+    assert check(inst, report.routes) == []
+
+
 def test_empty_instance_yields_empty_routeset():
     from darpsv.instance import parse_cordeau
     from darpsv.ddd import ddd_solve
@@ -218,11 +261,14 @@ def test_degenerate_grid_merging_all_times_still_solves(single_customer):
 
 
 def test_tsef_extraction_idle_semantics(single_customer):
-    # waiting shifts a pickup's service stamp but not a delivery's: service
-    # at the delivery happened on arrival, later waiting is free slack
+    # idle arcs carry no stop: the path is read off the movement arcs, and
+    # the stop times are the paths' earliest joint schedule, however long
+    # the flow waits on the grid
     import numpy as np
     from darpsv.events import enumerate_events
-    from darpsv.formulations import build_tsef, decompose_tsef, routes_tsef
+    from darpsv.formulations import (build_tsef, decompose_tsef, paths_tsef,
+                                     timed_routes)
+    from darpsv.fragments import joint_schedule
     from darpsv.milp import MilpSolution
     from darpsv.timespace import IDLE, TimeGrid, expand_events
 
@@ -253,24 +299,20 @@ def test_tsef_extraction_idle_semantics(single_customer):
             nxt = moves[0]
         flow.append(nxt)
         cur = net.arcs[nxt].head
+    assert idled == {1, 2}
     for a in flow:
         values[vars_.chi[a]] = 1
         values[vars_.gamma[a]] = 1
     cost = sum(net.arcs[a].cost for a in flow)
     sol = MilpSolution("optimal", values, cost, cost, 0.0, 0.0)
     walks, cycles = decompose_tsef(inst, net, sol, vars_)
-    routes = routes_tsef(inst, net, walks, sol.objective)
-    assert not cycles and len(routes.routes) == 1
-    stops = dict(routes.routes[0].stops)
-    arrive_p = max(inst.earliest[0] + inst.travel_time[0, 1], inst.earliest[1])
-    arrive_d = None
-    for a in flow:
-        arc = net.arcs[a]
-        if arc.kind != IDLE and arc.loc_arc[1] == 2:
-            arrive_d = net.time_of_node(arc.head)
-    if 1 in idled:
-        assert stops[1] > arrive_p  # pickup service shifted by the wait
-    assert stops[2] == pytest.approx(arrive_d)  # delivery pinned to arrival
+    assert len(walks) == 1 and not cycles
+    paths = paths_tsef(inst, net, walks)
+    assert paths == [[0, 1, 2, 3]]
+    routes = timed_routes(inst, paths, sol.objective)
+    times = joint_schedule(inst, paths)[0]
+    assert routes.routes[0].stops == [(loc, times[loc]) for loc in paths[0]]
+    assert check(inst, routes) == []
 
 
 @pytest.mark.parametrize("solve, builder", [

@@ -83,7 +83,7 @@ def test_exact_minute_grid_has_no_discrepancies():
 def test_shortened_lengths_grow_monotonically_under_refinement():
     inst = random_instance(5, n=2, large_share=0.0)
     frags = enumerate_fragments(inst)
-    coarse = TimeGrid.initial_ddd(inst, 50.0)
+    coarse = TimeGrid.fixed(inst, 50.0)
     fine = coarse.copy()
     for loc in list(inst.pickups) + list(inst.deliveries):
         lo, hi = inst.earliest[loc], inst.latest[loc]
@@ -154,7 +154,7 @@ def test_partial_grid_rounds_down():
     inst = make_instance(1, T, [0, 0, 0, 0], [50, 10, 10, 50], [0, 100],
                          [0, 1, -1, 0])
     grid = TimeGrid(inst, {0: [0.0], 1: [0.0, 1.0, 2.0], 2: [0.0, 1.0, 2.0],
-                           3: [50.0]}, "manual")
+                           3: [50.0]})
     frags = enumerate_fragments(inst)
     net = expand_fragments(inst, frags, grid)
     by_start = {net.nodes[c.tail].t: c for c in net.ts_frags}
