@@ -16,7 +16,6 @@ import numpy as np
 
 import darpsv
 from darpsv.instance import Instance
-from darpsv.timespace import TimeGrid
 
 
 def two_customer(T, earliest, latest, ride, name):
@@ -42,7 +41,7 @@ sched = darpsv.feasible_schedule(inst, (1, 2, 3, 4))
 print("continuous schedule of (p1,p2,d1,d2):",
       [round(t) for t in sched.times], "(rides 26 and 26)")
 print("ebf:            ", darpsv.solve_ebf(inst).status)
-print("tsef, 10-min:   ", darpsv.solve_tsef(inst, grid=TimeGrid.fixed(inst, 10.0)).status)
+print("tsef, 10-min:   ", darpsv.solve_tsef(inst, resolution=10.0).status)
 print("tsef+ddd:       ", darpsv.ddd_solve(inst, "tsef").status,
       "(approximate benchmark: the bound path diverges here)")
 print("tsfrag+ddd:     ", darpsv.ddd_solve(inst, "tsfrag").status, "\n")

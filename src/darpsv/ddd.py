@@ -6,7 +6,8 @@ model whether they admit a continuous schedule with the actual arc lengths.
 Z = 0 terminates with a proven optimum; otherwise the flagged arcs gain
 time points and the loop repeats.  For the event mode the master's ride
 rows act on discrete stamps only, so the bound can cut feasible paths; the
-result is labeled approximate.
+result is labeled approximate, and when refinement can no longer lengthen
+the paths it ends as a RELAXATION with the masters' bound.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import milp
 from .events import enumerate_events
 from .formulations import (Route, RouteSet, SolveReport, TsefMaster,
                            TsfragMaster, paths_tsef, paths_tsfrag,
-                           separate_subtours, _time_left)
+                           separate_subtours)
 from .fragments import enumerate_fragments, feasible_schedule, start_interval
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
@@ -67,14 +68,14 @@ class SelectionResult:
 
 
 def selection_model(inst: Instance, inputs: SelectionInputs, floors=None,
-                    time_limit=None):
+                    deadline=None):
     """Minimal number of arcs that must keep a shortened travel time for the
     given paths to schedule; Z = 0 certifies continuous feasibility.
 
     Ride limits are part of the system: without them a zero-shortening
     schedule could still stretch a customer's trip beyond R_i, and the
     returned times must be valid as the final schedule.  A solve that hits
-    time_limit before any solution returns status TIME_LIMIT and z None.
+    the deadline before any solution returns status TIME_LIMIT and z None.
     """
     m = MilpModel("selection")
     tau = {}
@@ -108,7 +109,7 @@ def selection_model(inst: Instance, inputs: SelectionInputs, floors=None,
         if i in tau and i + inst.n in tau:
             m.add_constr(f"ride{i}", [(tau[i + inst.n], 1.0), (tau[i], -1.0)],
                          LE, float(inst.ride[i]))
-    sol = milp.solve(m, time_limit=time_limit)
+    sol = milp.solve(m, deadline)
     if sol.status in (Status.INFEASIBLE, Status.TIME_LIMIT):
         return SelectionResult(False, None, [], None, sol.status)
     if not sol.ok:
@@ -202,10 +203,13 @@ def _event_inputs(inst, net, walks):
 def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
               initial_delta=50.0, trace=None) -> SolveReport:
     """Run DDD to a continuous-time optimum (tsfrag) or approximate
-    benchmark value (tsef)."""
+    benchmark value (tsef).  time_limit becomes one deadline at the call:
+    enumeration and every grid expansion count against it, and every
+    master and selection solve stops at it."""
     if mode not in ("tsfrag", "tsef"):
         raise ValueError(f"DDD is defined for time-space modes, not {mode!r}")
     start = time.perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     if mode == "tsfrag":
         frags = enumerate_fragments(inst)
         master, inputs_of = TsfragMaster(inst, frags), _frag_inputs
@@ -221,8 +225,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
     total_cuts = 0
     floor_cache = {}
     for k in range(1, MAX_ITERATIONS + 1):
-        remaining = _time_left(time_limit, start)
-        if remaining is not None and remaining <= 0:
+        if deadline is not None and time.perf_counter() >= deadline:
             status, k, stats = Status.TIME_LIMIT, k - 1, base_stats
             break
         net, model = master.build(grid)
@@ -230,7 +233,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             model.add_constr(*master.cut(phys, f"pcut{c}"))
         master_start = time.perf_counter()
         sol, info, walks, cut_sets = separate_subtours(
-            model, master.decompose, master.physical, master.cut, remaining,
+            model, master.decompose, master.physical, master.cut, deadline,
             master.more_cuts)
         master_seconds = time.perf_counter() - master_start
         total_cuts += info.num_cuts
@@ -250,8 +253,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         bound = sol.objective if bound is None else max(bound, sol.objective)
         inputs = inputs_of(inst, net, walks)
         # sel.z is None without a schedule
-        sel = selection_model(inst, inputs,
-                              time_limit=_time_left(time_limit, start))
+        sel = selection_model(inst, inputs, deadline=deadline)
         if sel.status == Status.TIME_LIMIT:
             status = Status.TIME_LIMIT
             break
@@ -260,16 +262,16 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             # the per-copy fragment floor can overtighten; retry with the
             # fragment's true minimum duration before declaring a stall
             weak = _weak_floors(inst, inputs, floor_cache)
-            sel = selection_model(inst, inputs, floors=weak,
-                                  time_limit=_time_left(time_limit, start))
+            sel = selection_model(inst, inputs, floors=weak, deadline=deadline)
             if sel.status == Status.TIME_LIMIT:
                 status = Status.TIME_LIMIT
                 break
             new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
         if sel.z != 0 and new_points == 0 and mode == "tsef":
             # nothing left to lengthen yet no continuous schedule: the
-            # discrete ride rows cut the path set (documented inexactness)
-            status = Status.INFEASIBLE
+            # discrete ride rows cut the path set (documented inexactness),
+            # so the masters' bound is all the solve has
+            status = Status.RELAXATION
             break
         z = -1 if sel.z is None else sel.z
         history.append(Iteration(k, bound, z, new_points, master_seconds,
@@ -289,8 +291,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         raise StallError(f"no convergence within {MAX_ITERATIONS} iterations")
     return SolveReport(f"{mode}+ddd", status, objective, bound, routes,
                        time.perf_counter() - start, gap=gap, iterations=k,
-                       cuts=total_cuts, stats=stats,
-                       approximate=master.approximate, history=history)
+                       cuts=total_cuts, stats=stats, history=history)
 
 
 def _weak_floors(inst, inputs, cache):

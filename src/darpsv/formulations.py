@@ -15,6 +15,10 @@ A fixed grid rounds arcs down, so its optimum is a relaxation whose paths
 may admit no continuous schedule.  Its routes are timed one way, by the
 earliest joint schedule of their location paths (timed_routes); without
 one the report has status RELAXATION and the master's bound.
+
+Each solve_* turns its time_limit (seconds) into one time.perf_counter()
+deadline when it starts, and every layer below takes that deadline, so
+network building counts against the limit.
 """
 from __future__ import annotations
 
@@ -31,13 +35,6 @@ from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel, Status
 from .timespace import (IDLE, TimeGrid, TsEventNetwork, TsFragNetwork,
                         expand_events, expand_fragments)
-
-
-def _time_left(time_limit, start):
-    """What is left of a solve's time limit after the steps since start."""
-    if time_limit is None:
-        return None
-    return time_limit - (time.perf_counter() - start)
 
 
 def _flow(sol, idx):
@@ -111,12 +108,17 @@ class SolveReport:
     iterations: int | None = None
     cuts: int = 0
     stats: dict = field(default_factory=dict)
-    approximate: bool = False
     history: list = field(default_factory=list)
 
     @property
     def ok(self):
         return self.status in (Status.OPTIMAL, Status.FEASIBLE_WITH_GAP)
+
+    @property
+    def approximate(self):
+        """TSEF's ride rows act on discrete stamps, so its values are
+        benchmarks, not proven continuous-time optima."""
+        return self.method in ("tsef", "tsef+ddd")
 
     def to_dict(self):
         out = {
@@ -138,16 +140,16 @@ class SolveReport:
         return out
 
 
-def _report(method, sol, info, routes, start, stats, approximate=False):
+def _report(method, sol, info, routes, start, stats):
     """Report of a separation-loop solve; routes is None unless sol.ok."""
     return SolveReport(method, sol.status, sol.objective, sol.best_bound, routes,
                        time.perf_counter() - start, gap=sol.gap,
-                       cuts=info.num_cuts, stats=stats, approximate=approximate)
+                       cuts=info.num_cuts, stats=stats)
 
 
 # -- subtour separation -----------------------------------------------------
 
-def separate_subtours(model, decompose, physical, cut, time_limit,
+def separate_subtours(model, decompose, physical, cut, deadline,
                       more_cuts=None):
     """The subtour-separation loop of every flow formulation.
 
@@ -175,7 +177,7 @@ def separate_subtours(model, decompose, physical, cut, time_limit,
             cuts = more_cuts(walks)
         return cuts
 
-    sol, info = milp.resolve_with_cuts(model, generator, time_limit)
+    sol, info = milp.resolve_with_cuts(model, generator, deadline)
     return sol, info, walks if sol.ok else None, cut_sets
 
 
@@ -237,6 +239,7 @@ def extract_routes_ebf(inst, net, sol, vars_):
 
 def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
     start = time.perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     net = enumerate_events(inst)
     model, vars_ = build_ebf(inst, net)
 
@@ -247,7 +250,7 @@ def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
 
     sol, info, routes, _ = separate_subtours(
         model, lambda sol: extract_routes_ebf(inst, net, sol, vars_),
-        lambda cycle: sorted(set(cycle)), cut, _time_left(time_limit, start))
+        lambda cycle: sorted(set(cycle)), cut, deadline)
     return _report("ebf", sol, info, routes, start,
                    {"V_E": net.num_events, "A_E": net.num_arcs})
 
@@ -385,17 +388,14 @@ def extract_routes_abf(inst, sol, vars_):
 
 
 def solve_abf(inst: Instance, time_limit=None) -> SolveReport:
+    """ABF adds no cuts: the cut loop checks the deadline and solves
+    once, so the model's build counts against time_limit."""
     start = time.perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     model, vars_ = build_abf(inst)
-    sol = milp.solve(model, time_limit)
-    seconds = time.perf_counter() - start
-    stats = {"arcs": len(vars_.arcs)}
-    if not sol.ok:
-        return SolveReport("abf", sol.status, None, sol.best_bound, None,
-                           seconds, stats=stats)
-    routes = extract_routes_abf(inst, sol, vars_)
-    return SolveReport("abf", sol.status, sol.objective, sol.best_bound, routes,
-                       seconds, gap=sol.gap, stats=stats)
+    sol, info = milp.resolve_with_cuts(model, lambda sol: [], deadline)
+    routes = extract_routes_abf(inst, sol, vars_) if sol.ok else None
+    return _report("abf", sol, info, routes, start, {"arcs": len(vars_.arcs)})
 
 
 # -- TSFrag ---------------------------------------------------------------------
@@ -516,11 +516,12 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
     of extracted routes is enforced through infeasible-path cuts (TSFrag+C),
     which requires independent route schedules (no large customers)."""
     start = time.perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     if callbacks and inst.large_pickups:
         raise ValueError("infeasible-path callbacks need independent route "
                          "schedules; large customers require DDD")
     master = TsfragMaster(inst, enumerate_fragments(inst), callbacks)
-    return _solve_grid(master, TimeGrid.fixed(inst, resolution), time_limit, start)
+    return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline, start)
 
 
 # -- TSEF -----------------------------------------------------------------------
@@ -586,12 +587,11 @@ def subtour_cut_tsef(model, net, vars_, event_arcs, name):
     return (name, coeffs, LE, float(len(event_arcs) - 1))
 
 
-def solve_tsef(inst: Instance, resolution=1.0, time_limit=None,
-               grid=None) -> SolveReport:
+def solve_tsef(inst: Instance, resolution=1.0, time_limit=None) -> SolveReport:
     start = time.perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     master = TsefMaster(inst, enumerate_events(inst))
-    return _solve_grid(master, grid or TimeGrid.fixed(inst, resolution),
-                       time_limit, start)
+    return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline, start)
 
 
 # -- time-space masters ----------------------------------------------------------
@@ -607,17 +607,16 @@ def timed_routes(inst, paths, objective):
         for v, path in enumerate(paths)], objective)
 
 
-def _solve_grid(master, grid, time_limit, start):
+def _solve_grid(master, grid, deadline, start):
     """Fixed-grid solve of a time-space master: a RELAXATION, with the
     master's bound and no routes, when its paths have no schedule."""
     net, model = master.build(grid)
     sol, info, walks, _ = separate_subtours(
-        model, master.decompose, master.physical, master.cut,
-        _time_left(time_limit, start), master.more_cuts)
+        model, master.decompose, master.physical, master.cut, deadline,
+        master.more_cuts)
     routes = timed_routes(master.inst, master.paths(walks),
                           sol.objective) if sol.ok else None
-    report = _report(master.method, sol, info, routes, start, net.stats(),
-                     master.approximate)
+    report = _report(master.method, sol, info, routes, start, net.stats())
     if sol.ok and routes is None:
         report.status, report.objective, report.gap = Status.RELAXATION, None, None
     return report
@@ -629,8 +628,6 @@ class TsfragMaster:
     call the module-level decomposer when they run, so tracing wrappers
     and test patches see every call.  With callbacks (TSFrag+C), a route
     with no continuous schedule is cut like a cycle."""
-
-    approximate = False
 
     def __init__(self, inst, frags, callbacks=False):
         self.inst, self.frags = inst, frags
@@ -667,7 +664,6 @@ class TsefMaster:
     are approximate."""
 
     method = "tsef"
-    approximate = True
     more_cuts = None
 
     def __init__(self, inst, enet):

@@ -141,12 +141,11 @@ def start_interval(inst: Instance, path):
     return float(early[0]), float(late[0])
 
 
-def joint_schedule(inst: Instance, paths, fixed=None):
+def joint_schedule(inst: Instance, paths):
     """Earliest joint schedule for several vehicle paths with one shared
     time per customer location (synchronization), or None.
 
-    Depot endpoints get per-vehicle variables.  `fixed` optionally pins
-    location times (dict loc -> minutes).
+    Depot endpoints get per-vehicle variables.
     """
     keys = {}
 
@@ -168,9 +167,6 @@ def joint_schedule(inst: Instance, paths, fixed=None):
     for i in inst.pickups:
         if i in keys and i + inst.n in keys:
             sys.arc(keys[i + inst.n], keys[i], -inst.ride[i])
-    if fixed:
-        for loc, t in fixed.items():
-            sys.bound(keys[loc], t, t)
     t = sys.earliest()
     if t is None:
         return None

@@ -116,8 +116,9 @@ class MilpSolution:
 
 # -- solving -----------------------------------------------------------------
 
-def solve(model: MilpModel, time_limit=None) -> MilpSolution:
-    """Solve a model with HiGHS."""
+def solve(model: MilpModel, deadline=None) -> MilpSolution:
+    """Solve a model with HiGHS, stopping it at the time.perf_counter()
+    deadline (None: no limit)."""
     nv = model.num_vars
     if nv == 0:
         return MilpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0.0, 0.0, 0.0)
@@ -138,8 +139,8 @@ def solve(model: MilpModel, time_limit=None) -> MilpSolution:
         A = csr_matrix((data, (rows, cols)), shape=(len(model.constrs), nv))
         constraints = [LinearConstraint(A, np.array(lo), np.array(hi))]
     options = {"mip_rel_gap": MIP_REL_GAP, "presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = max(float(time_limit), 0.05)
+    if deadline is not None:
+        options["time_limit"] = max(deadline - time.perf_counter(), 0.05)
     start = time.perf_counter()
     res = highs_milp(c=c, integrality=integrality, bounds=bounds,
                      constraints=constraints, options=options)
@@ -170,34 +171,29 @@ class CutLoop:
 
     solves: int = 0
     cuts: list = field(default_factory=list)
-    seconds: float = 0.0
 
     @property
     def num_cuts(self):
         return len(self.cuts)
 
 
-def resolve_with_cuts(model: MilpModel, cut_generator, time_limit=None):
+def resolve_with_cuts(model: MilpModel, cut_generator, deadline=None):
     """Iterated solve -> inspect incumbent -> add violated constraints.
 
     cut_generator(solution) returns a list of (name, coeffs, sense, rhs)
     tuples; an empty list terminates the loop.  Emulates lazy-constraint
-    callbacks, which scipy does not expose.
+    callbacks, which scipy does not expose.  Past the deadline the loop
+    returns TIME_LIMIT with the best bound so far.
     """
     info = CutLoop()
-    start = time.perf_counter()
     prev_bound = -np.inf
     while True:
-        remaining = None
-        if time_limit is not None:
-            remaining = time_limit - (time.perf_counter() - start)
-            if remaining <= 0:
-                return MilpSolution(Status.TIME_LIMIT, None, None,
-                                    prev_bound if np.isfinite(prev_bound) else None,
-                                    time.perf_counter() - start), info
-        sol = solve(model, time_limit=remaining)
+        if deadline is not None and time.perf_counter() >= deadline:
+            return MilpSolution(Status.TIME_LIMIT, None, None,
+                                prev_bound if np.isfinite(prev_bound) else None,
+                                0.0), info
+        sol = solve(model, deadline)
         info.solves += 1
-        info.seconds = time.perf_counter() - start
         if not sol.ok:
             return sol, info
         if sol.best_bound is not None:

@@ -41,9 +41,6 @@ class TimeGrid:
             times[loc] = ts
         return cls(inst, times)
 
-    def copy(self) -> "TimeGrid":
-        return TimeGrid(self.inst, {loc: list(ts) for loc, ts in self.times.items()})
-
     def __getitem__(self, loc):
         return self.times[loc]
 

@@ -20,7 +20,6 @@ from darpsv.fragments import enumerate_fragments, feasible_schedule
 from darpsv.instance import (DatasetParams, InfeasibleCustomerError, Instance,
                              build_dataset1, build_dataset2, parse_cordeau,
                              random_instance, tighten_windows)
-from darpsv.timespace import TimeGrid
 from darpsv.validate import brute_optimum, check
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "cordeau"
@@ -219,7 +218,7 @@ def test_criterion_6_discretization_regression(ride_regression):
     assert sched is not None
     assert [round(t) for t in sched.times] == [600, 624, 626, 650]
     assert solve_ebf(inst).status == "optimal"
-    tsef = solve_tsef(inst, grid=TimeGrid.fixed(inst, 10.0))
+    tsef = solve_tsef(inst, resolution=10.0)
     assert tsef.status == "infeasible"
     report(6, "route (p1,p2,d1,d2) at 600/624/626/650 with rides 26: "
               "continuous-feasible, infeasible on the 10-minute event grid")

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from darpsv import ddd, milp
+from darpsv import ddd, formulations, milp
 from darpsv.ddd import SelectionInputs, ddd_solve, refine_grid, selection_model
 from darpsv.formulations import solve_ebf
 from darpsv.fragments import joint_schedule
@@ -160,6 +160,20 @@ def test_tsef_ddd_approximate_on_ride_pattern(ride_regression):
     assert frag.objective == pytest.approx(cont.objective, abs=1e-6)
 
 
+@pytest.mark.parametrize("seed", [10, 43, 49])
+def test_tsef_ddd_stall_reports_relaxation_with_its_bound(seed):
+    # feasible draws on which the discrete ride rows leave the event mode
+    # paths that no refinement can schedule: the solve keeps its bound
+    inst = tighten_windows(random_instance(seed, n=4, vehicles=3, capacity=2,
+                                           large_share=0.3))
+    ebf = solve_ebf(inst)
+    assert ebf.status == "optimal"
+    report = ddd_solve(inst, "tsef", time_limit=60)
+    assert report.status == "relaxation" and report.approximate
+    assert report.objective is None and report.routes is None
+    assert report.bound <= ebf.objective + 1e-4
+
+
 def test_ddd_subtour_cuts_inside_master(subtour_regression):
     report = ddd_solve(subtour_regression, "tsfrag", initial_delta=10.0,
                        time_limit=60)
@@ -232,16 +246,16 @@ def test_ddd_enumerates_through_its_own_binding(single_customer, monkeypatch,
 
 
 def selection_calls(monkeypatch, result=None):
-    """Record the time limit of every selection-model solve; with result
-    set, return it instead of solving."""
+    """Record the deadline of every selection-model solve and when it was
+    made; with result set, return it instead of solving."""
     calls = []
     solve = milp.solve
 
-    def recorded(model, time_limit=None):
+    def recorded(model, deadline=None):
         if model.name != "selection":
-            return solve(model, time_limit=time_limit)
-        calls.append((time_limit, time.perf_counter()))
-        return solve(model, time_limit=time_limit) if result is None else result
+            return solve(model, deadline)
+        calls.append((deadline, time.perf_counter()))
+        return solve(model, deadline) if result is None else result
 
     monkeypatch.setattr(milp, "solve", recorded)
     return calls
@@ -265,13 +279,60 @@ def test_selection_solves_get_the_remaining_time(monkeypatch):
     report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)
     assert report.status == "optimal"
     assert len(calls) >= report.iterations >= 3
-    given = [budget for budget, _ in calls]
-    assert all(budget is not None and math.isfinite(budget) for budget in given)
-    assert given == sorted(given, reverse=True)
-    for budget, at in calls:
+    assert all(deadline is not None and math.isfinite(deadline)
+               for deadline, _ in calls)
+    left = [deadline - at for deadline, at in calls]
+    assert left == sorted(left, reverse=True)
+    for deadline, at in calls:
         # enumeration alone used `pause` of the budget; no more than the
         # whole wall time since the call began has gone
-        assert limit - (at - start) <= budget <= limit - pause
+        assert limit - (at - start) <= deadline - at <= limit - pause
+
+
+def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
+    # grid expansion runs before each master; its time counts against the
+    # limit of that master's HiGHS calls as much as of the selections'
+    inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
+                                           large_share=0.0))
+    expand = formulations.expand_fragments
+    pause = 0.2
+    expanded = []
+
+    def slow(*args):
+        time.sleep(pause)
+        expanded.append(None)
+        return expand(*args)
+
+    monkeypatch.setattr(formulations, "expand_fragments", slow)
+    solves = []  # (model name, deadline)
+    solve = milp.solve
+
+    def recorded(model, deadline=None):
+        solves.append((model.name, deadline))
+        return solve(model, deadline)
+
+    monkeypatch.setattr(milp, "solve", recorded)
+    budgets = []  # (HiGHS time limit, when it was set, expansions so far)
+    highs = milp.highs_milp
+
+    def highs_recorded(*args, options, **kwargs):
+        budgets.append((options["time_limit"], time.perf_counter(),
+                        len(expanded)))
+        return highs(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(milp, "highs_milp", highs_recorded)
+    limit = 30.0
+    start = time.perf_counter()
+    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)
+    assert report.status == "optimal" and report.iterations >= 3
+    names = {name for name, _ in solves}
+    assert "selection" in names and len(names) == 2
+    deadline = solves[0][1]
+    assert start + limit <= deadline <= start + limit + pause
+    assert all(d == deadline for _, d in solves)
+    for budget, at, expansions in budgets:
+        assert at + budget == pytest.approx(deadline, abs=0.01)
+        assert budget <= limit - pause * expansions
 
 
 def test_selection_time_limit_ends_the_solve_with_its_bound(

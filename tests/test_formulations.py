@@ -176,8 +176,7 @@ def test_callback_cut_accounting_matches_report():
 
 def test_tsef_ride_rows_reject_discretized_route(ride_regression):
     inst = ride_regression
-    grid = TimeGrid.fixed(inst, 10.0)
-    report = solve_tsef(inst, grid=grid)
+    report = solve_tsef(inst, resolution=10.0)
     assert report.status == "infeasible"
     cont = solve_ebf(inst)
     assert cont.status == "optimal"
@@ -317,6 +316,7 @@ def test_tsef_extraction_idle_semantics(single_customer):
 
 @pytest.mark.parametrize("solve, builder", [
     (solve_ebf, "enumerate_events"),
+    (solve_abf, "build_abf"),
     (solve_tsef, "enumerate_events"),
     (solve_tsfrag, "enumerate_fragments"),
 ])

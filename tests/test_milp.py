@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ def test_resolve_with_cuts_exhausted_budget_returns_time_limit():
     m = MilpModel()
     x = m.add_var("x", INTEGER, 0, 5, obj=1.0)
     m.add_constr("c", [(x, 1.0)], GE, 2.0)
-    sol, info = resolve_with_cuts(m, lambda s: [], time_limit=0.0)
+    sol, info = resolve_with_cuts(m, lambda s: [], deadline=time.perf_counter())
     assert sol.status == Status.TIME_LIMIT and info.solves == 0
 
 

@@ -84,7 +84,7 @@ def test_shortened_lengths_grow_monotonically_under_refinement():
     inst = random_instance(5, n=2, large_share=0.0)
     frags = enumerate_fragments(inst)
     coarse = TimeGrid.fixed(inst, 50.0)
-    fine = coarse.copy()
+    fine = TimeGrid.fixed(inst, 50.0)
     for loc in list(inst.pickups) + list(inst.deliveries):
         lo, hi = inst.earliest[loc], inst.latest[loc]
         for k in range(1, 8):
