@@ -41,17 +41,7 @@ class EventArc:
     head: int
     loc_arc: tuple
     cost: float
-    cap: int  # max vehicles traversing simultaneously
-
-
-def cap(inst: Instance, u: Event, v: Event) -> int:
-    """Vehicle cap of an event arc: min of the endpoint location
-    requirements, with depot ends taking the other side's value."""
-    if u.loc == inst.origin:
-        return inst.vehicles_required(v.loc)
-    if v.loc == inst.destination:
-        return inst.vehicles_required(u.loc)
-    return min(inst.vehicles_required(u.loc), inst.vehicles_required(v.loc))
+    cap: int  # inst.arc_cap of loc_arc
 
 
 class EventNetwork:
@@ -194,7 +184,7 @@ def enumerate_events(inst: Instance) -> EventNetwork:
             if nxt in keep:
                 arcs.append(EventArc(index[ev], index[nxt], (ev.loc, nxt.loc),
                                      float(inst.travel_cost[ev.loc, nxt.loc]),
-                                     cap(inst, ev, nxt)))
+                                     inst.arc_cap(ev.loc, nxt.loc)))
     arcs.sort(key=lambda a: (a.tail, a.head))
     return EventNetwork(inst, events, arcs, index[origin], index[dest])
 

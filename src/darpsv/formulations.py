@@ -7,9 +7,10 @@ objectives are re-derived from the traversed location arcs.
 EBF, TSEF and TSFrag share one subtour-separation loop
 (separate_subtours): solve, decompose the flow once, turn each residual
 cycle into a cut over its physical elements, re-solve, and read the routes
-off the walks of the last decomposition.  TsfragMaster and TsefMaster hold
-the steps of one time-space formulation on its current grid; fixed-grid
-solves and DDD drive the same masters.
+off the walks of the last decomposition.  EBF and TSEF share their
+arc-flow rows (_arc_flow) and add their own timing rows.  TsfragMaster and
+TsefMaster hold the steps of one time-space formulation on its current
+grid; fixed-grid solves and DDD drive the same masters.
 
 A fixed grid rounds arcs down, so its optimum is a relaxation whose paths
 may admit no continuous schedule.  Its routes are timed one way, by the
@@ -181,7 +182,42 @@ def separate_subtours(model, decompose, physical, cut, deadline,
     return sol, info, walks if sol.ok else None, cut_sets
 
 
-# -- EBF ----------------------------------------------------------------------
+# -- EBF and TSEF ---------------------------------------------------------------
+
+def _arc_flow(m, inst, arcs, in_arcs, out_arcs, origin, dest):
+    """The variables and rows that EBF and TSEF share, over a network with
+    depot nodes origin and dest.  Each arc a gets an integer flow x{a} up
+    to its cap and a binary y{a} that is 1 exactly when x{a} > 0.  Flow is
+    conserved at every other node, the arcs leaving each pickup carry its
+    vehicles_required (waiting arcs, whose loc_arc is a loop, do not
+    count), and at most the fleet leaves the origin.
+
+    Returns x, y and the non-waiting arc ids by tail and by head location,
+    each in arc order."""
+    x = [m.add_var(f"x{a}", INTEGER, 0, arc.cap, arc.cost)
+         for a, arc in enumerate(arcs)]
+    y = [m.add_var(f"y{a}", BINARY) for a in range(len(arcs))]
+    for v in range(len(in_arcs)):
+        if v in (origin, dest):
+            continue
+        coeffs = [(x[a], 1.0) for a in in_arcs[v]]
+        coeffs += [(x[a], -1.0) for a in out_arcs[v]]
+        m.add_constr(f"flow{v}", coeffs, EQ, 0.0)
+    out_loc, in_loc = {}, {}
+    for a, arc in enumerate(arcs):
+        m.add_constr(f"lk1_{a}", [(x[a], 1.0), (y[a], -1.0)], GE, 0.0)
+        m.add_constr(f"lk2_{a}", [(x[a], 1.0), (y[a], -arc.cap)], LE, 0.0)
+        i, j = arc.loc_arc
+        if i != j:
+            out_loc.setdefault(i, []).append(a)
+            in_loc.setdefault(j, []).append(a)
+    for i in inst.pickups:
+        coeffs = [(x[a], 1.0) for a in out_loc.get(i, [])]
+        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
+    m.add_constr("fleet", [(x[a], 1.0) for a in out_arcs[origin]],
+                 LE, float(inst.vehicles))
+    return x, y, out_loc, in_loc
+
 
 @dataclass
 class EbfVars:
@@ -192,28 +228,10 @@ class EbfVars:
 
 def build_ebf(inst: Instance, net: EventNetwork):
     m = MilpModel(f"ebf-{inst.name}")
-    x = [m.add_var(f"x{a}", INTEGER, 0, arc.cap, arc.cost)
-         for a, arc in enumerate(net.arcs)]
-    y = [m.add_var(f"y{a}", BINARY) for a in range(net.num_arcs)]
+    x, y, _, _ = _arc_flow(m, inst, net.arcs, net.in_arcs, net.out_arcs,
+                           net.origin_id, net.dest_id)
     t = {loc: m.add_var(f"t{loc}", CONTINUOUS, inst.earliest[loc], inst.latest[loc])
          for loc in range(inst.num_locations)}
-    for vid in range(net.num_events):
-        if vid in (net.origin_id, net.dest_id):
-            continue
-        coeffs = [(x[a], 1.0) for a in net.in_arcs[vid]]
-        coeffs += [(x[a], -1.0) for a in net.out_arcs[vid]]
-        m.add_constr(f"flow{vid}", coeffs, EQ, 0.0)
-    for a in range(net.num_arcs):
-        m.add_constr(f"lk1_{a}", [(x[a], 1.0), (y[a], -1.0)], GE, 0.0)
-        m.add_constr(f"lk2_{a}", [(x[a], 1.0), (y[a], -net.arcs[a].cap)], LE, 0.0)
-    by_tail_loc = {}
-    for a, arc in enumerate(net.arcs):
-        by_tail_loc.setdefault(arc.loc_arc[0], []).append(a)
-    for i in inst.pickups:
-        coeffs = [(x[a], 1.0) for a in by_tail_loc.get(i, [])]
-        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
-    m.add_constr("fleet", [(x[a], 1.0) for a in net.out_arcs[net.origin_id]],
-                 LE, float(inst.vehicles))
     for (i, j), aids in sorted(net.by_loc_arc.items()):
         M = big_m(inst, i, j)
         coeffs = [(t[i], 1.0), (t[j], -1.0)]
@@ -528,48 +546,28 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
 
 @dataclass
 class TsefVars:
-    chi: list
-    gamma: list
+    x: list  # ts arc id -> var
+    y: list
 
 
 def build_tsef(inst: Instance, net: TsEventNetwork):
     m = MilpModel(f"tsef-{inst.name}")
-    chi = [m.add_var(f"c{a}", INTEGER, 0, arc.cap, arc.cost)
-           for a, arc in enumerate(net.arcs)]
-    gamma = [m.add_var(f"g{a}", BINARY) for a in range(len(net.arcs))]
-    for nid in range(len(net.nodes)):
-        if nid in (net.origin_node, net.dest_node):
-            continue
-        coeffs = [(chi[a], 1.0) for a in net.in_arcs[nid]]
-        coeffs += [(chi[a], -1.0) for a in net.out_arcs[nid]]
-        m.add_constr(f"flow{nid}", coeffs, EQ, 0.0)
-    for a, arc in enumerate(net.arcs):
-        m.add_constr(f"lk1_{a}", [(chi[a], 1.0), (gamma[a], -1.0)], GE, 0.0)
-        m.add_constr(f"lk2_{a}", [(chi[a], 1.0), (gamma[a], -arc.cap)], LE, 0.0)
-    out_loc, in_loc = {}, {}
-    for a, arc in enumerate(net.arcs):
-        if arc.kind == IDLE:
-            continue
-        out_loc.setdefault(arc.loc_arc[0], []).append(a)
-        in_loc.setdefault(arc.loc_arc[1], []).append(a)
-    for i in inst.pickups:
-        coeffs = [(chi[a], 1.0) for a in out_loc.get(i, [])]
-        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
-    m.add_constr("fleet", [(chi[a], 1.0) for a in net.out_arcs[net.origin_node]],
-                 LE, float(inst.vehicles))
+    x, y, out_loc, in_loc = _arc_flow(m, inst, net.arcs, net.in_arcs,
+                                      net.out_arcs, net.origin_node,
+                                      net.dest_node)
     # ride limit at discrete stamps: arrival at the delivery minus departure
     # from the pickup; exact only when the grid is fine enough
     for i in inst.pickups:
-        coeffs = [(gamma[a], net.time_of_node(net.arcs[a].head))
+        coeffs = [(y[a], net.time_of_node(net.arcs[a].head))
                   for a in in_loc.get(i + inst.n, [])]
-        coeffs += [(gamma[a], -net.time_of_node(net.arcs[a].tail))
+        coeffs += [(y[a], -net.time_of_node(net.arcs[a].tail))
                    for a in out_loc.get(i, [])]
         m.add_constr(f"ride{i}", coeffs, LE, float(inst.ride[i]))
-    return m, TsefVars(chi, gamma)
+    return m, TsefVars(x, y)
 
 
 def decompose_tsef(inst, net, sol, vars_):
-    return decompose_flow(net.arcs, net.out_arcs, _flow(sol, vars_.chi),
+    return decompose_flow(net.arcs, net.out_arcs, _flow(sol, vars_.x),
                           net.origin_node, net.dest_node)
 
 
@@ -582,7 +580,7 @@ def paths_tsef(inst, net, walks):
 
 
 def subtour_cut_tsef(model, net, vars_, event_arcs, name):
-    coeffs = [(vars_.gamma[a], 1.0) for ea in event_arcs
+    coeffs = [(vars_.y[a], 1.0) for ea in event_arcs
               for a in net.by_event_arc.get(ea, [])]
     return (name, coeffs, LE, float(len(event_arcs) - 1))
 

@@ -42,9 +42,9 @@ class Schedule:
 
 
 class _DiffSystem:
-    """t_v >= t_u + w arcs with box bounds; least/greatest solutions via
-    Bellman-Ford style relaxation.  Infeasibility <=> some bound bursts
-    (equivalently, a positive cycle)."""
+    """t_v >= t_u + w arcs with box bounds; the least solution via
+    Bellman-Ford style relaxation, the greatest through reversed().
+    Infeasibility <=> some bound bursts (equivalently, a positive cycle)."""
 
     def __init__(self, num):
         self.num = num
@@ -78,22 +78,14 @@ class _DiffSystem:
                 return t
         return None  # positive cycle keeps pushing
 
-    def latest(self):
-        t = self.upper.copy()
-        if np.any(self.lower > t + EPS):
-            return None
-        for _ in range(self.num + 1):
-            changed = False
-            for u, v, w in self.arcs:
-                nu = t[v] - w
-                if nu < t[u] - EPS:
-                    t[u] = nu
-                    if nu < self.lower[u] - EPS:
-                        return None
-                    changed = True
-            if not changed:
-                return t
-        return None
+    def reversed(self):
+        """The same system in s = -t: t_v >= t_u + w reads s_u >= s_v + w,
+        and the box flips.  Its least solution, negated, is the greatest
+        solution of this one."""
+        rev = _DiffSystem(self.num)
+        rev.lower, rev.upper = -self.upper, -self.lower
+        rev.arcs = [(v, u, w) for u, v, w in self.arcs]
+        return rev
 
 
 def _path_system(inst: Instance, path, fixed_start=None) -> _DiffSystem:
@@ -137,8 +129,8 @@ def start_interval(inst: Instance, path):
     early = sys.earliest()
     if early is None:
         return None
-    late = sys.latest()
-    return float(early[0]), float(late[0])
+    late = sys.reversed().earliest()
+    return float(early[0]), float(-late[0])
 
 
 def joint_schedule(inst: Instance, paths):

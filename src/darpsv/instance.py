@@ -155,6 +155,15 @@ class Instance:
         counts one."""
         return max(1, math.ceil(abs(int(self.demand[loc])) / self.capacity))
 
+    def arc_cap(self, i: int, j: int) -> int:
+        """Most vehicles that traverse location arc i -> j together: the
+        smaller requirement of its ends, a depot end taking the other's."""
+        if i == self.origin:
+            return self.vehicles_required(j)
+        if j == self.destination:
+            return self.vehicles_required(i)
+        return min(self.vehicles_required(i), self.vehicles_required(j))
+
     def _validate(self):
         m = self.num_locations
         if self.travel_time.shape != (m, m) or self.travel_cost.shape != (m, m):

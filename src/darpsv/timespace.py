@@ -1,15 +1,26 @@
 """Time-space networks for the event- and fragment-based formulations.
 
-Grids are per-location sorted time lists.  Partial (DDD) networks round
-arrival times down to the nearest grid point, shortening arcs; every copy
-records its rounding discrepancy for the selection model.  Node times mean
-departure/service-start times; arrival-then-wait collapses into
-round_down(max(t + T, e)).
+Grids are per-location sorted time lists, and a node is a place (a
+location, or an event of the event network) at a grid time: the time
+service starts there.  Both networks expand their arcs by the same rules:
+
+- landing (_TsBase.arrive): an arc i -> j left at t arrives at
+  a = max(t + T_ij, e_j), waiting for j's window, is dropped when a > l_j
+  or a precedes j's grid, and lands at round_down(a), the last grid point
+  of j at or before a.
+  Partial (DDD) grids thus shorten arcs; each arc and fragment copy keeps
+  its rounding loss a - round_down(a) as disc, for the selection model.
+  Returns to the destination only test its window and land on the
+  destination node.
+- cap (Instance.arc_cap): at most that many synchronized vehicles share an
+  arc, the smaller requirement of its two locations, a depot end taking
+  the other end's.
 """
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .instance import EPS, Instance
 from .fragments import FragmentSet, feasible_schedule, start_interval
@@ -71,9 +82,8 @@ class TimeGrid:
         return sum(len(ts) for ts in self.times.values())
 
 
-@dataclass(frozen=True)
-class TsNode:
-    loc: int
+class TsNode(NamedTuple):
+    place: int  # a location, or an event id in the event network
     t: float
 
 
@@ -122,21 +132,66 @@ def _moved(el, tail, head):
 
 
 class _TsBase:
-    node_key = TsNode  # (place, t) -> node key; place is a location here
-
     def __init__(self, inst, grid):
         self.inst = inst
         self.grid = grid
         self.nodes = []
         self.node_index = {}
         self.arcs = []
+        self._terms = {}  # (i, j) -> kind, cost and cap of its copies
 
     def node(self, place, t):
-        key = self.node_key(place, round(float(t), 9))
-        if key not in self.node_index:
-            self.node_index[key] = len(self.nodes)
-            self.nodes.append(key)
-        return self.node_index[key]
+        # a plain tuple finds the same entry as the TsNode it equals, and
+        # takes a tenth of the time to build
+        key = (place, round(float(t), 9))
+        nid = self.node_index.get(key)
+        if nid is None:
+            nid = self.node_index[key] = len(self.nodes)
+            self.nodes.append(TsNode(*key))
+        return nid
+
+    def arrive(self, j, t):
+        """(grid time, rounding loss) of an arrival at location j at time
+        t, after waiting for e_j; None past l_j or before j's grid.  The
+        destination lands every return at l_j, with no loss."""
+        inst = self.inst
+        arrival = max(t, inst.earliest[j])
+        if arrival > inst.latest[j] + EPS:
+            return None
+        if j == inst.destination:
+            return inst.latest[j], 0.0
+        r = self.grid.round_down(j, arrival)
+        if r is None:
+            return None
+        return r, arrival - r
+
+    def link(self, tail, head, i, j, times, event_arc=-1):
+        """Add the copies of location arc i -> j that leave place tail at
+        the grid times in times and land at place head (in the fragment
+        network a place is its location); arrive() decides which land."""
+        inst = self.inst
+        T = inst.travel_time[i, j]
+        terms = self._terms.get((i, j))
+        for t in times:
+            landing = self.arrive(j, t + T)
+            if landing is None:
+                continue
+            if terms is None:
+                terms = self._terms[i, j] = (
+                    DEPOT_OUT if i == inst.origin else
+                    DEPOT_IN if j == inst.destination else MOVE,
+                    float(inst.travel_cost[i, j]), inst.arc_cap(i, j))
+            self.arcs.append(TsArc(self.node(tail, t),
+                                   self.node(head, landing[0]), (i, j),
+                                   *terms, landing[1], event_arc))
+
+    def idle(self, place, loc):
+        """Waiting arcs between consecutive grid times of loc at place."""
+        ts = self.grid[loc]
+        cap = self.inst.arc_cap(loc, loc)
+        for a, b in zip(ts, ts[1:]):
+            self.arcs.append(TsArc(self.node(place, a), self.node(place, b),
+                                   (loc, loc), IDLE, 0.0, cap, 0.0))
 
     def prune(self, *groups):
         """Keep the nodes that lie on some origin->destination path,
@@ -215,11 +270,10 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
     argument needs.
     """
     net = TsFragNetwork(inst, grid, frags)
-    e, l, T, C = inst.earliest, inst.latest, inst.travel_time, inst.travel_cost
     origin, dest = inst.origin, inst.destination
-    t_min, t_max = float(e[origin]), float(l[dest])
+    t_min = float(inst.earliest[origin])
     net.origin_node = net.node(origin, t_min)
-    net.dest_node = net.node(dest, t_max)
+    net.dest_node = net.node(dest, float(inst.latest[dest]))
 
     for fid, frag in enumerate(frags):
         interval = start_interval(inst, frag.path)
@@ -243,46 +297,19 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
                               s_eff, end, end - r)
             net.ts_frags.append(copy)
 
-    # movement node arcs: delivery -> pickup, landing at the earliest
-    # reachable grid point (idle arcs shift departures later)
+    # node arcs: delivery -> pickup moves (idle arcs shift departures
+    # later), depot departures and returns
     for d in inst.deliveries:
         for t in grid[d]:
             for p in inst.pickups:
-                if p == d - inst.n:
-                    continue  # same-customer return can only feed subtours
-                arrival = max(t + T[d, p], e[p])
-                if arrival > l[p] + EPS:
-                    continue
-                r = grid.round_down(p, arrival)
-                if r is None:
-                    continue
-                net.arcs.append(TsArc(net.node(d, t), net.node(p, r), (d, p), MOVE,
-                                      float(C[d, p]),
-                                      min(inst.vehicles_required(d),
-                                          inst.vehicles_required(p)),
-                                      arrival - r))
-    for p in inst.pickups:  # depot departures
-        arrival = max(t_min + T[origin, p], e[p])
-        if arrival > l[p] + EPS:
-            continue
-        r = grid.round_down(p, arrival)
-        if r is None:
-            continue
-        net.arcs.append(TsArc(net.origin_node, net.node(p, r), (origin, p),
-                              DEPOT_OUT, float(C[origin, p]), inst.vehicles_required(p),
-                              arrival - r))
-    for d in inst.deliveries:  # depot returns
-        for t in grid[d]:
-            if max(t + T[d, dest], e[dest]) > l[dest] + EPS:
-                continue
-            net.arcs.append(TsArc(net.node(d, t), net.dest_node, (d, dest),
-                                  DEPOT_IN, float(C[d, dest]),
-                                  inst.vehicles_required(d), 0.0))
-    for loc in list(inst.pickups) + list(inst.deliveries):  # waiting
-        ts = grid[loc]
-        for a, b in zip(ts, ts[1:]):
-            net.arcs.append(TsArc(net.node(loc, a), net.node(loc, b), (loc, loc),
-                                  IDLE, 0.0, inst.vehicles_required(loc), 0.0))
+                if p != d - inst.n:  # a same-customer return only feeds subtours
+                    net.link(d, p, d, p, (t,))
+    for p in inst.pickups:
+        net.link(origin, p, origin, p, (t_min,))
+    for d in inst.deliveries:
+        net.link(d, dest, d, dest, grid[d])
+    for loc in list(inst.pickups) + list(inst.deliveries):
+        net.idle(loc, loc)
 
     net.ts_frags, net.arcs = net.prune(net.ts_frags, net.arcs)
     net.index()
@@ -296,10 +323,6 @@ class TsEventNetwork(_TsBase):
         super().__init__(inst, grid)
         self.enet = enet
 
-    @staticmethod
-    def node_key(ev_id, t):
-        return ev_id, t
-
     def index(self):
         super().index()
         self.by_event_arc = {}
@@ -308,10 +331,10 @@ class TsEventNetwork(_TsBase):
                 self.by_event_arc.setdefault(arc.event_arc, []).append(aid)
 
     def loc_of_node(self, nid):
-        return self.enet.events[self.nodes[nid][0]].loc
+        return self.enet.events[self.nodes[nid].place].loc
 
     def time_of_node(self, nid):
-        return self.nodes[nid][1]
+        return self.nodes[nid].t
 
     def stats(self):
         return {"ts_nodes": len(self.nodes), "ts_arcs": len(self.arcs),
@@ -320,53 +343,21 @@ class TsEventNetwork(_TsBase):
 
 
 def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
-    """Expand the event network over the grid with the same round-down
-    semantics; movement arcs keep their departure/arrival stamps for the
-    ride-time rows."""
+    """Expand the event network over the grid: each event arc leaves its
+    tail at every grid time (the origin only at e_origin); movement arcs
+    keep their departure/arrival stamps for the ride-time rows."""
     net = TsEventNetwork(inst, grid, enet)
-    e, l, T = inst.earliest, inst.latest, inst.travel_time
-    origin, dest = inst.origin, inst.destination
-    t_min, t_max = float(e[origin]), float(l[dest])
+    t_min = float(inst.earliest[inst.origin])
     net.origin_node = net.node(enet.origin_id, t_min)
-    net.dest_node = net.node(enet.dest_id, t_max)
+    net.dest_node = net.node(enet.dest_id, float(inst.latest[inst.destination]))
 
     for aid, arc in enumerate(enet.arcs):
         i, j = arc.loc_arc
-        if arc.tail == enet.origin_id:
-            arrival = max(t_min + T[i, j], e[j])
-            if arrival > l[j] + EPS:
-                continue
-            r = grid.round_down(j, arrival)
-            if r is None:
-                continue
-            ts_arc = TsArc(net.origin_node, net.node(arc.head, r), (i, j),
-                           DEPOT_OUT, arc.cost, arc.cap, arrival - r, aid)
-            net.arcs.append(ts_arc)
-            continue
-        for t in grid[i]:
-            if arc.head == enet.dest_id:
-                if max(t + T[i, j], e[j]) > l[j] + EPS:
-                    continue
-                ts_arc = TsArc(net.node(arc.tail, t), net.dest_node, (i, j),
-                               DEPOT_IN, arc.cost, arc.cap, 0.0, aid)
-            else:
-                arrival = max(t + T[i, j], e[j])
-                if arrival > l[j] + EPS:
-                    continue
-                r = grid.round_down(j, arrival)
-                if r is None:
-                    continue
-                ts_arc = TsArc(net.node(arc.tail, t), net.node(arc.head, r),
-                               (i, j), MOVE, arc.cost, arc.cap, arrival - r, aid)
-            net.arcs.append(ts_arc)
+        net.link(arc.tail, arc.head, i, j,
+                 (t_min,) if i == inst.origin else grid[i], aid)
     for ev_id, ev in enumerate(enet.events):
-        if ev_id in (enet.origin_id, enet.dest_id):
-            continue
-        ts = grid[ev.loc]
-        for a, b in zip(ts, ts[1:]):
-            net.arcs.append(TsArc(net.node(ev_id, a), net.node(ev_id, b),
-                                  (ev.loc, ev.loc), IDLE, 0.0,
-                                  inst.vehicles_required(ev.loc), 0.0))
+        if ev_id not in (enet.origin_id, enet.dest_id):
+            net.idle(ev_id, ev.loc)
     net.arcs = net.prune(net.arcs)[0]
     net.index()
     return net

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darpsv.events import (Event, EventArc, EventNetwork, _location_closure,
-                           _successors, brute_force_events, cap, dump_events,
+                           _successors, brute_force_events, dump_events,
                            enumerate_events)
 from darpsv.instance import EPS, random_instance
 
@@ -105,18 +105,6 @@ def test_large_customer_pruning():
         assert tail_loc == inst.origin or inst.is_delivery(tail_loc)
 
 
-def test_caps():
-    inst = wide_instance(2, [0, 1, 4, -1, -4, 0], capacity=2)
-    small_p, large_p = Event(1, ()), Event(2, ())
-    large_d = Event(2 + inst.n, ())
-    depot = Event(0, ())
-    assert cap(inst, small_p, Event(1 + inst.n, ())) == 1
-    assert cap(inst, large_p, large_d) == 2
-    assert cap(inst, depot, large_p) == 2
-    assert cap(inst, large_d, Event(inst.destination, ())) == 2
-    assert cap(inst, large_d, small_p) == 1
-
-
 def test_window_reachability_prunes():
     # second customer can only run after the first is done; interleavings
     # disappear
@@ -176,7 +164,7 @@ def unpruned_events(inst):
     index = {ev: k for k, ev in enumerate(events)}
     arcs = sorted((EventArc(index[ev], index[nxt], (ev.loc, nxt.loc),
                             float(inst.travel_cost[ev.loc, nxt.loc]),
-                            cap(inst, ev, nxt))
+                            inst.arc_cap(ev.loc, nxt.loc))
                    for ev in events for nxt in adjacency[ev] if nxt in keep),
                   key=lambda a: (a.tail, a.head))
     return EventNetwork(inst, events, arcs, index[origin], index[dest])

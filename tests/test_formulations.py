@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from darpsv import formulations, milp, run_method
+from darpsv import METHODS, formulations, milp, run_method
 from darpsv.events import enumerate_events
 from darpsv.formulations import (build_ebf, build_tsfrag, solve_abf, solve_ebf,
                                  solve_tsef, solve_tsfrag)
@@ -198,26 +198,31 @@ def test_formulation_agreement_on_exact_grid():
 
 
 def test_fixed_grid_optimal_routes_validate():
-    # a fixed grid rounds arcs down, so its optimum is a relaxation: it may
-    # report optimal only with routes that schedule in continuous time, and
-    # otherwise reports a bound that no feasible plan beats
+    # every method on the same draws: an ok report carries routes that
+    # check() accepts, and an exact one the EBF optimum.  A fixed grid rounds
+    # arcs down, so its optimum is a relaxation: without a continuous
+    # schedule it reports a bound that no feasible plan beats, and no
+    # method may call a draw infeasible that EBF solves
     failures, relaxations = [], 0
     for seed in range(40):
         inst = tighten_windows(random_instance(
             seed, n=4, vehicles=3, capacity=2 + seed % 2,
             large_share=0.0 if seed % 4 < 2 else 0.3))
-        ebf = solve_ebf(inst).objective
+        ebf_report = solve_ebf(inst)
+        ebf = ebf_report.objective
         best = np.inf if ebf is None else ebf
-        for method in ("tsfrag", "tsef", "tsfrag+c"):
+        for method in METHODS:
             if method == "tsfrag+c" and inst.large_pickups:
                 continue
-            for resolution in (5.0, 10.0):
-                report = run_method(inst, method, resolution=resolution)
+            fixed_grid = method in ("tsef", "tsfrag", "tsfrag+c")
+            for resolution in (5.0, 10.0) if fixed_grid else (None,):
+                report = ebf_report if method == "ebf" else \
+                    run_method(inst, method, resolution=resolution)
                 case = (seed, method, resolution, report.status)
-                if report.status == "optimal":
+                if report.ok:
                     if check(inst, report.routes):
                         failures.append(case + ("rejected routes",))
-                    if method != "tsef" and \
+                    if not report.approximate and \
                             abs(report.objective - best) > 1e-4:
                         failures.append(case + (report.objective, ebf))
                 elif report.status == "relaxation":
@@ -225,6 +230,8 @@ def test_fixed_grid_optimal_routes_validate():
                     if report.routes is not None or \
                             report.bound > best + 1e-4:
                         failures.append(case + (report.bound, ebf))
+                elif report.status != "infeasible" or ebf is not None:
+                    failures.append(case + (ebf,))
     assert failures == []
     assert relaxations > 0  # the draws do reach paths with no schedule
 
@@ -300,8 +307,8 @@ def test_tsef_extraction_idle_semantics(single_customer):
         cur = net.arcs[nxt].head
     assert idled == {1, 2}
     for a in flow:
-        values[vars_.chi[a]] = 1
-        values[vars_.gamma[a]] = 1
+        values[vars_.x[a]] = 1
+        values[vars_.y[a]] = 1
     cost = sum(net.arcs[a].cost for a in flow)
     sol = MilpSolution("optimal", values, cost, cost, 0.0, 0.0)
     walks, cycles = decompose_tsef(inst, net, sol, vars_)

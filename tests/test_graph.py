@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from darpsv.events import enumerate_events
 from darpsv.fragments import enumerate_fragments
 from darpsv.graph import decompose_flow, reachable
-from darpsv.instance import random_instance, tighten_windows
-from darpsv.timespace import IDLE, TimeGrid, expand_events, expand_fragments
+from darpsv.instance import EPS, random_instance, tighten_windows
+from darpsv.timespace import (DEPOT_IN, IDLE, TimeGrid, expand_events,
+                              expand_fragments)
 
 Edge = namedtuple("Edge", "tail head")
 
@@ -141,6 +142,45 @@ def check_index(net):
     assert sum(map(len, net.out_arcs)) == sum(map(len, net.in_arcs)) == len(net.arcs)
 
 
+def check_arc_rule(inst, grid, net, links):
+    """Each arc i -> j left at t lands at round_down(max(t + T_ij, e_j)),
+    keeps the rest as disc, and takes inst.arc_cap(i, j) vehicles; returns
+    end at the destination within its window, with no loss.  Conversely,
+    each link (tail place, head place, i, j) has that arc at every time
+    where both of its ends are kept."""
+    e, l, T = inst.earliest, inst.latest, inst.travel_time
+
+    def landing(i, j, t):
+        arrival = max(t + T[i, j], e[j])
+        if arrival > l[j] + EPS:
+            return None
+        if j == inst.destination:
+            return l[j], 0.0
+        r = grid.round_down(j, arrival)
+        return None if r is None else (r, arrival - r)
+
+    for arc in net.arcs:
+        i, j = arc.loc_arc
+        assert arc.cap == inst.arc_cap(i, j)
+        if arc.kind == IDLE:
+            continue
+        want = landing(i, j, net.nodes[arc.tail].t)
+        assert want is not None
+        assert (arc.head == net.dest_node) == (arc.kind == DEPOT_IN)
+        assert net.nodes[arc.head].t == pytest.approx(want[0], abs=1e-9)
+        assert arc.disc == pytest.approx(want[1], abs=1e-9)
+
+    present = {(arc.tail, arc.head, arc.loc_arc) for arc in net.arcs}
+    for tail, head, i, j in links:
+        for t in [inst.earliest[i]] if i == inst.origin else grid[i]:
+            u = net.node_index.get((tail, round(float(t), 9)))
+            want = landing(i, j, t)
+            if u is None or want is None:
+                continue
+            v = net.node_index.get((head, round(float(want[0]), 9)))
+            assert v is None or (u, v, (i, j)) in present
+
+
 DRAWS = [tighten_windows(random_instance(seed, n=3 + seed % 3, vehicles=3,
                                          capacity=2 + seed % 2,
                                          large_share=0.3 * (seed % 2)))
@@ -166,11 +206,20 @@ def test_pruned_networks_keep_only_path_nodes(k, delta):
     nf = len(fnet.ts_frags)
     assert fnet.out_elems == [cs + [nf + a for a in arcs] for cs, arcs
                               in zip(fnet.out_frags, fnet.out_arcs)]
+    origin, dest = inst.origin, inst.destination
+    check_arc_rule(inst, grid, fnet,
+                   [(d, p, d, p) for d in inst.deliveries for p in inst.pickups
+                    if p != d - inst.n]
+                   + [(origin, p, origin, p) for p in inst.pickups]
+                   + [(d, dest, d, dest) for d in inst.deliveries])
 
-    enet = expand_events(inst, enumerate_events(inst), grid)
+    events = enumerate_events(inst)
+    enet = expand_events(inst, events, grid)
     kept = on_some_path(enet, (enet.arcs,))
     terminals = {enet.origin_node, enet.dest_node}
     assert kept | terminals == set(range(len(enet.nodes)))
     check_index(enet)
     assert sorted(a for aids in enet.by_event_arc.values() for a in aids) == \
         [a for a, arc in enumerate(enet.arcs) if arc.event_arc >= 0]
+    check_arc_rule(inst, grid, enet, [(arc.tail, arc.head, *arc.loc_arc)
+                                      for arc in events.arcs])

@@ -9,7 +9,7 @@ from darpsv.instance import (DatasetParams, InfeasibleCustomerError,
                              designate_large, from_json, parse_cordeau,
                              random_instance, tighten_windows, to_json)
 
-from conftest import CORDEAU_SAMPLE
+from conftest import CORDEAU_SAMPLE, make_instance
 
 
 def test_parse_header_and_matrices():
@@ -106,6 +106,22 @@ def test_tighten_idempotent_and_never_widens(seed):
     assert np.allclose(once.latest, twice.latest)
     assert np.all(once.earliest >= inst.earliest - 1e-9)
     assert np.all(once.latest <= inst.latest + 1e-9)
+
+
+def test_arc_cap():
+    # customer 1 is small, customer 2 needs two vehicles (q = 4, Q = 2)
+    T = np.ones((6, 6))
+    np.fill_diagonal(T, 0.0)
+    inst = make_instance(2, T, [0.0] * 6, [1000.0] * 6, [0, 100, 100],
+                         [0, 1, 4, -1, -4, 0], capacity=2)
+    assert inst.arc_cap(1, 3) == 1
+    assert inst.arc_cap(2, 4) == 2
+    assert inst.arc_cap(4, 1) == 1  # the smaller requirement of the two
+    # a depot end takes the other end's requirement
+    assert inst.arc_cap(0, 2) == 2
+    assert inst.arc_cap(4, 5) == 2
+    assert inst.arc_cap(0, 1) == inst.arc_cap(3, 5) == 1
+    assert inst.arc_cap(2, 2) == 2  # waiting at a large pickup
 
 
 def test_designate_large_every_third():
