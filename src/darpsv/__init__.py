@@ -13,9 +13,9 @@ and an independent validator/brute-force oracle.
 from .milp import MilpModel, MilpSolution, Status, resolve_with_cuts, solve, write_lp
 from .ddd import SelectionInputs, SelectionResult, ddd_solve, refine_grid, selection_model
 from .events import Event, EventArc, EventNetwork, enumerate_events
-from .formulations import (Route, RouteSet, SolveReport, build_abf, build_ebf,
-                           build_tsef, build_tsfrag, solve_abf, solve_ebf,
-                           solve_tsef, solve_tsfrag)
+from .formulations import (SolveReport, build_abf, build_ebf, build_tsef,
+                           build_tsfrag, solve_abf, solve_ebf, solve_tsef,
+                           solve_tsfrag)
 from .fragments import (Fragment, FragmentSet, enumerate_fragments,
                         feasible_schedule, joint_schedule, start_interval)
 from .instance import (DatasetParams, Instance, InstanceError,
@@ -24,7 +24,8 @@ from .instance import (DatasetParams, Instance, InstanceError,
                        load_instance, parse_cordeau, random_instance,
                        tighten_windows, to_json)
 from .timespace import TimeGrid, expand_events, expand_fragments
-from .validate import Violation, brute_optimum, check
+from .validate import (Route, RouteSet, Violation, brute_optimum, check,
+                       timed_routes)
 
 __version__ = "0.1.0"
 

@@ -14,11 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from . import METHODS, run_method
 from . import instance as inst_mod
 from .events import dump_events, enumerate_events
-from .formulations import RouteSet, Route, SolveReport
+from .formulations import SolveReport
 from .fragments import dump_fragments, enumerate_fragments
 from .instance import DatasetParams, Instance, load_instance, tighten_windows
 from .milp import Status
-from .validate import check
+from .validate import Route, RouteSet, check
 
 EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE, EXIT_TIME = 0, 1, 2, 3
 
@@ -74,6 +74,13 @@ def cmd_solve(args) -> int:
     else:
         print(f"{inst.name} {method} {report.status}")
     return _report_exit(report)
+
+
+def _positive_float(text):
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive number: {text}")
+    return value
 
 
 def _float_list(text):
@@ -228,12 +235,12 @@ def build_parser():
                    default="ebf")
     p.add_argument("--ddd", action="store_true",
                    help="dynamic discretization discovery (time-space modes)")
-    p.add_argument("--resolution", type=float, default=1.0,
+    p.add_argument("--resolution", type=_positive_float, default=1.0,
                    help="fixed grid step in minutes for tsef/tsfrag")
     p.add_argument("--callbacks", action="store_true",
                    help="TSFrag+C: infeasible-path cuts instead of DDD")
     p.add_argument("--time-limit", type=float, default=1800.0)
-    p.add_argument("--initial-delta", type=float, default=50.0,
+    p.add_argument("--initial-delta", type=_positive_float, default=50.0,
                    help="initial DDD grid step in minutes")
     p.add_argument("--out", help="write the solution JSON here")
     p.add_argument("--no-tighten", action="store_true")
@@ -256,7 +263,7 @@ def build_parser():
     p = sub.add_parser("bench", help="method x instance matrix, CSV out")
     p.add_argument("instances", nargs="*")
     p.add_argument("--methods", default="ebf,tsfrag+ddd")
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=_positive_float, default=1.0)
     p.add_argument("--time-limit", type=float, default=1800.0)
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--out", help="CSV path (default stdout)")

@@ -3,8 +3,13 @@
 Each iteration solves the partial-network master (a relaxation, since arc
 lengths are rounded down), decomposes its paths, and asks the selection
 model whether they admit a continuous schedule with the actual arc lengths.
-Z = 0 terminates with a proven optimum; otherwise the flagged arcs gain
-time points and the loop repeats.  For the event mode the master's ride
+Z = 0 terminates, and the master's solution is reported like any other
+solve (formulations.solve_report): a proven optimum when the master is
+optimal, its paths timed by their earliest joint schedule; otherwise the
+flagged arcs gain time points and the loop repeats.  The running bound
+takes a master's objective only when that master is optimal, and its
+best bound otherwise, so a master stopped by the deadline never raises
+the bound above the optimum.  For the event mode the master's ride
 rows act on discrete stamps only, so the bound can cut feasible paths; the
 result is labeled approximate, and when refinement can no longer lengthen
 the paths it ends as a RELAXATION with the masters' bound.
@@ -17,9 +22,8 @@ from typing import NamedTuple
 
 from . import milp
 from .events import enumerate_events
-from .formulations import (Route, RouteSet, SolveReport, TsefMaster,
-                           TsfragMaster, paths_tsef, paths_tsfrag,
-                           separate_subtours)
+from .formulations import (SolveReport, TsefMaster, TsfragMaster, paths_tsef,
+                           paths_tsfrag, separate_subtours, solve_report)
 from .fragments import enumerate_fragments, feasible_schedule, start_interval
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
@@ -36,7 +40,7 @@ class Iteration(NamedTuple):
     """One DDD iteration, as kept in SolveReport.history."""
 
     k: int
-    bound: float  # best master objective so far
+    bound: float  # best master bound so far
     z: int  # selection value; -1 when no schedule exists at all
     new_points: int  # time points added to the grid
     master_seconds: float  # master solve, subtour separation included
@@ -63,7 +67,6 @@ class SelectionResult:
     feasible: bool
     z: int | None
     delta: list  # flagged location arcs
-    tau: dict | None  # location -> departure time (per-vehicle depots merged)
     status: str = Status.OPTIMAL  # of the selection MILP
 
 
@@ -73,9 +76,9 @@ def selection_model(inst: Instance, inputs: SelectionInputs, floors=None,
     given paths to schedule; Z = 0 certifies continuous feasibility.
 
     Ride limits are part of the system: without them a zero-shortening
-    schedule could still stretch a customer's trip beyond R_i, and the
-    returned times must be valid as the final schedule.  A solve that hits
-    the deadline before any solution returns status TIME_LIMIT and z None.
+    schedule could still stretch a customer's trip beyond R_i, so Z = 0
+    would not certify the paths.  A solve that hits the deadline before any
+    solution returns status TIME_LIMIT and z None.
     """
     m = MilpModel("selection")
     tau = {}
@@ -111,13 +114,11 @@ def selection_model(inst: Instance, inputs: SelectionInputs, floors=None,
                          LE, float(inst.ride[i]))
     sol = milp.solve(m, deadline)
     if sol.status in (Status.INFEASIBLE, Status.TIME_LIMIT):
-        return SelectionResult(False, None, [], None, sol.status)
+        return SelectionResult(False, None, [], sol.status)
     if not sol.ok:
         raise milp.ConfigurationError(f"selection model: {sol.status}")
     flagged = sorted(a for a in arcs if sol.value(delta[a]) > 0.5)
-    times = {loc: sol.value(v) for loc, v in tau.items()}
-    return SelectionResult(True, int(round(sol.objective)), flagged, times,
-                           sol.status)
+    return SelectionResult(True, int(round(sol.objective)), flagged, sol.status)
 
 
 def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
@@ -220,13 +221,14 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         base_stats = {"V_E": enet.num_events, "A_E": enet.num_arcs}
     grid = TimeGrid.fixed(inst, initial_delta)
     history = []
-    bound = objective = routes = gap = None
+    bound = paths = None
+    stats = base_stats
     physical_cuts = []  # persists across iterations, re-instantiated per grid
     total_cuts = 0
     floor_cache = {}
     for k in range(1, MAX_ITERATIONS + 1):
         if deadline is not None and time.perf_counter() >= deadline:
-            status, k, stats = Status.TIME_LIMIT, k - 1, base_stats
+            k, sol = k - 1, _stopped(Status.TIME_LIMIT, bound)
             break
         net, model = master.build(grid)
         for c, phys in enumerate(physical_cuts):
@@ -239,23 +241,24 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         total_cuts += info.num_cuts
         physical_cuts.extend(cut_sets)
         stats = dict(base_stats, **net.stats())
-        if sol.status == Status.INFEASIBLE:
-            # the partial network is a relaxation, so the instance itself is
-            # infeasible (event mode: up to the documented ride-row caveat)
-            status, bound = Status.INFEASIBLE, None
-            break
         if not sol.ok:
-            status = sol.status
+            # an infeasible partial network is a relaxation, so the instance
+            # itself is infeasible (event mode: up to the documented ride-row
+            # caveat) and no bound is reported
+            sol = _stopped(sol.status,
+                           None if sol.status == Status.INFEASIBLE else bound)
             break
         if bound is not None and mode == "tsfrag" and sol.objective < bound - 1e-6:
             raise AssertionError(
                 f"lower bound regressed: {sol.objective} < {bound} at k={k}")
-        bound = sol.objective if bound is None else max(bound, sol.objective)
+        master_bound = (sol.objective if sol.status == Status.OPTIMAL
+                        else sol.best_bound)
+        bound = master_bound if bound is None else max(bound, master_bound)
         inputs = inputs_of(inst, net, walks)
         # sel.z is None without a schedule
         sel = selection_model(inst, inputs, deadline=deadline)
         if sel.status == Status.TIME_LIMIT:
-            status = Status.TIME_LIMIT
+            sol = _stopped(Status.TIME_LIMIT, bound)
             break
         new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
         if sel.z != 0 and new_points == 0 and mode == "tsfrag":
@@ -264,14 +267,14 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             weak = _weak_floors(inst, inputs, floor_cache)
             sel = selection_model(inst, inputs, floors=weak, deadline=deadline)
             if sel.status == Status.TIME_LIMIT:
-                status = Status.TIME_LIMIT
+                sol = _stopped(Status.TIME_LIMIT, bound)
                 break
             new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
         if sel.z != 0 and new_points == 0 and mode == "tsef":
             # nothing left to lengthen yet no continuous schedule: the
             # discrete ride rows cut the path set (documented inexactness),
             # so the masters' bound is all the solve has
-            status = Status.RELAXATION
+            sol = _stopped(Status.RELAXATION, bound)
             break
         z = -1 if sel.z is None else sel.z
         history.append(Iteration(k, bound, z, new_points, master_seconds,
@@ -279,19 +282,20 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         if trace is not None:
             trace(str(history[-1]))
         if z == 0:
-            status, objective, bound, gap = (Status.OPTIMAL, sol.objective,
-                                             sol.best_bound, 0.0)
-            routes = RouteSet.from_routes(inst, [
-                Route(v, [(loc, sel.tau[loc]) for loc in path])
-                for v, path in enumerate(inputs.location_paths)], objective)
+            paths = inputs.location_paths
             break
         if new_points == 0:
             raise StallError(f"Z={z} with no grid growth at iteration {k}")
     else:
         raise StallError(f"no convergence within {MAX_ITERATIONS} iterations")
-    return SolveReport(f"{mode}+ddd", status, objective, bound, routes,
-                       time.perf_counter() - start, gap=gap, iterations=k,
-                       cuts=total_cuts, stats=stats, history=history)
+    return solve_report(inst, f"{mode}+ddd", sol, paths, start, stats,
+                        total_cuts, iterations=k, history=history)
+
+
+def _stopped(status, bound):
+    """A DDD exit without a schedulable master solution, as a solution
+    with only a status and a bound."""
+    return milp.MilpSolution(status, None, None, bound, 0.0)
 
 
 def _weak_floors(inst, inputs, cache):

@@ -189,30 +189,6 @@ def enumerate_events(inst: Instance) -> EventNetwork:
     return EventNetwork(inst, events, arcs, index[origin], index[dest])
 
 
-def brute_force_events(inst: Instance):
-    """All (location, onboard) pairs passing the capacity and structure
-    predicates, with no reachability pruning.  Test oracle for small n."""
-    from itertools import combinations
-
-    n, Q = inst.n, inst.capacity
-    smalls = list(inst.small_pickups)
-    out = {Event(inst.origin, ()), Event(inst.destination, ())}
-    for i in inst.pickups:
-        if inst.is_large(i):
-            out.add(Event(i, ()))
-            out.add(Event(i + n, ()))
-            continue
-        others = [j for j in smalls if j != i]
-        for r in range(len(others) + 1):
-            for S in combinations(others, r):
-                if inst.demand[i] + sum(inst.demand[j] for j in S) <= Q:
-                    out.add(Event(i, tuple(sorted(S))))
-                    # the vehicle carried S alongside i right before the
-                    # delivery, so the same bound gates the delivery state
-                    out.add(Event(i + n, tuple(sorted(S))))
-    return out
-
-
 def dump_events(net: EventNetwork) -> str:
     """Deterministic text listing for golden tests."""
     lines = [f"events {net.num_events} arcs {net.num_arcs}"]

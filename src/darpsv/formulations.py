@@ -12,10 +12,13 @@ arc-flow rows (_arc_flow) and add their own timing rows.  TsfragMaster and
 TsefMaster hold the steps of one time-space formulation on its current
 grid; fixed-grid solves and DDD drive the same masters.
 
-A fixed grid rounds arcs down, so its optimum is a relaxation whose paths
-may admit no continuous schedule.  Its routes are timed one way, by the
-earliest joint schedule of their location paths (timed_routes); without
-one the report has status RELAXATION and the master's bound.
+Every solve becomes a report one way (solve_report): status, objective,
+bound and gap come from its own MILP solution, and the location paths of
+an ok solution are timed by their earliest joint schedule (timed_routes)
+and checked (validate.check).  A fixed grid rounds arcs down, so its
+optimum is a relaxation whose paths may admit no continuous schedule;
+paths without a schedule, or whose routes check() rejects, give status
+RELAXATION with the solution's bound and no routes.
 
 Each solve_* turns its time_limit (seconds) into one time.perf_counter()
 deadline when it starts, and every layer below takes that deadline, so
@@ -30,12 +33,13 @@ import numpy as np
 
 from . import milp
 from .events import EventNetwork, enumerate_events
-from .fragments import enumerate_fragments, feasible_schedule, joint_schedule
+from .fragments import enumerate_fragments, feasible_schedule
 from .graph import decompose_flow
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel, Status
 from .timespace import (IDLE, TimeGrid, TsEventNetwork, TsFragNetwork,
                         expand_events, expand_fragments)
+from .validate import RouteSet, check, timed_routes
 
 
 def _flow(sol, idx):
@@ -49,51 +53,7 @@ def big_m(inst, i, j):
     return max(0.0, inst.latest[i] + inst.travel_time[i, j] - inst.earliest[j])
 
 
-# -- routes ------------------------------------------------------------------
-
-@dataclass
-class Route:
-    vehicle: int
-    stops: list  # (location, time)
-
-    @property
-    def path(self):
-        return [loc for loc, _ in self.stops]
-
-
-@dataclass
-class RouteSet:
-    routes: list
-    objective: float
-    sync_groups: dict = field(default_factory=dict)  # large pickup -> vehicles
-
-    @classmethod
-    def from_routes(cls, inst, routes, objective):
-        """Route set with the vehicles of each large pickup grouped."""
-        groups = {}
-        for route in routes:
-            for loc in route.path:
-                if inst.is_pickup(loc) and inst.is_large(loc):
-                    groups.setdefault(loc, []).append(route.vehicle)
-        return cls(routes, float(objective),
-                   {loc: tuple(vs) for loc, vs in groups.items()})
-
-    def paths(self):
-        return [r.path for r in self.routes]
-
-    def recost(self, inst) -> float:
-        C = inst.travel_cost
-        return float(sum(C[i, j] for r in self.routes
-                         for i, j in zip(r.path, r.path[1:])))
-
-    def to_dict(self):
-        return {
-            "routes": [{"vehicle": r.vehicle,
-                        "stops": [{"loc": int(l), "t": float(t)} for l, t in r.stops]}
-                       for r in self.routes],
-            "sync_groups": {str(k): list(v) for k, v in self.sync_groups.items()},
-        }
-
+# -- reports ------------------------------------------------------------------
 
 @dataclass
 class SolveReport:
@@ -141,11 +101,21 @@ class SolveReport:
         return out
 
 
-def _report(method, sol, info, routes, start, stats):
-    """Report of a separation-loop solve; routes is None unless sol.ok."""
-    return SolveReport(method, sol.status, sol.objective, sol.best_bound, routes,
-                       time.perf_counter() - start, gap=sol.gap,
-                       cuts=info.num_cuts, stats=stats)
+def solve_report(inst, method, sol, paths, start, stats, cuts, **fields):
+    """The one way a solve becomes a SolveReport.  Status, objective, bound
+    and gap are sol's; an ok sol's location paths (read only then) are
+    timed by their earliest joint schedule.  Paths with no schedule, or
+    whose routes check() rejects, give RELAXATION with sol's bound and no
+    routes.  fields go to SolveReport as they are (DDD's iterations and
+    history)."""
+    status, objective, gap, routes = sol.status, sol.objective, sol.gap, None
+    if sol.ok:
+        routes = timed_routes(inst, paths, objective)
+        if routes is None or check(inst, routes):
+            status, objective, gap, routes = Status.RELAXATION, None, None, None
+    return SolveReport(method, status, objective, sol.best_bound, routes,
+                       time.perf_counter() - start, gap=gap, cuts=cuts,
+                       stats=stats, **fields)
 
 
 # -- subtour separation -----------------------------------------------------
@@ -223,7 +193,6 @@ def _arc_flow(m, inst, arcs, in_arcs, out_arcs, origin, dest):
 class EbfVars:
     x: list  # arc id -> var
     y: list
-    t: dict  # location -> var
 
 
 def build_ebf(inst: Instance, net: EventNetwork):
@@ -240,19 +209,16 @@ def build_ebf(inst: Instance, net: EventNetwork):
     for i in inst.pickups:
         m.add_constr(f"ride{i}", [(t[i + inst.n], 1.0), (t[i], -1.0)],
                      LE, float(inst.ride[i]))
-    return m, EbfVars(x, y, t)
+    return m, EbfVars(x, y)
 
 
 def extract_routes_ebf(inst, net, sol, vars_):
-    flow = _flow(sol, vars_.x)
-    tval = {loc: sol.value(v) for loc, v in vars_.t.items()}
-    walks, cycles = decompose_flow(net.arcs, net.out_arcs, flow,
+    """Location paths of the flow's walks, and its residual cycles."""
+    walks, cycles = decompose_flow(net.arcs, net.out_arcs, _flow(sol, vars_.x),
                                    net.origin_id, net.dest_id)
-    routes = []
-    for vehicle, walk in enumerate(walks):
-        path = [inst.origin] + [net.events[net.arcs[a].head].loc for a in walk]
-        routes.append(Route(vehicle, [(loc, float(tval[loc])) for loc in path]))
-    return RouteSet.from_routes(inst, routes, sol.objective), cycles
+    paths = [[inst.origin] + [net.events[net.arcs[a].head].loc for a in walk]
+             for walk in walks]
+    return paths, cycles
 
 
 def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
@@ -266,11 +232,12 @@ def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
         # this fires only on zero-length ones
         return (name, [(vars_.y[a], 1.0) for a in arcs], LE, float(len(arcs) - 1))
 
-    sol, info, routes, _ = separate_subtours(
+    sol, info, paths, _ = separate_subtours(
         model, lambda sol: extract_routes_ebf(inst, net, sol, vars_),
         lambda cycle: sorted(set(cycle)), cut, deadline)
-    return _report("ebf", sol, info, routes, start,
-                   {"V_E": net.num_events, "A_E": net.num_arcs})
+    return solve_report(inst, "ebf", sol, paths, start,
+                        {"V_E": net.num_events, "A_E": net.num_arcs},
+                        info.num_cuts)
 
 
 # -- ABF ----------------------------------------------------------------------
@@ -278,9 +245,6 @@ def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
 @dataclass
 class AbfVars:
     f: dict  # (i, j, v) -> var
-    t: dict  # (i, v) -> var
-    tt: dict  # large location -> var
-    load: dict  # (i, v) -> var
     arcs: list
 
 
@@ -384,11 +348,13 @@ def build_abf(inst: Instance):
             m.add_constr(f"prec{i}_{v}",
                          [(t[i + inst.n, v], 1.0), (t[i, v], -1.0)],
                          GE, float(inst.travel_time[i, i + inst.n]))
-    return m, AbfVars(f, t, tt, load, arcs)
+    return m, AbfVars(f, arcs)
 
 
-def extract_routes_abf(inst, sol, vars_):
-    routes = []
+def paths_abf(inst, sol, vars_):
+    """Location path of each vehicle that leaves the origin for a
+    customer; idle vehicles are left out."""
+    paths = []
     for v in range(inst.vehicles):
         succ = {}
         for (i, j) in vars_.arcs:
@@ -398,11 +364,9 @@ def extract_routes_abf(inst, sol, vars_):
         while cur != inst.destination:
             cur = succ[cur]
             path.append(cur)
-        if len(path) == 2:
-            continue  # idle vehicle
-        stops = [(loc, sol.value(vars_.t[loc, v])) for loc in path]
-        routes.append(Route(len(routes), stops))
-    return RouteSet.from_routes(inst, routes, sol.objective)
+        if len(path) > 2:
+            paths.append(path)
+    return paths
 
 
 def solve_abf(inst: Instance, time_limit=None) -> SolveReport:
@@ -412,8 +376,9 @@ def solve_abf(inst: Instance, time_limit=None) -> SolveReport:
     deadline = None if time_limit is None else start + time_limit
     model, vars_ = build_abf(inst)
     sol, info = milp.resolve_with_cuts(model, lambda sol: [], deadline)
-    routes = extract_routes_abf(inst, sol, vars_) if sol.ok else None
-    return _report("abf", sol, info, routes, start, {"arcs": len(vars_.arcs)})
+    paths = paths_abf(inst, sol, vars_) if sol.ok else None
+    return solve_report(inst, "abf", sol, paths, start,
+                        {"arcs": len(vars_.arcs)}, info.num_cuts)
 
 
 # -- TSFrag ---------------------------------------------------------------------
@@ -594,30 +559,15 @@ def solve_tsef(inst: Instance, resolution=1.0, time_limit=None) -> SolveReport:
 
 # -- time-space masters ----------------------------------------------------------
 
-def timed_routes(inst, paths, objective):
-    """Routes along paths at their earliest continuous joint schedule, or
-    None when the paths have none."""
-    times = joint_schedule(inst, paths)
-    if times is None:
-        return None
-    return RouteSet.from_routes(inst, [
-        Route(v, [(loc, times[v][loc]) for loc in path])
-        for v, path in enumerate(paths)], objective)
-
-
 def _solve_grid(master, grid, deadline, start):
-    """Fixed-grid solve of a time-space master: a RELAXATION, with the
-    master's bound and no routes, when its paths have no schedule."""
+    """Fixed-grid solve of a time-space master."""
     net, model = master.build(grid)
     sol, info, walks, _ = separate_subtours(
         model, master.decompose, master.physical, master.cut, deadline,
         master.more_cuts)
-    routes = timed_routes(master.inst, master.paths(walks),
-                          sol.objective) if sol.ok else None
-    report = _report(master.method, sol, info, routes, start, net.stats())
-    if sol.ok and routes is None:
-        report.status, report.objective, report.gap = Status.RELAXATION, None, None
-    return report
+    paths = master.paths(walks) if sol.ok else None
+    return solve_report(master.inst, master.method, sol, paths, start,
+                        net.stats(), info.num_cuts)
 
 
 class TsfragMaster:

@@ -166,6 +166,9 @@ class Instance:
 
     def _validate(self):
         m = self.num_locations
+        if self.capacity <= 0:
+            raise InstanceError(f"vehicle capacity must be positive, "
+                                f"got {self.capacity}")
         if self.travel_time.shape != (m, m) or self.travel_cost.shape != (m, m):
             raise InstanceError("travel matrices must be (2n+2) square")
         if len(self.earliest) != m or len(self.latest) != m:

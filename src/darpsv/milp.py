@@ -32,7 +32,7 @@ class Status:
     INFEASIBLE = "infeasible"
     TIME_LIMIT = "time_limit"
     UNBOUNDED = "unbounded"
-    RELAXATION = "relaxation"  # fixed-grid optimum whose paths have no schedule
+    RELAXATION = "relaxation"  # a relaxation's paths with no checked schedule
 
 
 class ConfigurationError(RuntimeError):

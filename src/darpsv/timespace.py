@@ -39,6 +39,8 @@ class TimeGrid:
     @classmethod
     def fixed(cls, inst: Instance, delta: float) -> "TimeGrid":
         """e_p + k*delta clipped to the window, plus l_p."""
+        if not delta > 0:
+            raise ValueError(f"grid step must be positive, got {delta!r}")
         times = {}
         for loc in range(inst.num_locations):
             e, l = inst.earliest[loc], inst.latest[loc]
@@ -329,9 +331,6 @@ class TsEventNetwork(_TsBase):
         for aid, arc in enumerate(self.arcs):
             if arc.event_arc >= 0:
                 self.by_event_arc.setdefault(arc.event_arc, []).append(aid)
-
-    def loc_of_node(self, nid):
-        return self.enet.events[self.nodes[nid].place].loc
 
     def time_of_node(self, nid):
         return self.nodes[nid].t

@@ -1,18 +1,20 @@
-"""Independent feasibility checking and a brute-force optimum oracle.
+"""Route sets, independent feasibility checking and a brute-force optimum
+oracle.
 
-The checker re-derives everything from the instance and the route set; it
-never trusts solver bookkeeping.  The oracle exhausts vehicle assignments
-and visit orders for tiny instances and prices schedules through the same
-difference-constraint engine the solvers use for certificates, with shared
-times at synchronized locations.
+Every solver's routes are built one way, by timed_routes: location paths
+at their earliest joint schedule.  The checker re-derives everything from
+the instance and the route set; it never trusts solver bookkeeping.  The
+oracle exhausts vehicle assignments and visit orders for tiny instances
+and prices schedules through the same difference-constraint engine the
+solvers use for certificates, with shared times at synchronized
+locations.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .formulations import Route, RouteSet
 from .fragments import joint_schedule
 from .instance import EPS, Instance
 
@@ -28,6 +30,56 @@ EMPTY_BEFORE_LARGE = "EmptyBeforeLarge"
 IMMEDIATE_DELIVERY = "ImmediateDelivery"
 FLEET_SIZE = "FleetSize"
 COST_MISMATCH = "CostMismatch"
+
+
+@dataclass
+class Route:
+    vehicle: int
+    stops: list  # (location, time)
+
+    @property
+    def path(self):
+        return [loc for loc, _ in self.stops]
+
+
+@dataclass
+class RouteSet:
+    routes: list
+    objective: float
+    sync_groups: dict = field(default_factory=dict)  # large pickup -> vehicles
+
+    def paths(self):
+        return [r.path for r in self.routes]
+
+    def recost(self, inst) -> float:
+        C = inst.travel_cost
+        return float(sum(C[i, j] for r in self.routes
+                         for i, j in zip(r.path, r.path[1:])))
+
+    def to_dict(self):
+        return {
+            "routes": [{"vehicle": r.vehicle,
+                        "stops": [{"loc": int(l), "t": float(t)} for l, t in r.stops]}
+                       for r in self.routes],
+            "sync_groups": {str(k): list(v) for k, v in self.sync_groups.items()},
+        }
+
+
+def timed_routes(inst, paths, objective):
+    """Routes along paths at their earliest continuous joint schedule, with
+    the vehicles of each large pickup grouped, or None when the paths have
+    no schedule."""
+    times = joint_schedule(inst, paths)
+    if times is None:
+        return None
+    groups = {}
+    for v, path in enumerate(paths):
+        for loc in path:
+            if inst.is_pickup(loc) and inst.is_large(loc):
+                groups.setdefault(loc, []).append(v)
+    return RouteSet([Route(v, [(loc, times[v][loc]) for loc in path])
+                     for v, path in enumerate(paths)], float(objective),
+                    {loc: tuple(vs) for loc, vs in groups.items()})
 
 
 @dataclass(frozen=True)
@@ -207,20 +259,17 @@ def brute_optimum(inst: Instance, max_n=4, max_vehicles=3):
             per_vehicle = [cs for cs in signature if cs]
             if len(per_vehicle) > V:
                 continue
-            cost, routes = _best_orders(inst, per_vehicle)
+            cost, paths = _best_orders(inst, per_vehicle)
             if cost is not None and cost < best[0] - 1e-12:
-                best = (cost, routes)
+                best = (cost, paths)
     if best[1] is None:
         return None, None
-    rs = RouteSet(best[1], best[0], {})
-    rs.sync_groups = {i: tuple(v for v, r in enumerate(best[1])
-                               if i in r.path)
-                      for i in larges}
-    return best[0], rs
+    return best[0], timed_routes(inst, best[1], best[0])
 
 
 def _best_orders(inst, per_vehicle):
-    """Cheapest joint-schedulable combination of per-vehicle visit orders."""
+    """Cheapest joint-schedulable combination of per-vehicle visit orders:
+    (cost, paths), or (None, None)."""
     C = inst.travel_cost
     order_sets = []
     for customers in per_vehicle:
@@ -240,13 +289,9 @@ def _best_orders(inst, per_vehicle):
         if best_cost is not None and cost >= best_cost - 1e-12:
             continue
         paths = [p for _, p in combo]
-        times = joint_schedule(inst, paths)
-        if times is None:
+        if joint_schedule(inst, paths) is None:
             continue
-        best_cost, best_paths = cost, (paths, times)
+        best_cost, best_paths = cost, paths
     if best_cost is None:
         return None, None
-    paths, times = best_paths
-    routes = [Route(v, [(loc, times[v][loc]) for loc in path])
-              for v, path in enumerate(paths)]
-    return float(best_cost), routes
+    return float(best_cost), best_paths

@@ -17,6 +17,11 @@ def make_instance(n, T, earliest, latest, ride, demand, capacity=2, vehicles=2,
                     T, T.copy())
 
 
+def loc_of_node(net, nid):
+    """Location of a time-space event network node."""
+    return net.enet.events[net.nodes[nid].place].loc
+
+
 def two_customer_matrix(fill=300.0, depot_out=100.0, depot_in=100.0):
     m = 6
     T = np.full((m, m), fill)

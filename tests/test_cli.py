@@ -53,6 +53,24 @@ def test_usage_errors(sample_file):
                  "--callbacks"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--resolution", "--initial-delta"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_grid_steps_must_be_positive(sample_file, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", sample_file, "--formulation", "tsfrag", flag, value])
+    assert exc.value.code == 2
+
+
+def test_zero_capacity_is_a_usage_error(tmp_path):
+    path = tmp_path / "cap0.txt"
+    path.write_text("1 1 480 0 30\n"
+                    "0 0.0 0.0 0 0 0 480\n"
+                    "1 1.0 0.0 0 1 0 480\n"
+                    "2 2.0 0.0 0 -1 0 480\n"
+                    "3 0.0 0.0 0 0 0 480\n")
+    assert main(["solve", str(path), "--formulation", "ebf"]) == 2
+
+
 def test_ddd_trace_on_stderr(sample_file, capsys):
     assert main(["solve", sample_file, "--set1", "--formulation", "tsfrag",
                  "--ddd"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -24,23 +25,18 @@ def test_selection_all_actual_lengths_is_zero():
     inputs = SelectionInputs(paths, {}, [])
     res = selection_model(inst, inputs)
     assert res.feasible and res.z == 0 and res.delta == []
-    # the returned times are a real schedule
-    for path, times in zip(paths, sched):
-        pass
-    for path in paths:
-        for i, j in zip(path, path[1:]):
-            assert res.tau[j] >= res.tau[i] + inst.travel_time[i, j] - 1e-6
 
 
 def test_selection_on_ride_time_route(ride_regression):
     path = [0, 1, 2, 3, 4, 5]
     short = {(1, 2): 20.0, (2, 3): 0.0, (3, 4): 24.0}
     inputs = SelectionInputs([path], short, [])
-    # with ride limits 26 the route schedules continuously: Z = 0 with
-    # times 600/624/626/650
+    # with ride limits 26 the route schedules continuously: Z = 0, and its
+    # earliest schedule is 600/624/626/650
     res = selection_model(ride_regression, inputs)
     assert res.feasible and res.z == 0
-    assert [round(res.tau[loc]) for loc in (1, 2, 3, 4)] == [600, 624, 626, 650]
+    times = joint_schedule(ride_regression, [path])[0]
+    assert [round(times[loc]) for loc in (1, 2, 3, 4)] == [600, 624, 626, 650]
     # one minute less and some arc must stay shortened
     tight = ride_regression.replace(ride=np.array([0.0, 25.0, 25.0]))
     res = selection_model(tight, inputs)
@@ -333,6 +329,62 @@ def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
     for budget, at, expansions in budgets:
         assert at + budget == pytest.approx(deadline, abs=0.01)
         assert budget <= limit - pause * expansions
+
+
+def test_time_limit_keeps_the_last_network_sizes(monkeypatch):
+    # the deadline passes during the first selection, so the solve stops at
+    # the top of iteration 2 and reports the sizes of the network it solved
+    inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
+                                           large_share=0.0))
+    expand = formulations.expand_fragments
+    sizes = []  # network stats when built, before refinement grows the grid
+
+    def recorded(*args):
+        net = expand(*args)
+        sizes.append(net.stats())
+        return net
+
+    select = ddd.selection_model
+
+    def slow_selection(*args, deadline=None, **kwargs):
+        sel = select(*args, deadline=deadline, **kwargs)
+        time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
+        return sel
+
+    monkeypatch.setattr(formulations, "expand_fragments", recorded)
+    monkeypatch.setattr(ddd, "selection_model", slow_selection)
+    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=2.0)
+    assert report.status == "time_limit" and report.iterations == 1
+    assert len(sizes) == 1 and report.history[0].z != 0
+    assert "ts_arcs" in report.stats and report.stats == sizes[0]
+
+
+def test_master_stopped_with_incumbent_is_never_optimal(monkeypatch):
+    # every master comes back as if the deadline stopped it with its
+    # optimum as incumbent and a lower bound: the running bound uses only
+    # those bounds, and Z = 0 on such a master is not a proven optimum
+    inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
+                                           large_share=0.0))
+    separate = ddd.separate_subtours
+    bounds = []
+
+    def stopped(*args):
+        sol, info, walks, cut_sets = separate(*args)
+        if sol.ok:
+            bounds.append(sol.objective - 1.0)
+            sol = dataclasses.replace(
+                sol, status=milp.Status.FEASIBLE_WITH_GAP,
+                best_bound=bounds[-1], gap=1.0 / abs(sol.objective))
+        return sol, info, walks, cut_sets
+
+    monkeypatch.setattr(ddd, "separate_subtours", stopped)
+    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=60)
+    assert len(bounds) >= 3 and report.history[-1].z == 0
+    assert report.status == "feasible_with_gap"
+    assert report.bound <= max(bounds) + 1e-9
+    assert all(h.bound <= max(bounds) + 1e-9 for h in report.history)
+    assert check(inst, report.routes) == []
+    assert report.objective == pytest.approx(report.bound + 1.0)
 
 
 def test_selection_time_limit_ends_the_solve_with_its_bound(

@@ -1,11 +1,11 @@
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from darpsv.events import (Event, EventArc, EventNetwork, _location_closure,
-                           _successors, brute_force_events, dump_events,
-                           enumerate_events)
+                           _successors, dump_events, enumerate_events)
 from darpsv.instance import EPS, random_instance
 
 from conftest import make_instance
@@ -57,6 +57,28 @@ def test_unit_capacity_structure():
     for i in inst.pickups:
         assert (i, i + n) in arcs
         assert all((i, j) not in arcs for j in inst.pickups if j != i)
+
+
+def brute_force_events(inst):
+    """All (location, onboard) pairs passing the capacity and structure
+    predicates, with no reachability pruning.  Oracle for small n."""
+    n, Q = inst.n, inst.capacity
+    smalls = list(inst.small_pickups)
+    out = {Event(inst.origin, ()), Event(inst.destination, ())}
+    for i in inst.pickups:
+        if inst.is_large(i):
+            out.add(Event(i, ()))
+            out.add(Event(i + n, ()))
+            continue
+        others = [j for j in smalls if j != i]
+        for r in range(len(others) + 1):
+            for S in combinations(others, r):
+                if inst.demand[i] + sum(inst.demand[j] for j in S) <= Q:
+                    out.add(Event(i, tuple(sorted(S))))
+                    # the vehicle carried S alongside i right before the
+                    # delivery, so the same bound gates the delivery state
+                    out.add(Event(i + n, tuple(sorted(S))))
+    return out
 
 
 @pytest.mark.parametrize("seed", range(8))

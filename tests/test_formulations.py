@@ -7,13 +7,13 @@ from darpsv import METHODS, formulations, milp, run_method
 from darpsv.events import enumerate_events
 from darpsv.formulations import (build_ebf, build_tsfrag, solve_abf, solve_ebf,
                                  solve_tsef, solve_tsfrag)
-from darpsv.fragments import enumerate_fragments
+from darpsv.fragments import enumerate_fragments, joint_schedule
 from darpsv.instance import (InfeasibleCustomerError, random_instance,
                              tighten_windows)
 from darpsv.timespace import TimeGrid, expand_fragments
 from darpsv.validate import brute_optimum, check
 
-from conftest import make_instance
+from conftest import loc_of_node, make_instance
 
 
 def integerized(seed, n=3, **kw):
@@ -105,7 +105,7 @@ def test_brute_agreement_small_random():
     assert agree >= 15
 
 
-def test_extraction_times_come_from_shared_location_variables():
+def test_one_time_per_synchronized_location():
     inst = tighten_windows(random_instance(0, n=3, capacity=2, large_share=0.5))
     report = solve_ebf(inst)
     assert report.status == "optimal" and inst.large_pickups
@@ -236,6 +236,56 @@ def test_fixed_grid_optimal_routes_validate():
     assert relaxations > 0  # the draws do reach paths with no schedule
 
 
+def test_ok_reports_carry_the_earliest_joint_schedule():
+    # every method times its location paths one way: an ok report's stops
+    # are the earliest joint schedule of its paths, and check() accepts them
+    checked = 0
+    for seed in range(40):
+        inst = tighten_windows(random_instance(
+            seed, n=4, vehicles=3, capacity=2 + seed % 2,
+            large_share=0.0 if seed % 4 < 2 else 0.3))
+        for method in METHODS:
+            if method == "tsfrag+c" and inst.large_pickups:
+                continue
+            fixed_grid = method in ("tsef", "tsfrag", "tsfrag+c")
+            for resolution in (5.0, 10.0) if fixed_grid else (1.0,):
+                report = run_method(inst, method, resolution=resolution)
+                if not report.ok:
+                    continue
+                paths = report.routes.paths()
+                times = joint_schedule(inst, paths)
+                assert [r.stops for r in report.routes.routes] == [
+                    [(loc, times[v][loc]) for loc in path]
+                    for v, path in enumerate(paths)], (seed, method)
+                assert check(inst, report.routes) == [], (seed, method)
+                checked += 1
+    assert checked > 300
+
+
+def test_rejected_routes_report_relaxation(single_customer, monkeypatch):
+    # a path reader that drops the delivery yields paths with a schedule
+    # whose routes check() rejects: the solve keeps its bound and reports
+    # no routes
+    inst = single_customer
+    plain = solve_tsfrag(inst, resolution=1.0)
+    assert plain.status == "optimal"
+    read = formulations.paths_tsfrag
+    dropped = []
+
+    def drop_delivery(*args):
+        paths = [[loc for loc in path if not inst.is_delivery(loc)]
+                 for path in read(*args)]
+        dropped.append(paths)
+        return paths
+
+    monkeypatch.setattr(formulations, "paths_tsfrag", drop_delivery)
+    report = solve_tsfrag(inst, resolution=1.0)
+    assert dropped and joint_schedule(inst, dropped[-1]) is not None
+    assert report.status == "relaxation"
+    assert report.routes is None and report.objective is None
+    assert report.bound == pytest.approx(plain.bound)
+
+
 def test_exact_grid_tsef_synchronized_routes_validate():
     # demo 03's integer instance: the 1-minute TSEF optimum has the two
     # vehicles of its large customer on different grid stamps, and is
@@ -272,8 +322,8 @@ def test_tsef_extraction_idle_semantics(single_customer):
     # the flow waits on the grid
     import numpy as np
     from darpsv.events import enumerate_events
-    from darpsv.formulations import (build_tsef, decompose_tsef, paths_tsef,
-                                     timed_routes)
+    from darpsv.formulations import build_tsef, decompose_tsef, paths_tsef
+    from darpsv.validate import timed_routes
     from darpsv.fragments import joint_schedule
     from darpsv.milp import MilpSolution
     from darpsv.timespace import IDLE, TimeGrid, expand_events
@@ -294,7 +344,7 @@ def test_tsef_extraction_idle_semantics(single_customer):
     # delivery when possible
     idled = set()
     while cur != net.dest_node:
-        loc = net.loc_of_node(cur)
+        loc = loc_of_node(net, cur)
         options = [a for a in net.out_arcs[cur]]
         idles = [a for a in options if net.arcs[a].kind == IDLE]
         moves = [a for a in options if net.arcs[a].kind != IDLE]

@@ -124,6 +124,14 @@ def test_arc_cap():
     assert inst.arc_cap(2, 2) == 2  # waiting at a large pickup
 
 
+def test_zero_capacity_is_malformed():
+    text = CORDEAU_SAMPLE.splitlines()
+    header = text[0].split()
+    header[3] = "0"
+    with pytest.raises(InstanceError, match="capacity"):
+        parse_cordeau("\n".join([" ".join(header)] + text[1:]))
+
+
 def test_designate_large_every_third():
     inst = parse_cordeau(CORDEAU_SAMPLE)
     out = designate_large(inst, 1.0 / 3.0)

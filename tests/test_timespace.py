@@ -9,7 +9,7 @@ from darpsv.instance import random_instance
 from darpsv.timespace import (IDLE, MOVE, TimeGrid, expand_events,
                               expand_fragments)
 
-from conftest import make_instance
+from conftest import loc_of_node, make_instance
 
 
 def integerized(seed, n=3, **kw):
@@ -29,6 +29,12 @@ def test_fixed_grid_values():
     assert grid[1] == [3, 8, 13, 17]  # e + k*delta, plus l
     assert grid[2] == [10, 15, 20, 25, 30]
     assert grid[1][0] == inst.earliest[1]
+
+
+@pytest.mark.parametrize("delta", [0.0, -5.0, float("nan")])
+def test_fixed_grid_rejects_non_positive_step(single_customer, delta):
+    with pytest.raises(ValueError, match="positive"):
+        TimeGrid.fixed(single_customer, delta)
 
 
 def test_round_down_cases():
@@ -141,7 +147,7 @@ def test_event_expansion_stamps_and_idles():
         assert head_t == pytest.approx(
             max(tail_t + inst.travel_time[i, j], inst.earliest[j]))
     for arc in idles:
-        assert net.loc_of_node(arc.tail) == net.loc_of_node(arc.head)
+        assert loc_of_node(net, arc.tail) == loc_of_node(net, arc.head)
         assert arc.cost == 0.0
         assert net.time_of_node(arc.head) > net.time_of_node(arc.tail)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darpsv.formulations import Route, RouteSet
+from darpsv.validate import Route, RouteSet
 from darpsv.instance import random_instance
 from darpsv.validate import OracleSizeError, brute_optimum, check
 
