@@ -45,24 +45,17 @@ def _report_exit(report: SolveReport) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.ddd and args.formulation in ("abf", "ebf"):
-        print("--ddd applies to time-space formulations only", file=sys.stderr)
-        return EXIT_USAGE
-    if args.callbacks and (args.formulation != "tsfrag" or args.ddd):
-        print("--callbacks is the TSFrag+C mode (tsfrag, without --ddd)",
-              file=sys.stderr)
+    method = args.formulation + "+ddd" * args.ddd + "+c" * args.callbacks
+    if method not in METHODS:
+        print(f"no method {method!r}: --ddd takes tsef or tsfrag, "
+              f"--callbacks takes tsfrag without --ddd", file=sys.stderr)
         return EXIT_USAGE
     inst = prepare_instance(args.instance, args.set1, args.r_l, args.fleet_mult,
                             tighten=not args.no_tighten)
-    method = args.formulation
-    if args.ddd:
-        method += "+ddd"
-    elif args.callbacks:
-        method += "+c"
-    trace = (lambda line: print(line, file=sys.stderr)) if args.ddd else None
     report = run_method(inst, method, resolution=args.resolution,
                         time_limit=args.time_limit,
-                        initial_delta=args.initial_delta, trace=trace)
+                        initial_delta=args.initial_delta,
+                        trace=lambda line: print(line, file=sys.stderr))
     payload = report.to_dict()
     payload["instance"] = inst.name
     if args.out:
@@ -140,10 +133,8 @@ def bench_one(task):
         row["lb"] = f"{report.bound:.2f}"
     if report.objective and report.bound is not None:
         row["gap"] = f"{max(0.0, (report.objective - report.bound) / report.objective):.4f}"
-    if method.endswith("+ddd"):
-        row["iter"] = report.iterations
-    if method in ("tsfrag", "tsef", "tsfrag+c"):
-        row["nc"] = report.cuts
+    row["iter"] = "" if report.iterations is None else report.iterations
+    row["nc"] = report.cuts
     return row
 
 

@@ -13,6 +13,21 @@ the bound above the optimum.  For the event mode the master's ride
 rows act on discrete stamps only, so the bound can cut feasible paths; the
 result is labeled approximate, and when refinement can no longer lengthen
 the paths it ends as a RELAXATION with the masters' bound.
+
+Each iteration runs one selection and one refinement, and in the fragment
+mode refinement grows the grid whenever Z != 0.  An arc that an optimal
+selection flags has a use whose rounding loss is positive: with no loss,
+delta = 0 is feasible for it and cheaper.  Refinement inserts that use's
+exact time.
+For a master arc, refine_grid inserts the departure time plus T; for a
+fragment copy, _refine_copy_interiors inserts the copy's schedule,
+unrounded end included.  When the selection has no schedule at all,
+every arc shortened by more than EPS is flagged.  So the grid can stay
+unchanged only at tolerance level: every loss is at most EPS, or an
+arrival lands in (l + GRID_TOL, l + EPS], past the window end l that
+TimeGrid.insert accepts.  Other fragment floors in the selection would not
+reach those cases, so the loop has no second selection; StallError guards
+the invariant.
 """
 from __future__ import annotations
 
@@ -24,7 +39,7 @@ from . import milp
 from .events import enumerate_events
 from .formulations import (SolveReport, TsefMaster, TsfragMaster, paths_tsef,
                            paths_tsfrag, separate_subtours, solve_report)
-from .fragments import enumerate_fragments, feasible_schedule, start_interval
+from .fragments import enumerate_fragments, feasible_schedule
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
 from .timespace import IDLE, TimeGrid
@@ -70,8 +85,7 @@ class SelectionResult:
     status: str = Status.OPTIMAL  # of the selection MILP
 
 
-def selection_model(inst: Instance, inputs: SelectionInputs, floors=None,
-                    deadline=None):
+def selection_model(inst: Instance, inputs: SelectionInputs, deadline=None):
     """Minimal number of arcs that must keep a shortened travel time for the
     given paths to schedule; Z = 0 certifies continuous feasibility.
 
@@ -103,9 +117,7 @@ def selection_model(inst: Instance, inputs: SelectionInputs, floors=None,
         short = inputs.arc_short.get((i, j))
         if short is not None and short > 0:
             m.add_constr(f"min{i}_{j}", [(theta[i, j], 1.0)], GE, float(short))
-    if floors is None:
-        floors = inputs.fragment_floors
-    for k, (start, end, floor) in enumerate(floors):
+    for k, (start, end, floor) in enumerate(inputs.fragment_floors):
         m.add_constr(f"floor{k}", [(tau[end], 1.0), (tau[start], -1.0)],
                      GE, float(floor))
     for i in inst.pickups:
@@ -225,7 +237,6 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
     stats = base_stats
     physical_cuts = []  # persists across iterations, re-instantiated per grid
     total_cuts = 0
-    floor_cache = {}
     for k in range(1, MAX_ITERATIONS + 1):
         if deadline is not None and time.perf_counter() >= deadline:
             k, sol = k - 1, _stopped(Status.TIME_LIMIT, bound)
@@ -261,15 +272,6 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             sol = _stopped(Status.TIME_LIMIT, bound)
             break
         new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
-        if sel.z != 0 and new_points == 0 and mode == "tsfrag":
-            # the per-copy fragment floor can overtighten; retry with the
-            # fragment's true minimum duration before declaring a stall
-            weak = _weak_floors(inst, inputs, floor_cache)
-            sel = selection_model(inst, inputs, floors=weak, deadline=deadline)
-            if sel.status == Status.TIME_LIMIT:
-                sol = _stopped(Status.TIME_LIMIT, bound)
-                break
-            new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
         if sel.z != 0 and new_points == 0 and mode == "tsef":
             # nothing left to lengthen yet no continuous schedule: the
             # discrete ride rows cut the path set (documented inexactness),
@@ -297,16 +299,3 @@ def _stopped(status, bound):
     with only a status and a bound."""
     return milp.MilpSolution(status, None, None, bound, 0.0)
 
-
-def _weak_floors(inst, inputs, cache):
-    """Valid fragment floors: the minimum duration over all feasible starts
-    (durations weakly shrink as the start moves later)."""
-    floors = []
-    for path, copy in inputs.used_copies:
-        fid = copy.frag_id
-        if fid not in cache:
-            interval = start_interval(inst, path)
-            sched = feasible_schedule(inst, path, fixed_start=interval[1])
-            cache[fid] = sched.end - interval[1]
-        floors.append((path[0], path[-1], cache[fid]))
-    return floors

@@ -109,6 +109,9 @@ class Instance:
         self.travel_time = np.asarray(travel_time, dtype=float)
         self.travel_cost = np.asarray(travel_cost, dtype=float)
         self._validate()
+        # a window inverted within EPS becomes the point e: HiGHS rejects
+        # inverted bounds, and a grid on it would hold only l < e
+        self.latest = np.maximum(self.latest, self.earliest)
 
     # -- structure ---------------------------------------------------------
 

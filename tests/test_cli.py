@@ -1,9 +1,12 @@
+import itertools
 import json
 import os
 
 import pytest
 
+from darpsv import METHODS, cli
 from darpsv.cli import main
+from darpsv.formulations import SolveReport
 from darpsv.instance import from_json
 
 from conftest import CORDEAU_SAMPLE
@@ -51,6 +54,27 @@ def test_usage_errors(sample_file):
     assert main(["solve", sample_file, "--formulation", "abf", "--ddd"]) == 2
     assert main(["solve", sample_file, "--formulation", "ebf",
                  "--callbacks"]) == 2
+
+
+def test_solve_accepts_exactly_the_library_methods(sample_file, monkeypatch):
+    solved = []
+
+    def run_method(inst, method, **kwargs):
+        solved.append(method)
+        return SolveReport(method, "optimal", 1.0, 1.0, None, 0.0)
+
+    monkeypatch.setattr(cli, "run_method", run_method)
+    accepted = set()
+    for form, ddd, callbacks in itertools.product(
+            ("abf", "ebf", "tsef", "tsfrag"), (False, True), (False, True)):
+        argv = (["solve", sample_file, "--formulation", form]
+                + ["--ddd"] * ddd + ["--callbacks"] * callbacks)
+        code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            accepted.add(solved[-1])
+    assert accepted == set(METHODS)
+    assert len(solved) == len(METHODS)
 
 
 @pytest.mark.parametrize("flag", ["--resolution", "--initial-delta"])
@@ -126,6 +150,7 @@ def test_bench_csv_and_determinism(sample_file, tmp_path):
     assert objs["ebf"] == objs["tsfrag+ddd"]
     iters = [r["iter"] for r in jsonl]
     assert iters[0] == "" and iters[1] != ""  # Iter only for DDD methods
+    assert all(isinstance(r["nc"], int) for r in jsonl)  # cuts for every method
 
 
 def test_bench_parallel_matches_serial(sample_file, tmp_path):

@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from darpsv import ddd, formulations, milp
-from darpsv.ddd import SelectionInputs, ddd_solve, refine_grid, selection_model
+from darpsv import ddd, formulations, milp, run_method
+from darpsv.ddd import (SelectionInputs, StallError, ddd_solve, refine_grid,
+                        selection_model)
 from darpsv.formulations import solve_ebf
 from darpsv.fragments import joint_schedule
 from darpsv.instance import InfeasibleCustomerError, random_instance, tighten_windows
@@ -397,3 +398,53 @@ def test_selection_time_limit_ends_the_solve_with_its_bound(
     assert report.status == "time_limit"
     assert report.objective is None and report.routes is None
     assert report.bound is not None and report.bound > 0
+
+
+def test_refinement_grows_the_grid_whenever_z_is_not_zero(monkeypatch):
+    # the loop runs one selection per iteration: every refinement it asks
+    # for must add a time point, or the solve would stall
+    added = []
+    refine = ddd._refine
+
+    def recorded(*args):
+        added.append(refine(*args))
+        return added[-1]
+
+    monkeypatch.setattr(ddd, "_refine", recorded)
+    for seed in range(20):
+        try:
+            inst = tighten_windows(random_instance(
+                seed, n=4, vehicles=3, capacity=2 + seed % 2,
+                large_share=0.3 if seed % 4 >= 2 else 0.0))
+        except InfeasibleCustomerError:
+            continue
+        for delta in (10.0, 50.0):
+            ddd_solve(inst, "tsfrag", time_limit=60, initial_delta=delta)
+    assert len(added) >= 20
+    assert min(added) >= 1
+
+
+def test_refinement_that_adds_nothing_raises_stall_error(monkeypatch):
+    inst = tighten_windows(random_instance(9, n=3, vehicles=2, capacity=2,
+                                           large_share=0.0))
+    report = ddd_solve(inst, "tsfrag", time_limit=60)
+    assert report.status == "optimal" and report.history[0].z != 0
+    monkeypatch.setattr(ddd, "_refine", lambda *args: 0)
+    with pytest.raises(StallError, match="iteration 1"):
+        ddd_solve(inst, "tsfrag", time_limit=60)
+
+
+def test_window_inverted_within_eps_is_a_point():
+    # tightening sets e_1 = e_0 + T_01 = 10 just above l_1: HiGHS rejects
+    # the inverted bounds and a grid on [10, l_1] holds only l_1
+    T = np.array([[0, 10, 20, 20], [10, 0, 10, 20], [20, 10, 0, 20],
+                  [20, 20, 20, 0]], dtype=float)
+    inst = tighten_windows(make_instance(
+        1, T, [0, 0, 0, 0], [100, 10 - 5e-7, 100, 200], [0, 30],
+        [0, 1, -1, 0], capacity=1, vehicles=1))
+    assert inst.earliest[1] == inst.latest[1] == 10.0
+    for method in ("ebf", "abf", "tsfrag+ddd", "tsef+ddd"):
+        report = run_method(inst, method, time_limit=60)
+        assert report.status == "optimal", method
+        assert report.objective == pytest.approx(40.0)
+        assert check(inst, report.routes) == []
