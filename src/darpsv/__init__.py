@@ -13,13 +13,13 @@ and an independent validator/brute-force oracle.
 from .milp import MilpModel, MilpSolution, Status, resolve_with_cuts, solve, write_lp
 from .ddd import SelectionInputs, SelectionResult, ddd_solve, refine_grid, selection_model
 from .events import Event, EventArc, EventNetwork, enumerate_events
-from .formulations import (SolveReport, build_abf, build_ebf, build_tsef,
+from .formulations import (MethodError, SolveReport, build_abf, build_ebf, build_tsef,
                            build_tsfrag, solve_abf, solve_ebf, solve_tsef,
                            solve_tsfrag)
 from .fragments import (Fragment, FragmentSet, enumerate_fragments,
                         feasible_schedule, joint_schedule, start_interval)
 from .instance import (DatasetParams, Instance, InstanceError,
-                       InfeasibleCustomerError, Location, build_dataset1,
+                       InfeasibleCustomerError, build_dataset1,
                        build_dataset2, designate_large, from_json,
                        load_instance, parse_cordeau, random_instance,
                        tighten_windows, to_json)

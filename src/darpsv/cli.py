@@ -14,11 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from . import METHODS, run_method
 from . import instance as inst_mod
 from .events import dump_events, enumerate_events
-from .formulations import SolveReport
+from .formulations import MethodError, SolveReport
 from .fragments import dump_fragments, enumerate_fragments
 from .instance import DatasetParams, Instance, load_instance, tighten_windows
 from .milp import Status
-from .validate import Route, RouteSet, check
+from .validate import RouteSet, check
 
 EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE, EXIT_TIME = 0, 1, 2, 3
 
@@ -95,13 +95,12 @@ def cmd_gen_dataset(args) -> int:
             params = DatasetParams(r_l=r_l, p_tw=p_tw, p_de=p_de,
                                    fleet_multiplier=mult, variant=args.variant,
                                    unchecked=args.unchecked)
-            inst = inst_mod.build_dataset2(base, params)
             name = (f"{base.name}_RL{r_l:g}_TW{p_tw:g}_DE{p_de:g}"
                     f"_V{mult}_{args.variant}")
-            inst = inst.replace(name=name)
-            inst.meta = {"r_l": r_l, "p_tw": p_tw, "p_de": p_de,
-                         "fleet_multiplier": mult, "variant": args.variant,
-                         "source": base.name}
+            inst = inst_mod.build_dataset2(base, params).replace(
+                name=name, meta={"r_l": r_l, "p_tw": p_tw, "p_de": p_de,
+                                 "fleet_multiplier": mult,
+                                 "variant": args.variant, "source": base.name})
             out_path = os.path.join(args.out_dir, name + ".json")
             with open(out_path, "w") as fh:
                 fh.write(inst_mod.to_json(inst))
@@ -116,17 +115,11 @@ def bench_one(task):
     inst = prepare_instance(path, set1=set1)
     report = run_method(inst, method, resolution=resolution,
                         time_limit=time_limit)
-    meta = getattr(inst, "meta", None) or {}
     row = {c: "" for c in BENCH_COLUMNS}
+    row.update({k: v for k, v in inst.meta.items() if k in BENCH_COLUMNS})
+    row.update({k: report.stats.get(k, "") for k in ("V_E", "A_E", "F")})
     row.update(instance=inst.name, method=method,
-               r_l=meta.get("r_l", ""), p_tw=meta.get("p_tw", ""),
-               p_de=meta.get("p_de", ""),
-               fleet_multiplier=meta.get("fleet_multiplier", ""),
                time_s=f"{report.seconds:.2f}")
-    stats = report.stats
-    row["V_E"] = stats.get("V_E", "")
-    row["A_E"] = stats.get("A_E", "")
-    row["F"] = stats.get("F", "")
     if report.objective is not None:
         row["obj"] = f"{report.objective:.2f}"
     if report.bound is not None:
@@ -170,16 +163,17 @@ def cmd_bench(args) -> int:
 def cmd_validate(args) -> int:
     inst = prepare_instance(args.instance, args.set1, args.r_l, args.fleet_mult,
                             tighten=False)
-    with open(args.solution) as fh:
-        payload = json.load(fh)
-    routes = [Route(r["vehicle"], [(s["loc"], s["t"]) for s in r["stops"]])
-              for r in payload.get("routes", [])]
-    sync = {int(k): tuple(v) for k, v in payload.get("sync_groups", {}).items()}
-    objective = payload.get("objective")
-    if objective is None:
-        print("solution has no objective (nothing to validate)", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    rs = RouteSet(routes, float(objective), sync)
+    try:
+        with open(args.solution) as fh:
+            payload = json.load(fh)
+        if payload.get("objective") is None:
+            print("solution has no objective (nothing to validate)",
+                  file=sys.stderr)
+            return EXIT_INFEASIBLE
+        rs = RouteSet.from_dict(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: malformed solution file: {exc!r}", file=sys.stderr)
+        return EXIT_USAGE
     violations = check(inst, rs)
     for v in violations:
         print(v)
@@ -292,9 +286,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (inst_mod.InstanceError, inst_mod.InfeasibleCustomerError) as exc:
+    except (inst_mod.InfeasibleCustomerError, inst_mod.InstanceError,
+            MethodError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, inst_mod.InstanceError) else EXIT_INFEASIBLE
+        infeasible = isinstance(exc, inst_mod.InfeasibleCustomerError)
+        return EXIT_INFEASIBLE if infeasible else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -93,11 +93,8 @@ class SolveReport:
                           iterations=self.iterations,
                           approximate=self.approximate),
         }
-        if self.routes is not None:
-            out.update(self.routes.to_dict())
-        else:
-            out["routes"] = []
-            out["sync_groups"] = {}
+        routes = self.routes or RouteSet([], self.objective)
+        out.update(routes.to_dict())  # routes carry the report's objective
         return out
 
 
@@ -493,6 +490,10 @@ def subtour_cut_tsfrag(model, net, vars_, elements, name):
     return (name, coeffs, LE, rhs)
 
 
+class MethodError(ValueError):
+    """The method does not apply to the instance (a usage error)."""
+
+
 def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
                  callbacks=False) -> SolveReport:
     """Fixed-grid TSFrag; with callbacks=True, continuous-time feasibility
@@ -501,8 +502,8 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     if callbacks and inst.large_pickups:
-        raise ValueError("infeasible-path callbacks need independent route "
-                         "schedules; large customers require DDD")
+        raise MethodError("infeasible-path callbacks need independent route "
+                          "schedules; large customers require DDD")
     master = TsfragMaster(inst, enumerate_fragments(inst), callbacks)
     return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline, start)
 

@@ -8,6 +8,7 @@ All times are minutes (floats); comparisons use EPS.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,19 +39,6 @@ class InfeasibleCustomerError(ValueError):
 
 
 @dataclass(frozen=True)
-class Location:
-    """One row of an instance: planar point, service time, load change, window."""
-
-    id: int
-    x: float
-    y: float
-    service: float
-    load: int
-    earliest: float
-    latest: float
-
-
-@dataclass(frozen=True)
 class DatasetParams:
     """Parameter point of the benchmark grid."""
 
@@ -78,8 +66,18 @@ class DatasetParams:
             )
 
 
+def _cast(to, **kwargs):
+    """An Instance field that __post_init__ converts with to."""
+    return dataclasses.field(metadata={"cast": to}, **kwargs)
+
+
+_floats = functools.partial(np.asarray, dtype=float)
+_ints = functools.partial(np.asarray, dtype=int)
+
+
+@dataclass(eq=False)
 class Instance:
-    """Immutable DARP-SV instance.
+    """DARP-SV instance; treat it as immutable and derive copies with replace.
 
     Attributes
     ----------
@@ -91,23 +89,28 @@ class Instance:
     service : service duration per location.
     ride : per-customer ride limit R_i, indexed 1..n (position 0 unused).
     travel_time/travel_cost : dense (2n+2)^2 matrices T and C.
+    meta : provenance such as dataset parameters; saved only if non-empty.
+
+    Equality and hashing are by identity (eq=False).
     """
 
-    def __init__(self, name, n, vehicles, capacity, xy, service, demand,
-                 earliest, latest, ride, travel_time, travel_cost, meta=None):
-        self.name = str(name)
-        self.meta = dict(meta) if meta else {}
-        self.n = int(n)
-        self.vehicles = int(vehicles)
-        self.capacity = int(capacity)
-        self.xy = np.asarray(xy, dtype=float)
-        self.service = np.asarray(service, dtype=float)
-        self.demand = np.asarray(demand, dtype=int)
-        self.earliest = np.asarray(earliest, dtype=float)
-        self.latest = np.asarray(latest, dtype=float)
-        self.ride = np.asarray(ride, dtype=float)
-        self.travel_time = np.asarray(travel_time, dtype=float)
-        self.travel_cost = np.asarray(travel_cost, dtype=float)
+    name: str = _cast(str)
+    n: int = _cast(int)
+    vehicles: int = _cast(int)
+    capacity: int = _cast(int)
+    xy: np.ndarray = _cast(_floats)
+    service: np.ndarray = _cast(_floats)
+    demand: np.ndarray = _cast(_ints)
+    earliest: np.ndarray = _cast(_floats)
+    latest: np.ndarray = _cast(_floats)
+    ride: np.ndarray = _cast(_floats)
+    travel_time: np.ndarray = _cast(_floats)
+    travel_cost: np.ndarray = _cast(_floats)
+    meta: dict = _cast(lambda m: dict(m or {}), default=None)
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, f.metadata["cast"](getattr(self, f.name)))
         self._validate()
         # a window inverted within EPS becomes the point e: HiGHS rejects
         # inverted bounds, and a grid on it would hold only l < e
@@ -193,16 +196,9 @@ class Instance:
 
     # -- construction helpers ---------------------------------------------
 
-    def replace(self, **kwargs) -> "Instance":
-        fields = dict(
-            name=self.name, n=self.n, vehicles=self.vehicles,
-            capacity=self.capacity, xy=self.xy, service=self.service,
-            demand=self.demand, earliest=self.earliest, latest=self.latest,
-            ride=self.ride, travel_time=self.travel_time,
-            travel_cost=self.travel_cost, meta=self.meta,
-        )
-        fields.update(kwargs)
-        return Instance(**fields)
+    def replace(self, **changes) -> "Instance":
+        """A validated copy with the given fields changed."""
+        return dataclasses.replace(self, **changes)
 
     def __repr__(self):
         return (f"Instance({self.name!r}, n={self.n}, |V|={self.vehicles}, "
@@ -215,17 +211,16 @@ def _euclid(xy: np.ndarray) -> np.ndarray:
 
 
 def from_rows(name, vehicles, capacity, ride_limit, rows) -> Instance:
-    """Build an instance from Location rows (depots included) and a global
-    ride limit; T embeds service at the tail, C is the raw distance."""
+    """Build an instance from classic rows ``id x y service load e l``
+    (depots included) and a global ride limit; T embeds service at the
+    tail, C is the raw distance."""
     m = len(rows)
     if m % 2 != 0 or m < 2:
         raise InstanceError(f"expected 2n+2 location rows, got {m}")
     n = (m - 2) // 2
-    xy = np.array([[r.x, r.y] for r in rows], dtype=float)
-    service = np.array([r.service for r in rows], dtype=float)
-    demand = np.array([r.load for r in rows], dtype=int)
-    earliest = np.array([r.earliest for r in rows], dtype=float)
-    latest = np.array([r.latest for r in rows], dtype=float)
+    _, x, y, service, demand, earliest, latest = (
+        np.array(column) for column in zip(*rows))
+    xy = np.column_stack((x, y))
     dist = _euclid(xy)
     travel_time = dist + service[:, None]
     # ride limit compares departure times, so the delivery's own service
@@ -257,7 +252,7 @@ def parse_cordeau(text: str, name: str = "instance") -> Instance:
         count = int(header[1])
         capacity = int(float(header[3]))
         ride_limit = float(header[4])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InstanceError(f"line 1: bad header value ({exc})") from exc
 
     rows = []
@@ -266,12 +261,11 @@ def parse_cordeau(text: str, name: str = "instance") -> Instance:
         if len(parts) != 7:
             raise InstanceError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         try:
-            rows.append(Location(
-                id=int(float(parts[0])), x=float(parts[1]), y=float(parts[2]),
-                service=float(parts[3]), load=int(float(parts[4])),
-                earliest=float(parts[5]), latest=float(parts[6])))
-        except ValueError as exc:
+            row = [float(p) for p in parts]
+            row[0], row[4] = int(row[0]), int(row[4])  # id, load
+        except (ValueError, OverflowError) as exc:
             raise InstanceError(f"line {lineno}: bad value ({exc})") from exc
+        rows.append(row)
 
     for n in (count, count // 2 if count % 2 == 0 else -1):
         if n >= 0 and len(rows) in (2 * n + 1, 2 * n + 2):
@@ -280,8 +274,7 @@ def parse_cordeau(text: str, name: str = "instance") -> Instance:
         raise InstanceError(
             f"{len(rows)} location rows inconsistent with header count {count}")
     if len(rows) == 2 * n + 1:  # synthesize the destination depot
-        origin = rows[0]
-        rows.append(dataclasses.replace(origin, id=2 * n + 1))
+        rows.append([2 * n + 1] + rows[0][1:])
     return from_rows(name, vehicles, capacity, ride_limit, rows)
 
 
@@ -380,29 +373,23 @@ def build_dataset2(inst: Instance, params: DatasetParams) -> Instance:
 # -- serialization ----------------------------------------------------------
 
 def to_json(inst: Instance) -> str:
-    """Lossless JSON dump (round-trips through from_json)."""
-    payload = {
-        "name": inst.name,
-        "n": inst.n,
-        "vehicles": inst.vehicles,
-        "capacity": inst.capacity,
-        "xy": inst.xy.tolist(),
-        "service": inst.service.tolist(),
-        "demand": inst.demand.tolist(),
-        "earliest": inst.earliest.tolist(),
-        "latest": inst.latest.tolist(),
-        "ride": inst.ride.tolist(),
-        "travel_time": inst.travel_time.tolist(),
-        "travel_cost": inst.travel_cost.tolist(),
-    }
-    if inst.meta:
-        payload["meta"] = inst.meta
+    """Lossless JSON dump (round-trips through from_json); an empty meta is
+    left out."""
+    payload = {}
+    for f in dataclasses.fields(inst):
+        value = getattr(inst, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if value != {}:
+            payload[f.name] = value
     return json.dumps(payload, indent=1)
 
 
 def from_json(text: str) -> Instance:
-    payload = json.loads(text)
-    return Instance(**payload)
+    try:  # JSONDecodeError is a ValueError; missing keys raise TypeError
+        return Instance(**json.loads(text))
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"malformed JSON instance ({exc})") from exc
 
 
 def load_instance(path: str) -> Instance:

@@ -58,11 +58,22 @@ class RouteSet:
 
     def to_dict(self):
         return {
+            "objective": self.objective,
             "routes": [{"vehicle": r.vehicle,
                         "stops": [{"loc": int(l), "t": float(t)} for l, t in r.stops]}
                        for r in self.routes],
             "sync_groups": {str(k): list(v) for k, v in self.sync_groups.items()},
         }
+
+    @classmethod
+    def from_dict(cls, payload):
+        """Inverse of to_dict; missing routes or sync groups read as none."""
+        return cls([Route(r["vehicle"], [(int(s["loc"]), float(s["t"]))
+                                         for s in r["stops"]])
+                    for r in payload.get("routes", [])],
+                   float(payload["objective"]),
+                   {int(k): tuple(v)
+                    for k, v in payload.get("sync_groups", {}).items()})
 
 
 def timed_routes(inst, paths, objective):

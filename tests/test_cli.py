@@ -85,14 +85,47 @@ def test_grid_steps_must_be_positive(sample_file, flag, value):
     assert exc.value.code == 2
 
 
-def test_zero_capacity_is_a_usage_error(tmp_path):
-    path = tmp_path / "cap0.txt"
-    path.write_text("1 1 480 0 30\n"
-                    "0 0.0 0.0 0 0 0 480\n"
-                    "1 1.0 0.0 0 1 0 480\n"
-                    "2 2.0 0.0 0 -1 0 480\n"
-                    "3 0.0 0.0 0 0 0 480\n")
-    assert main(["solve", str(path), "--formulation", "ebf"]) == 2
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each case: (tmp_path, sample_file) -> argv of a malformed input
+MALFORMED = {
+    "zero-capacity": lambda tmp, sample: ["solve", _write(
+        tmp / "cap0.txt", CORDEAU_SAMPLE.replace("2 3 480 3 30", "2 3 480 0 30"))],
+    "json-missing-keys": lambda tmp, sample: [
+        "solve", _write(tmp / "keys.json", '{"name": "x", "n": 0}')],
+    "json-not-json": lambda tmp, sample: [
+        "solve", _write(tmp / "text.json", "not json")],
+    "no-such-file": lambda tmp, sample: ["solve", str(tmp / "missing.txt")],
+    "out-dir-missing": lambda tmp, sample: [
+        "solve", sample, "--out", str(tmp / "missing" / "sol.json")],
+    "inf-load": lambda tmp, sample: ["solve", _write(
+        tmp / "inf.txt", CORDEAU_SAMPLE.replace(
+            "1   2.0   1.0   3  1    0  480", "1   2.0   1.0   3  inf  0  480"))],
+    "stop-without-t": lambda tmp, sample: [
+        "validate", sample, _write(tmp / "sol.json", json.dumps(
+            {"objective": 1.0, "routes": [{"vehicle": 0,
+                                           "stops": [{"loc": 0}]}]}))],
+    "solution-not-json": lambda tmp, sample: [
+        "validate", sample, _write(tmp / "sol.json", "[")],
+    "solve-tsfrag+c-large": lambda tmp, sample: [
+        "solve", sample, "--formulation", "tsfrag", "--callbacks", "--set1"],
+    "bench-tsfrag+c-large": lambda tmp, sample: [
+        "bench", sample, "--methods", "tsfrag+c", "--set1",
+        "--out", str(tmp / "bench.csv")],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_inputs_are_usage_errors(case, sample_file, tmp_path,
+                                           capsys):
+    # an uncaught exception (a traceback from the command line) fails here
+    assert main(MALFORMED[case](tmp_path, sample_file)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "bench.csv").exists()  # no partial bench CSV
 
 
 def test_ddd_trace_on_stderr(sample_file, capsys):

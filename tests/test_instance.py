@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -44,6 +46,10 @@ def test_parse_errors_carry_line_numbers():
                                  "1   2.0   oops  3  1    0  480")
     with pytest.raises(InstanceError, match="line 3"):
         parse_cordeau(bad)
+    inf_load = CORDEAU_SAMPLE.replace("1   2.0   1.0   3  1    0  480",
+                                      "1   2.0   1.0   3  inf  0  480")
+    with pytest.raises(InstanceError, match="line 3"):  # OverflowError
+        parse_cordeau(inf_load)
     with pytest.raises(InstanceError, match="inconsistent"):
         parse_cordeau(CORDEAU_SAMPLE + "8 0 0 0 0 0 480\n")
 
@@ -208,14 +214,38 @@ def test_dataset_params_guardrails():
     DatasetParams(p_tw=12.0, unchecked=True)  # explicit override allowed
 
 
-def test_json_round_trip():
-    inst = tighten_windows(parse_cordeau(CORDEAU_SAMPLE))
+def _tight_sample():
+    return tighten_windows(parse_cordeau(CORDEAU_SAMPLE))
+
+
+ROUND_TRIP = {
+    "sample": _tight_sample,
+    "set1": lambda: build_dataset1(_tight_sample()),
+    "set2": lambda: build_dataset2(_tight_sample(), DatasetParams()),
+    "random": lambda: random_instance(7, n=4),
+}
+
+
+@pytest.mark.parametrize("build", ROUND_TRIP.values(), ids=ROUND_TRIP)
+def test_json_round_trip(build):
+    inst = build()
+    assert "meta" not in json.loads(to_json(inst))  # empty meta is left out
     inst.meta = {"r_l": 0.5}
     again = from_json(to_json(inst))
-    assert again.n == inst.n and again.meta == inst.meta
-    assert np.array_equal(again.travel_time, inst.travel_time)
-    assert np.array_equal(again.earliest, inst.earliest)
+    for f in dataclasses.fields(inst):
+        value, back = getattr(inst, f.name), getattr(again, f.name)
+        if isinstance(value, np.ndarray):
+            assert back.dtype == value.dtype and np.array_equal(back, value)
+        else:
+            assert back == value
     assert to_json(again) == to_json(inst)
+
+
+@pytest.mark.parametrize("text", ['{"name": "x", "n": 0}', "not json", "[1]",
+                                  '{"name": "x", "n": "many"}'])
+def test_malformed_json_is_instance_error(text):
+    with pytest.raises(InstanceError):
+        from_json(text)
 
 
 def test_dataset2_zero_large_customers_warns_not_errors():

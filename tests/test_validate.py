@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from darpsv.validate import Route, RouteSet
+from darpsv.formulations import solve_ebf
 from darpsv.instance import random_instance
 from darpsv.validate import OracleSizeError, brute_optimum, check
 
@@ -134,3 +137,17 @@ def test_brute_lower_bounds_any_accepted_routeset():
         from darpsv.formulations import solve_ebf
         rep = solve_ebf(inst)
         assert rep.objective >= obj - 1e-6
+
+
+def test_route_set_dict_round_trip(sync_instance):
+    inst, fixed = sync_instance
+    solved = solve_ebf(inst).routes
+    assert solved.sync_groups  # the large customer is served jointly
+    # one synchronized vehicle a minute late: rejected before and after
+    late = RouteSet(list(fixed.routes), fixed.objective, fixed.sync_groups)
+    late.routes[1] = Route(1, [(l, t + 1.0) for l, t in fixed.routes[1].stops])
+    assert check(inst, late)
+    for rs in (solved, fixed, late):
+        again = RouteSet.from_dict(json.loads(json.dumps(rs.to_dict())))
+        assert again == rs
+        assert check(inst, again) == check(inst, rs)
