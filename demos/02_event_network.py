@@ -3,7 +3,9 @@
 An event is a (location, onboard-set) state; arcs are the transitions a
 vehicle can make. Capacity, pairing and precedence are built into the
 state space, so the MILP over this graph needs no explicit rows for them.
-Time-window reachability pruning keeps the graph small.
+Time-window reachability pruning keeps the graph small; the solvers use
+the time-feasible variant, which also drops states whose location opens
+too late to finish the trip (enumerate_events(inst, timed=True)).
 """
 import darpsv
 from darpsv.events import dump_events
@@ -13,7 +15,10 @@ inst = darpsv.tighten_windows(
                            large_share=0.34))
 net = darpsv.enumerate_events(inst)
 print(inst)
-print(f"|V_E| = {net.num_events} events, |A_E| = {net.num_arcs} arcs\n")
+print(f"|V_E| = {net.num_events} events, |A_E| = {net.num_arcs} arcs")
+timed = darpsv.enumerate_events(inst, timed=True)
+print(f"time-feasible network (what EBF and TSEF solve): "
+      f"|V_E| = {timed.num_events}, |A_E| = {timed.num_arcs}\n")
 
 print("events at each location (location, onboard set):")
 for ev in net.events:

@@ -228,9 +228,9 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         master, inputs_of = TsfragMaster(inst, frags), _frag_inputs
         base_stats = {"F": len(frags)}
     else:
-        enet = enumerate_events(inst)
+        enet = enumerate_events(inst, timed=True)
         master, inputs_of = TsefMaster(inst, enet), _event_inputs
-        base_stats = {"V_E": enet.num_events, "A_E": enet.num_arcs}
+        base_stats = enet.stats()
     grid = TimeGrid.fixed(inst, initial_delta)
     history = []
     bound = paths = None

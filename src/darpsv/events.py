@@ -3,13 +3,38 @@ feasible transitions.  Capacity, pairing and precedence are implicit in the
 state space; time-window reachability filters prune states that cannot
 occur in any feasible schedule.
 
-The builder never generates a state that cannot reach the destination
-depot through its location graph (arcs with e_i + T_ij <= l_j): from
-(loc, S) every customer still on board must be delivered before the
-vehicle returns, so the transitive closure of that graph must lead from
-loc to each of their delivery locations and to the destination.  The test
-is necessary for co-reachability, so it removes only states that the
+`enumerate_events` builds one of two networks.
+
+The paper network (the default) filters arcs one pair at a time
+(e_i + T_ij <= l_j) and keeps the states on some path from the origin
+depot to the destination depot.  The builder never generates a state that
+cannot reach the destination through its location graph: from (loc, S)
+every customer still on board must be delivered before the vehicle
+returns, so the transitive closure of that graph must lead from loc to
+each of their delivery locations and to the destination.  The test is
+necessary for co-reachability, so it removes only states that the
 co-reachability pass would discard; the network is the same as without it.
+`darpsv net dump-events` prints this network.
+
+The time-feasible network (timed=True, what EBF, TSEF and TSEF+DDD solve)
+also drops a state (loc, S) served no earlier than e_loc when
+
+    e_loc > D(loc, R) + EPS,   R = S plus loc's own customer at a pickup,
+
+where D is the completion deadline of `fragments` over the shortest-path
+closure T*, with base case D(loc, {}) = min(l_loc, l_dest - T*[loc, dest]):
+the latest time at loc from which some order delivers every customer in R
+within the windows and still reaches the destination depot in time.  A
+schedule that serves the state delivers all of R afterwards and then
+returns; whatever else it visits, waits for or detours through, no path of
+arcs beats T*, and ride limits only add constraints.  So a dropped state
+occurs in no feasible schedule, and the timed network keeps every route
+of the paper network that has a schedule: the optimum is the same.  D
+implies the closure test only when T obeys the triangle inequality, so the
+timed build runs both.  The test prunes during generation, and the paths
+the search finds run through live states only; the result equals the
+paper network with the dead states removed and the states off every
+origin-destination path trimmed again.
 """
 from __future__ import annotations
 
@@ -18,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fragments import completion_deadline, shortest_times
 from .graph import reachable
 from .instance import EPS, Instance
 
@@ -45,8 +71,9 @@ class EventArc:
 
 
 class EventNetwork:
-    def __init__(self, inst, events, arcs, origin_id, dest_id):
+    def __init__(self, inst, events, arcs, origin_id, dest_id, kind="paper"):
         self.inst = inst
+        self.kind = kind  # "paper" or "timed": which network was built
         self.events = events
         self.arcs = arcs
         self.origin_id = origin_id
@@ -66,6 +93,10 @@ class EventNetwork:
     @property
     def num_arcs(self):
         return len(self.arcs)
+
+    def stats(self):
+        return {"V_E": self.num_events, "A_E": self.num_arcs,
+                "event_network": self.kind}
 
 
 def _successors(inst: Instance, ev: Event):
@@ -111,8 +142,9 @@ def _location_closure(inst: Instance):
     return R.tolist()
 
 
-def enumerate_events(inst: Instance) -> EventNetwork:
-    """Build the pruned event network.
+def enumerate_events(inst: Instance, timed=False) -> EventNetwork:
+    """Build the paper's event network, or with timed=True the
+    time-feasible one (module docstring).
 
     Forward search from the origin depot generates only capacity-feasible
     states; arcs with e_i + T_ij > l_j are dropped, and events that cannot
@@ -125,13 +157,18 @@ def enumerate_events(inst: Instance) -> EventNetwork:
     those deliveries, so a state failing the test is not co-reachable.
     Every forward path to a co-reachable state runs through co-reachable
     states only, so the prune leaves the kept network unchanged; it is
-    necessary but not sufficient, hence the co-reachability pass.
+    necessary but not sufficient, hence the co-reachability pass.  With
+    timed=True a successor must also pass e_loc <= D(loc, R) + EPS.
     """
     e, l, T = inst.earliest, inst.latest, inst.travel_time
     n, dest_loc = inst.n, inst.destination
     origin = Event(inst.origin, ())
     dest = Event(dest_loc, ())
     reach = _location_closure(inst)
+    if timed:
+        Ts = shortest_times(T)
+        deadline = completion_deadline(
+            inst, Ts, np.minimum(l, l[dest_loc] - Ts[:, dest_loc]))
 
     def tw_ok(i, j):
         return e[i] + T[i, j] <= l[j] + EPS
@@ -140,9 +177,15 @@ def enumerate_events(inst: Instance) -> EventNetwork:
         row = reach[ev.loc]
         if not row[dest_loc]:
             return False
-        if inst.is_pickup(ev.loc) and not row[ev.loc + n]:
+        pickup = inst.is_pickup(ev.loc)
+        if pickup and not row[ev.loc + n]:
             return False
-        return all(row[c + n] for c in ev.onboard)
+        if not all(row[c + n] for c in ev.onboard):
+            return False
+        if not timed:
+            return True
+        due = frozenset(ev.onboard + (ev.loc,) if pickup else ev.onboard)
+        return e[ev.loc] <= deadline(ev.loc, due) + EPS
 
     adjacency = {origin: [], dest: []}
     queue = deque()
@@ -186,7 +229,8 @@ def enumerate_events(inst: Instance) -> EventNetwork:
                                      float(inst.travel_cost[ev.loc, nxt.loc]),
                                      inst.arc_cap(ev.loc, nxt.loc)))
     arcs.sort(key=lambda a: (a.tail, a.head))
-    return EventNetwork(inst, events, arcs, index[origin], index[dest])
+    return EventNetwork(inst, events, arcs, index[origin], index[dest],
+                        "timed" if timed else "paper")
 
 
 def dump_events(net: EventNetwork) -> str:

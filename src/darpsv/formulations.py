@@ -221,7 +221,7 @@ def extract_routes_ebf(inst, net, sol, vars_):
 def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
-    net = enumerate_events(inst)
+    net = enumerate_events(inst, timed=True)
     model, vars_ = build_ebf(inst, net)
 
     def cut(arcs, name):
@@ -232,8 +232,7 @@ def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
     sol, info, paths, _ = separate_subtours(
         model, lambda sol: extract_routes_ebf(inst, net, sol, vars_),
         lambda cycle: sorted(set(cycle)), cut, deadline)
-    return solve_report(inst, "ebf", sol, paths, start,
-                        {"V_E": net.num_events, "A_E": net.num_arcs},
+    return solve_report(inst, "ebf", sol, paths, start, net.stats(),
                         info.num_cuts)
 
 
@@ -554,7 +553,7 @@ def subtour_cut_tsef(model, net, vars_, event_arcs, name):
 def solve_tsef(inst: Instance, resolution=1.0, time_limit=None) -> SolveReport:
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
-    master = TsefMaster(inst, enumerate_events(inst))
+    master = TsefMaster(inst, enumerate_events(inst, timed=True))
     return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline, start)
 
 

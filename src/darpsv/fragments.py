@@ -21,7 +21,9 @@ Every fragment that extends the prefix delivers all of S before it ends,
 and no path of arcs, however it detours or waits, reaches a delivery
 sooner than T* allows, so a dropped prefix has no completion and the
 fragment set is unchanged, whether or not T obeys the triangle inequality
-(on matrices that do, T* = T).
+(on matrices that do, T* = T).  `completion_deadline` holds the recursion
+for any base case; the time-feasible event network (`events`) ends it at
+the destination depot instead of at l_loc.
 """
 from __future__ import annotations
 
@@ -205,13 +207,37 @@ def _path_cost(inst, path):
     return float(sum(C[i, j] for i, j in zip(path, path[1:])))
 
 
-def _shortest_times(T):
+def shortest_times(T):
     """Shortest-path closure of T (Floyd-Warshall, one k-slice at a time):
     no path of arcs gets from i to j sooner than the result's [i, j]."""
     Ts = T.copy()
     for k in range(len(Ts)):
         np.minimum(Ts, Ts[:, k, None] + Ts[None, k, :], out=Ts)
     return Ts
+
+
+def completion_deadline(inst: Instance, Ts, base):
+    """D(loc, onboard) of the module docstring over the closure Ts, with
+    D(loc, {}) = base[loc]; -inf when no delivery order fits the windows.
+    onboard is a frozenset of customer ids.  The returned function memoises
+    its values, so a caller keeps it for one instance only."""
+    n = inst.n
+    e, l = inst.earliest, inst.latest
+    memo = {}
+
+    def deadline(loc, onboard):
+        key = (loc, onboard)
+        if key not in memo:
+            best = float(base[loc]) if not onboard else -np.inf
+            for c in onboard:
+                d = c + n
+                later = deadline(d, onboard - {c})
+                if later >= e[d] - EPS:
+                    best = max(best, min(l[loc], later - Ts[loc, d]))
+            memo[key] = best
+        return memo[key]
+
+    return deadline
 
 
 def enumerate_fragments(inst: Instance) -> FragmentSet:
@@ -224,8 +250,8 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
     as the window test.  D bounds travel by the closure T*, which no
     detour beats, and ignores ride limits, so the prune is exact: it drops
     only prefixes that no extension completes.  Ride limits are checked on
-    emission only (they are not monotone under extension).  D is memoised
-    on (location, onboard set) for this call only.
+    emission only (they are not monotone under extension).  A fragment ends
+    at its last delivery, so D's base case is the window alone, l_loc.
     """
     out = []
     n = inst.n
@@ -240,21 +266,7 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
                                 inst.vehicles_required(i), "large-pair"))
 
     smalls = inst.small_pickups
-    Ts = _shortest_times(T)
-    memo = {}
-
-    def deadline(loc, onboard):
-        """D(loc, onboard); -inf when no delivery order fits the windows."""
-        key = (loc, onboard)
-        if key not in memo:
-            best = float(l[loc]) if not onboard else -np.inf
-            for c in onboard:
-                d = c + n
-                later = deadline(d, onboard - {c})
-                if later >= e[d] - EPS:
-                    best = max(best, min(l[loc], later - Ts[loc, d]))
-            memo[key] = best
-        return memo[key]
+    deadline = completion_deadline(inst, shortest_times(T), l)
 
     def extend(path, onboard, load, arrive):
         last = path[-1]

@@ -337,8 +337,7 @@ class TsEventNetwork(_TsBase):
 
     def stats(self):
         return {"ts_nodes": len(self.nodes), "ts_arcs": len(self.arcs),
-                "V_E": self.enet.num_events, "A_E": self.enet.num_arcs,
-                "grid_points": self.grid.size()}
+                **self.enet.stats(), "grid_points": self.grid.size()}
 
 
 def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:

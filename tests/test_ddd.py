@@ -232,9 +232,9 @@ def test_ddd_enumerates_through_its_own_binding(single_customer, monkeypatch,
     calls = []
     enumerate_ = getattr(ddd, name)
 
-    def counted(inst):
+    def counted(inst, *args, **kwargs):
         calls.append(inst)
-        return enumerate_(inst)
+        return enumerate_(inst, *args, **kwargs)
 
     monkeypatch.setattr(ddd, name, counted)
     report = ddd_solve(single_customer, mode, time_limit=60)
@@ -301,20 +301,22 @@ def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
         return expand(*args)
 
     monkeypatch.setattr(formulations, "expand_fragments", slow)
-    solves = []  # (model name, deadline)
+    solves = []  # (model name, deadline, clock on entry)
     solve = milp.solve
 
     def recorded(model, deadline=None):
-        solves.append((model.name, deadline))
+        solves.append((model.name, deadline, time.perf_counter()))
         return solve(model, deadline)
 
     monkeypatch.setattr(milp, "solve", recorded)
-    budgets = []  # (HiGHS time limit, when it was set, expansions so far)
+    # (HiGHS time limit, clock at the call, entry into its milp.solve,
+    # expansions so far)
+    budgets = []
     highs = milp.highs_milp
 
     def highs_recorded(*args, options, **kwargs):
         budgets.append((options["time_limit"], time.perf_counter(),
-                        len(expanded)))
+                        solves[-1][2], len(expanded)))
         return highs(*args, options=options, **kwargs)
 
     monkeypatch.setattr(milp, "highs_milp", highs_recorded)
@@ -322,13 +324,18 @@ def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
     start = time.perf_counter()
     report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)
     assert report.status == "optimal" and report.iterations >= 3
-    names = {name for name, _ in solves}
+    names = {name for name, _, _ in solves}
     assert "selection" in names and len(names) == 2
     deadline = solves[0][1]
     assert start + limit <= deadline <= start + limit + pause
-    assert all(d == deadline for _, d in solves)
-    for budget, at, expansions in budgets:
-        assert at + budget == pytest.approx(deadline, abs=0.01)
+    assert all(d == deadline for _, d, _ in solves)
+    assert budgets
+    for budget, at, entry, expansions in budgets:
+        # far from the deadline, so above milp.solve's 0.05 s floor: the
+        # limit is what was left of the deadline at some instant between
+        # entering milp.solve and calling HiGHS
+        assert budget > 0.05
+        assert deadline - at <= budget <= deadline - entry
         assert budget <= limit - pause * expansions
 
 

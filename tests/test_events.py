@@ -1,12 +1,12 @@
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from darpsv.events import (Event, EventArc, EventNetwork, _location_closure,
                            _successors, dump_events, enumerate_events)
-from darpsv.instance import EPS, random_instance
+from darpsv.instance import EPS, random_instance, tighten_windows
 
 from conftest import make_instance
 
@@ -222,6 +222,33 @@ def non_metric_instance(seed, n=4):
                          capacity=2)
 
 
+def unit_instance(earliest, latest):
+    """Two unit customers, capacity 2, every travel time 1."""
+    T = np.full((6, 6), 1.0)
+    np.fill_diagonal(T, 0.0)
+    return make_instance(2, T, earliest, latest, [0, 100, 100],
+                         [0, 1, 1, -1, -1, 0], capacity=2)
+
+
+def own_customer_instance():
+    """(1,{2}) is dead only because 1 itself must be delivered too: from
+    pickup 1 at 50, both deliveries close at 51.5 and one of them comes
+    second, at 52."""
+    return unit_instance([0, 50, 0, 0, 0, 0], [5000, 100, 100, 51.5, 51.5, 5000])
+
+
+def late_pickup_instance():
+    """Customer 2's window opens after customer 1 must be delivered, yet the
+    pairwise arc tests let 2 be picked up with 1 on board: (2,{1}) is dead."""
+    return unit_instance([0, 0, 5, 0, 0, 0], [5000, 10, 100, 5, 100, 5000])
+
+
+def depot_deadline_instance():
+    """Every window is open until 100, but the destination depot closes at
+    10: pickup 1, which opens at 9, cannot get its customer home in time."""
+    return unit_instance([0, 9, 0, 0, 0, 0], [10, 100, 100, 100, 100, 10])
+
+
 def test_closure_never_passes_through_origin():
     inst = origin_detour_instance()
     reach = _location_closure(inst)
@@ -229,7 +256,7 @@ def test_closure_never_passes_through_origin():
     assert reach[1][3] and reach[2][4] and reach[3][5]
 
 
-@pytest.mark.parametrize("inst", [
+NETWORK_CASES = [
     pytest.param(random_instance(seed, n=3 + seed % 4, capacity=2 + seed // 4 % 2,
                                  large_share=0.3 * (seed // 8 % 2)),
                  id=f"random{seed}")
@@ -239,7 +266,94 @@ def test_closure_never_passes_through_origin():
     for seed in range(8)
 ] + [
     pytest.param(origin_detour_instance(), id="origin-detour"),
-])
+]
+
+
+@pytest.mark.parametrize("inst", NETWORK_CASES)
 def test_closure_prune_keeps_network(inst):
     assert dump_events(enumerate_events(inst)) == \
         dump_events(unpruned_events(inst))
+
+
+def brute_deadline(inst, Ts, loc, due):
+    """Latest time at loc from which some order of delivering the customers
+    in due, then the destination depot, meets every window over the travel
+    times Ts; -inf when none does.  Tries every order."""
+    e, l = inst.earliest, inst.latest
+    dest = inst.destination
+    best = -np.inf
+    for order in permutations(c + inst.n for c in due):
+        stops = (loc,) + order + (dest,)
+        t = l[dest]
+        for a, b in reversed(list(zip(stops, stops[1:]))):
+            if b != dest and t < e[b] - EPS:
+                break  # the vehicle cannot start at b late enough
+            t = min(l[a], t - Ts[a, b])
+        else:
+            best = max(best, t)
+    return best
+
+
+def timed_oracle(inst):
+    """The paper network minus every state served after its brute-force
+    completion deadline, trimmed to the states on some origin-destination
+    path of what is left."""
+    paper = enumerate_events(inst)
+    Ts = inst.travel_time.copy()
+    for k in range(len(Ts)):  # Floyd-Warshall
+        for i in range(len(Ts)):
+            for j in range(len(Ts)):
+                Ts[i, j] = min(Ts[i, j], Ts[i, k] + Ts[k, j])
+
+    def live(ev):
+        if ev.loc in (inst.origin, inst.destination):
+            return True
+        due = ev.onboard + ((ev.loc,) if inst.is_pickup(ev.loc) else ())
+        return inst.earliest[ev.loc] <= brute_deadline(inst, Ts, ev.loc, due) + EPS
+
+    succ, pred = {}, {}
+    for arc in paper.arcs:
+        tail, head = paper.events[arc.tail], paper.events[arc.head]
+        if live(tail) and live(head):
+            succ.setdefault(tail, []).append(head)
+            pred.setdefault(head, []).append(tail)
+
+    def reach(start, step):
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in step.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    origin = paper.events[paper.origin_id]
+    dest = paper.events[paper.dest_id]
+    keep = (reach(origin, succ) & reach(dest, pred)) | {origin, dest}
+    events = [ev for ev in paper.events if ev in keep]
+    index = {ev: k for k, ev in enumerate(events)}
+    arcs = [EventArc(index[paper.events[a.tail]], index[paper.events[a.head]],
+                     a.loc_arc, a.cost, a.cap) for a in paper.arcs
+            if paper.events[a.tail] in keep and paper.events[a.head] in keep]
+    return EventNetwork(inst, events, arcs, index[origin], index[dest])
+
+
+@pytest.mark.parametrize("inst", NETWORK_CASES + [
+    # tighter draws, on most of which the timed network is smaller
+    pytest.param(tighten_windows(random_instance(seed, n=6, capacity=3,
+                                                 large_share=0.0,
+                                                 horizon=100.0)),
+                 id=f"tight{seed}")
+    for seed in range(16)
+] + [
+    pytest.param(late_pickup_instance(), id="late-pickup"),
+    pytest.param(own_customer_instance(), id="own-customer"),
+    pytest.param(depot_deadline_instance(), id="depot-deadline"),
+])
+def test_timed_network_is_the_paper_network_minus_dead_states(inst):
+    paper, timed = enumerate_events(inst), enumerate_events(inst, timed=True)
+    assert (paper.kind, timed.kind) == ("paper", "timed")
+    assert dump_events(timed) == dump_events(timed_oracle(inst))
+    assert set(dump_events(timed).splitlines()[1:]) <= \
+        set(dump_events(paper).splitlines()[1:])
+

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from darpsv import METHODS, formulations, milp, run_method
+from darpsv.ddd import ddd_solve
 from darpsv.events import enumerate_events
 from darpsv.formulations import (build_ebf, build_tsfrag, solve_abf, solve_ebf,
                                  solve_tsef, solve_tsfrag)
 from darpsv.fragments import enumerate_fragments, joint_schedule
-from darpsv.instance import (InfeasibleCustomerError, random_instance,
-                             tighten_windows)
+from darpsv.instance import (DatasetParams, InfeasibleCustomerError,
+                             build_dataset2, random_instance, tighten_windows)
 from darpsv.timespace import TimeGrid, expand_fragments
 from darpsv.validate import brute_optimum, check
 
 from conftest import loc_of_node, make_instance
+from test_acceptance import synthetic_base
 
 
 def integerized(seed, n=3, **kw):
@@ -195,6 +197,50 @@ def test_formulation_agreement_on_exact_grid():
             assert all(o is None for o in objs)
         else:
             assert max(objs) - min(objs) < 1e-4
+
+
+def test_timed_network_methods_agree_on_moderate_draws():
+    # EBF solves the time-feasible event network; ABF and TSFrag+DDD build
+    # no event network, so all three agreeing says the timed network kept
+    # every optimum
+    feasible = infeasible = large = 0
+    for seed in range(40):
+        inst = tighten_windows(random_instance(seed, n=5 + seed % 3,
+                                               vehicles=3, capacity=3,
+                                               large_share=0.3))
+        large += bool(inst.large_pickups)
+        reports = {"ebf": solve_ebf(inst, time_limit=120),
+                   "abf": solve_abf(inst, time_limit=120),
+                   "tsfrag+ddd": ddd_solve(inst, "tsfrag", time_limit=120)}
+        assert reports["ebf"].stats["event_network"] == "timed"
+        statuses = {r.status for r in reports.values()}
+        if statuses == {"infeasible"}:
+            infeasible += 1
+            continue
+        assert statuses == {"optimal"}, (seed, reports)
+        objective = reports["ebf"].objective
+        for method, report in reports.items():
+            assert report.objective == pytest.approx(objective, abs=1e-4), \
+                (seed, method)
+            assert check(inst, report.routes) == [], (seed, method)
+        feasible += 1
+    assert feasible >= 30 and infeasible > 0 and large >= 30
+
+
+def test_ebf_on_a_wide_window_bench_instance():
+    # darp-n24-q6-ddd's instance seed 5: Q=6 and wide windows gave the paper
+    # network 75,734 events and 242,755 arcs, and EBF over it ran for minutes
+    base = tighten_windows(synthetic_base(5, n=24, vehicles=3, capacity=6))
+    inst = tighten_windows(build_dataset2(base, DatasetParams(
+        p_de=2.0, p_tw=30, variant="darp", fleet_multiplier=3)))
+    ebf = solve_ebf(inst, time_limit=60)
+    assert ebf.status == "optimal"
+    assert ebf.stats["event_network"] == "timed"
+    assert ebf.stats["V_E"] < 1000
+    assert check(inst, ebf.routes) == []
+    ddd = ddd_solve(inst, "tsfrag")
+    assert ddd.status == "optimal"
+    assert ebf.objective == pytest.approx(ddd.objective, abs=1e-4)
 
 
 def test_fixed_grid_optimal_routes_validate():
@@ -381,9 +427,9 @@ def test_time_limit_counts_network_building(single_customer, monkeypatch,
                                             solve, builder):
     build = getattr(formulations, builder)
 
-    def slow_build(inst):
+    def slow_build(*args, **kwargs):
         time.sleep(0.2)
-        return build(inst)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(formulations, builder, slow_build)
     report = solve(single_customer, time_limit=0.1)
