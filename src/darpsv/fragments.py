@@ -186,11 +186,37 @@ class Fragment:
 
 
 class FragmentSet:
-    """All fragments of an instance, lexicographically ordered."""
+    """All fragments of an instance, lexicographically ordered.
+
+    The set also keeps the grid-independent timing that every expansion
+    over a time grid asks for again: each fragment's start interval, and
+    its earliest end from each pinned departure.  enumerate_fragments
+    builds one set per solve, so these live for exactly one solve.  Both
+    are computed through the module-level start_interval and
+    feasible_schedule.
+    """
 
     def __init__(self, inst: Instance, fragments):
         self.inst = inst
         self.fragments = tuple(sorted(fragments, key=lambda f: f.path))
+        self._intervals = {}  # fid -> start_interval of its path
+        self._ends = {}  # (fid, departure) -> earliest end
+
+    def interval(self, fid):
+        """start_interval of fragment fid's path."""
+        if fid not in self._intervals:
+            self._intervals[fid] = start_interval(self.inst, self.fragments[fid].path)
+        return self._intervals[fid]
+
+    def end_from(self, fid, start):
+        """Earliest end of fragment fid when it leaves at exactly start, a
+        time within its start interval."""
+        key = (fid, start)
+        end = self._ends.get(key)
+        if end is None:
+            end = self._ends[key] = feasible_schedule(
+                self.inst, self.fragments[fid].path, fixed_start=start).end
+        return end
 
     def __len__(self):
         return len(self.fragments)

@@ -1,19 +1,22 @@
-"""A small MILP store solved with HiGHS through scipy.optimize.milp.
+"""A small MILP store solved by the HiGHS core that SciPy bundles.
 
-Models are built row by row (MilpModel), solved in one call (solve), and
-can be written in LP file syntax (write_lp).  scipy exposes no callbacks,
-so lazy constraints are emulated by re-solving with the violated rows
-added (resolve_with_cuts).
+Models are built row by row (MilpModel) into flat column lists and COO
+row triples.  solve() converts them once, into a HighsLp with a colwise
+matrix, and runs one session of scipy.optimize._highspy._core._Highs on
+it, with the options and status rules of scipy.optimize.milp.  Models can
+be written in LP file syntax (write_lp).  Lazy constraints are emulated by
+re-solving with the violated rows added (resolve_with_cuts).
 """
 from __future__ import annotations
 
 import re
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp as highs_milp
-from scipy.sparse import csr_matrix
+import scipy
+from scipy.sparse import coo_array
 
 from .instance import EPS
 
@@ -39,30 +42,32 @@ class ConfigurationError(RuntimeError):
     """HiGHS failed in a way no solve status describes."""
 
 
-@dataclass
-class _Var:
-    name: str
-    kind: str
-    lb: float
-    ub: float
-    obj: float
+try:  # private SciPy API, present from SciPy 1.17 on
+    from scipy.optimize._highspy import _core as highs_core
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+except ImportError as exc:
+    raise ConfigurationError(
+        f"darpsv needs the HiGHS core bundled with SciPy >= 1.17; "
+        f"SciPy {scipy.__version__} is installed ({exc})") from exc
 
-
-@dataclass
-class _Constr:
-    name: str
-    coeffs: list  # (var index, coefficient)
-    sense: str
-    rhs: float
+_VAR_TYPE = {CONTINUOUS: highs_core.HighsVarType.kContinuous,
+             INTEGER: highs_core.HighsVarType.kInteger,
+             BINARY: highs_core.HighsVarType.kInteger}
+_LIMITS = (highs_core.HighsModelStatus.kTimeLimit,
+           highs_core.HighsModelStatus.kIterationLimit,
+           highs_core.HighsModelStatus.kSolutionLimit)
 
 
 class MilpModel:
-    """Minimization model: variables, sparse linear constraints."""
+    """Minimization model: columns as flat lists, rows as COO triples
+    (row, col, val) plus per-row bounds lo <= a.x <= hi."""
 
     def __init__(self, name="model"):
         self.name = name
-        self.vars = []
-        self.constrs = []
+        self.col_name, self.col_obj, self.col_lb, self.col_ub = [], [], [], []
+        self.col_kind = []
+        self.row_name, self.row_lower, self.row_upper = [], [], []
+        self.coo_row, self.coo_col, self.coo_val = [], [], []
         self._names = set()
 
     def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=np.inf, obj=0.0) -> int:
@@ -73,28 +78,64 @@ class MilpModel:
         if lb > ub + EPS:
             raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
         self._names.add(name)
-        self.vars.append(_Var(name, kind, float(lb), float(ub), float(obj)))
-        return len(self.vars) - 1
+        self.col_name.append(name)
+        self.col_obj.append(float(obj))
+        self.col_lb.append(float(lb))
+        self.col_ub.append(float(ub))
+        self.col_kind.append(kind)
+        return len(self.col_name) - 1
 
     def add_constr(self, name, coeffs, sense, rhs) -> int:
         if name in self._names:
             raise ValueError(f"duplicate name {name!r}")
         if sense not in (LE, GE, EQ):
             raise ValueError(f"bad sense {sense!r}")
+        nv = len(self.col_name)
         for idx, _ in coeffs:
-            if not 0 <= idx < len(self.vars):
+            if not 0 <= idx < nv:
                 raise ValueError(f"constraint {name!r} references unknown var {idx}")
         self._names.add(name)
-        self.constrs.append(_Constr(name, list(coeffs), sense, float(rhs)))
-        return len(self.constrs) - 1
+        r = len(self.row_name)
+        self.row_name.append(name)
+        rhs = float(rhs)
+        self.row_lower.append(rhs if sense != LE else -np.inf)
+        self.row_upper.append(rhs if sense != GE else np.inf)
+        self.coo_row.extend([r] * len(coeffs))
+        self.coo_col.extend(idx for idx, _ in coeffs)
+        self.coo_val.extend(coef for _, coef in coeffs)
+        return r
 
     @property
     def num_vars(self):
-        return len(self.vars)
+        return len(self.col_name)
 
     @property
     def num_constrs(self):
-        return len(self.constrs)
+        return len(self.row_name)
+
+    def to_highs(self):
+        """The model as a HighsLp: columns in order, rows in order, and a
+        colwise matrix with duplicate entries summed and row indices
+        sorted, the arrays scipy.optimize.milp passes for the same rows."""
+        nv, nr = self.num_vars, self.num_constrs
+        A = coo_array((np.array(self.coo_val, dtype=np.float64),
+                       (np.array(self.coo_row, dtype=np.int64),
+                        np.array(self.coo_col, dtype=np.int64))),
+                      shape=(nr, nv)).tocsc()
+        lp = highs_core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = nv
+        lp.num_row_ = lp.a_matrix_.num_row_ = nr
+        lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+        lp.col_cost_ = np.array(self.col_obj)
+        lp.col_lower_ = np.array(self.col_lb)
+        lp.col_upper_ = np.array(self.col_ub)
+        lp.row_lower_ = np.array(self.row_lower)
+        lp.row_upper_ = np.array(self.row_upper)
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.integrality_ = [_VAR_TYPE[kind] for kind in self.col_kind]
+        return lp
 
 
 @dataclass
@@ -116,53 +157,63 @@ class MilpSolution:
 
 # -- solving -----------------------------------------------------------------
 
+def _run_highs(lp, time_limit):
+    """One HiGHS session on lp, with scipy.optimize.milp's options and
+    time_limit seconds (None: no limit).  Returns the model status, the
+    info record and the column values; both are None when HiGHS failed
+    before it finished, and the values are None too when the status is
+    neither optimal nor a limit."""
+    highs = highs_core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("mip_rel_gap", MIP_REL_GAP)
+    highs.setOptionValue("presolve", "on")
+    if time_limit is not None:
+        highs.setOptionValue("time_limit", time_limit)
+    if highs.passModel(lp) == highs_core.HighsStatus.kError:
+        return highs_core.HighsModelStatus.kModelError, None, None
+    if highs.run() == highs_core.HighsStatus.kError:
+        return highs.getModelStatus(), None, None
+    status = highs.getModelStatus()
+    x = None
+    if status == highs_core.HighsModelStatus.kOptimal or status in _LIMITS:
+        x = np.array(highs.getSolution().col_value)
+    return status, highs.getInfo(), x
+
+
 def solve(model: MilpModel, deadline=None) -> MilpSolution:
     """Solve a model with HiGHS, stopping it at the time.perf_counter()
     deadline (None: no limit)."""
-    nv = model.num_vars
-    if nv == 0:
+    if model.num_vars == 0:
         return MilpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0.0, 0.0, 0.0)
-    c = np.array([v.obj for v in model.vars])
-    integrality = np.array([0 if v.kind == CONTINUOUS else 1 for v in model.vars])
-    bounds = Bounds(np.array([v.lb for v in model.vars]),
-                    np.array([v.ub for v in model.vars]))
-    constraints = []
-    if model.constrs:
-        rows, cols, data, lo, hi = [], [], [], [], []
-        for r, con in enumerate(model.constrs):
-            for idx, coef in con.coeffs:
-                rows.append(r)
-                cols.append(idx)
-                data.append(coef)
-            lo.append(con.rhs if con.sense in (GE, EQ) else -np.inf)
-            hi.append(con.rhs if con.sense in (LE, EQ) else np.inf)
-        A = csr_matrix((data, (rows, cols)), shape=(len(model.constrs), nv))
-        constraints = [LinearConstraint(A, np.array(lo), np.array(hi))]
-    options = {"mip_rel_gap": MIP_REL_GAP, "presolve": True}
-    if deadline is not None:
-        options["time_limit"] = max(deadline - time.perf_counter(), 0.05)
+    lp = model.to_highs()
+    time_limit = (None if deadline is None
+                  else max(deadline - time.perf_counter(), 0.05))
     start = time.perf_counter()
-    res = highs_milp(c=c, integrality=integrality, bounds=bounds,
-                     constraints=constraints, options=options)
+    status, info, x = _run_highs(lp, time_limit)
     elapsed = time.perf_counter() - start
-    bound = getattr(res, "mip_dual_bound", None)
-    gap = getattr(res, "mip_gap", None)
-    if res.status == 0:
-        if bound is None:  # pure LP: the optimum is its own bound
-            bound, gap = res.fun, 0.0
-        return MilpSolution(Status.OPTIMAL, res.x, float(res.fun), float(bound),
-                            elapsed, gap)
-    if res.status == 1:
-        if res.x is not None:
-            return MilpSolution(Status.FEASIBLE_WITH_GAP, res.x, float(res.fun),
-                                None if bound is None else float(bound), elapsed, gap)
-        return MilpSolution(Status.TIME_LIMIT, None, None,
-                            None if bound is None else float(bound), elapsed, None)
-    if res.status == 2:
+    code, message = _highs_to_scipy_status_message(status, status.name)
+    mip = INTEGER in model.col_kind or BINARY in model.col_kind
+    if x is not None and status != highs_core.HighsModelStatus.kOptimal and (
+            not mip or info.objective_function_value == highs_core.kHighsInf):
+        x = None  # a MIP at a limit keeps its incumbent, if it has one
+    if code == 0:
+        fun = info.objective_function_value
+        if mip:
+            bound, gap = info.mip_dual_bound, info.mip_gap
+        else:  # pure LP: the optimum is its own bound
+            bound, gap = fun, 0.0
+        return MilpSolution(Status.OPTIMAL, x, float(fun), float(bound), elapsed, gap)
+    if code == 1 and x is not None:
+        return MilpSolution(Status.FEASIBLE_WITH_GAP, x,
+                            float(info.objective_function_value),
+                            float(info.mip_dual_bound), elapsed, info.mip_gap)
+    if code == 1:
+        return MilpSolution(Status.TIME_LIMIT, None, None, None, elapsed, None)
+    if code == 2:
         return MilpSolution(Status.INFEASIBLE, None, None, None, elapsed, None)
-    if res.status == 3:
+    if code == 3:
         return MilpSolution(Status.UNBOUNDED, None, None, None, elapsed, None)
-    raise ConfigurationError(f"scipy/HiGHS solve failed: {res.message}")
+    raise ConfigurationError(f"HiGHS solve failed: {message}")
 
 
 @dataclass
@@ -222,25 +273,31 @@ def _lp_name(raw, used, prefix):
 
 
 def write_lp(model: MilpModel, path):
-    """Write the model in LP file syntax (debugging aid)."""
+    """Write the model in LP file syntax (debugging aid).  Numbers are
+    written at full precision, so the model read back from the file has
+    the same optimum."""
     used = set()
-    vnames = [_lp_name(v.name, used, "x_") for v in model.vars]
+    vnames = [_lp_name(name, used, "x_") for name in model.col_name]
     lines = [f"\\ {model.name}", "Minimize", " obj:"]
-    terms = [f" {v.obj:+.12g} {vnames[j]}" for j, v in enumerate(model.vars)
-             if v.obj]
+    terms = [f" {obj:+.17g} {vnames[j]}" for j, obj in enumerate(model.col_obj)
+             if obj]
     lines[-1] += "".join(terms) if terms else " 0 " + (vnames[0] if vnames else "")
     lines.append("Subject To")
-    for con in model.constrs:
-        cname = _lp_name(con.name, used, "c_")
-        body = "".join(f" {coef:+.12g} {vnames[j]}" for j, coef in con.coeffs)
-        lines.append(f" {cname}:{body} {con.sense} {con.rhs:.12g}")
+    rows, cols, vals = model.coo_row, model.coo_col, model.coo_val
+    for r, name in enumerate(model.row_name):
+        cname = _lp_name(name, used, "c_")
+        lo, hi = model.row_lower[r], model.row_upper[r]
+        sense, rhs = (EQ, lo) if lo == hi else (LE, hi) if lo == -np.inf else (GE, lo)
+        span = range(bisect_left(rows, r), bisect_right(rows, r))
+        body = "".join(f" {vals[k]:+.17g} {vnames[cols[k]]}" for k in span)
+        lines.append(f" {cname}:{body} {sense} {rhs:.17g}")
     lines.append("Bounds")
-    for j, v in enumerate(model.vars):
-        lo = f"{v.lb:.12g}" if np.isfinite(v.lb) else "-inf"
-        hi = f"{v.ub:.12g}" if np.isfinite(v.ub) else "+inf"
+    for j, (lb, ub) in enumerate(zip(model.col_lb, model.col_ub)):
+        lo = f"{lb:.17g}" if np.isfinite(lb) else "-inf"
+        hi = f"{ub:.17g}" if np.isfinite(ub) else "+inf"
         lines.append(f" {lo} <= {vnames[j]} <= {hi}")
-    generals = [vnames[j] for j, v in enumerate(model.vars) if v.kind == INTEGER]
-    binaries = [vnames[j] for j, v in enumerate(model.vars) if v.kind == BINARY]
+    generals = [v for v, kind in zip(vnames, model.col_kind) if kind == INTEGER]
+    binaries = [v for v, kind in zip(vnames, model.col_kind) if kind == BINARY]
     if generals:
         lines.append("General")
         lines.append(" " + " ".join(generals))

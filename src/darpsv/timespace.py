@@ -4,7 +4,7 @@ Grids are per-location sorted time lists, and a node is a place (a
 location, or an event of the event network) at a grid time: the time
 service starts there.  Both networks expand their arcs by the same rules:
 
-- landing (_TsBase.arrive): an arc i -> j left at t arrives at
+- landing (_TsBase.link): an arc i -> j left at t arrives at
   a = max(t + T_ij, e_j), waiting for j's window, is dropped when a > l_j
   or a precedes j's grid, and lands at round_down(a), the last grid point
   of j at or before a.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .instance import EPS, Instance
-from .fragments import FragmentSet, feasible_schedule, start_interval
+from .fragments import FragmentSet
 from .graph import reachable
 
 GRID_TOL = 1e-9
@@ -141,6 +141,10 @@ class _TsBase:
         self.node_index = {}
         self.arcs = []
         self._terms = {}  # (i, j) -> kind, cost and cap of its copies
+        # plain-float copies, so link() reads each arc's constants once
+        self._travel = inst.travel_time.tolist()
+        self._early = inst.earliest.tolist()
+        self._late = inst.latest.tolist()
 
     def node(self, place, t):
         # a plain tuple finds the same entry as the TsNode it equals, and
@@ -152,40 +156,39 @@ class _TsBase:
             self.nodes.append(TsNode(*key))
         return nid
 
-    def arrive(self, j, t):
-        """(grid time, rounding loss) of an arrival at location j at time
-        t, after waiting for e_j; None past l_j or before j's grid.  The
-        destination lands every return at l_j, with no loss."""
-        inst = self.inst
-        arrival = max(t, inst.earliest[j])
-        if arrival > inst.latest[j] + EPS:
-            return None
-        if j == inst.destination:
-            return inst.latest[j], 0.0
-        r = self.grid.round_down(j, arrival)
-        if r is None:
-            return None
-        return r, arrival - r
-
     def link(self, tail, head, i, j, times, event_arc=-1):
         """Add the copies of location arc i -> j that leave place tail at
         the grid times in times and land at place head (in the fragment
-        network a place is its location); arrive() decides which land."""
+        network a place is its location), by the landing rule of the
+        module docstring."""
         inst = self.inst
-        T = inst.travel_time[i, j]
+        travel = self._travel[i][j]
+        early, late = self._early[j], self._late[j]
+        cutoff = late + EPS
+        to_dest = j == inst.destination
+        ts = self.grid.times[j]
         terms = self._terms.get((i, j))
         for t in times:
-            landing = self.arrive(j, t + T)
-            if landing is None:
+            arrival = t + travel
+            if arrival < early:  # max(), without its call
+                arrival = early
+            if arrival > cutoff:
                 continue
+            if to_dest:  # every return lands at l_j, with no loss
+                r, loss = late, 0.0
+            else:
+                k = bisect_right(ts, arrival + GRID_TOL) - 1
+                if k < 0:  # before j's grid
+                    continue
+                r = ts[k]
+                loss = arrival - r
             if terms is None:
                 terms = self._terms[i, j] = (
                     DEPOT_OUT if i == inst.origin else
-                    DEPOT_IN if j == inst.destination else MOVE,
+                    DEPOT_IN if to_dest else MOVE,
                     float(inst.travel_cost[i, j]), inst.arc_cap(i, j))
-            self.arcs.append(TsArc(self.node(tail, t),
-                                   self.node(head, landing[0]), (i, j),
-                                   *terms, landing[1], event_arc))
+            self.arcs.append(TsArc(self.node(tail, t), self.node(head, r), (i, j),
+                                   *terms, loss, event_arc))
 
     def idle(self, place, loc):
         """Waiting arcs between consecutive grid times of loc at place."""
@@ -269,7 +272,9 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
     [t, next grid point); its end is the earliest arrival rounded down.
     Anchoring at the earliest such departure keeps every continuous
     solution representable in the partial network, which the DDD bound
-    argument needs.
+    argument needs.  Start intervals and ends come from frags' own cache,
+    so expanding the same set over a refined grid times only the
+    departures it has not met before.
     """
     net = TsFragNetwork(inst, grid, frags)
     origin, dest = inst.origin, inst.destination
@@ -278,20 +283,19 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
     net.dest_node = net.node(dest, float(inst.latest[dest]))
 
     for fid, frag in enumerate(frags):
-        interval = start_interval(inst, frag.path)
+        interval = frags.interval(fid)
         if interval is None:
             continue
         s_min, s_max = interval
         gs = grid[frag.start]
         for k, t in enumerate(gs):
             nxt = gs[k + 1] if k + 1 < len(gs) else None
-            s_eff = max(t, s_min)
+            s_eff = t if t >= s_min else s_min
             if s_eff > s_max + EPS:
                 continue
             if nxt is not None and s_eff >= nxt - GRID_TOL:
                 continue
-            sched = feasible_schedule(inst, frag.path, fixed_start=s_eff)
-            end = sched.end
+            end = frags.end_from(fid, s_eff)
             r = grid.round_down(frag.end, end)
             tail = net.node(frag.start, t)
             head = net.node(frag.end, r)

@@ -312,14 +312,14 @@ def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
     # (HiGHS time limit, clock at the call, entry into its milp.solve,
     # expansions so far)
     budgets = []
-    highs = milp.highs_milp
+    highs = milp._run_highs
 
-    def highs_recorded(*args, options, **kwargs):
-        budgets.append((options["time_limit"], time.perf_counter(),
-                        solves[-1][2], len(expanded)))
-        return highs(*args, options=options, **kwargs)
+    def highs_recorded(lp, time_limit):
+        budgets.append((time_limit, time.perf_counter(), solves[-1][2],
+                        len(expanded)))
+        return highs(lp, time_limit)
 
-    monkeypatch.setattr(milp, "highs_milp", highs_recorded)
+    monkeypatch.setattr(milp, "_run_highs", highs_recorded)
     limit = 30.0
     start = time.perf_counter()
     report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)

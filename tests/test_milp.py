@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 import darpsv
+from darpsv import milp
+from darpsv.formulations import build_tsfrag
+from darpsv.fragments import enumerate_fragments
+from darpsv.instance import random_instance, tighten_windows
 from darpsv.milp import (BINARY, CONTINUOUS, GE, INTEGER, LE, MilpModel,
                          Status, resolve_with_cuts, solve, write_lp)
+from darpsv.timespace import TimeGrid, expand_fragments
 
 
 def test_empty_model_is_trivially_optimal():
@@ -28,17 +33,23 @@ def test_min_integer_above_threshold():
     assert sol.best_bound == pytest.approx(3.0)
 
 
-def test_knapsack_against_exhaustive_search():
-    values = [6.0, 10.0, 12.0, 7.0, 3.0]
-    weights = [1.0, 2.0, 3.0, 2.0, 1.0]
-    cap = 5.0
+VALUES = [6.0, 10.0, 12.0, 7.0, 3.0]
+WEIGHTS = [1.0, 2.0, 3.0, 2.0, 1.0]
+CAP = 5.0
+
+
+def knapsack_model():
     m = MilpModel("knapsack")
-    xs = [m.add_var(f"x{i}", BINARY, obj=-values[i]) for i in range(5)]
-    m.add_constr("cap", [(x, w) for x, w in zip(xs, weights)], LE, cap)
-    sol = solve(m)
-    best = max(sum(v for v, pick in zip(values, picks) if pick)
+    xs = [m.add_var(f"x {i}", BINARY, obj=-VALUES[i]) for i in range(5)]
+    m.add_constr("cap", [(x, w) for x, w in zip(xs, WEIGHTS)], LE, CAP)
+    return m
+
+
+def test_knapsack_against_exhaustive_search():
+    sol = solve(knapsack_model())
+    best = max(sum(v for v, pick in zip(VALUES, picks) if pick)
                for picks in itertools.product([0, 1], repeat=5)
-               if sum(w for w, pick in zip(weights, picks) if pick) <= cap)
+               if sum(w for w, pick in zip(WEIGHTS, picks) if pick) <= CAP)
     assert -sol.objective == pytest.approx(best)
 
 
@@ -98,6 +109,77 @@ def test_resolve_with_cuts_accounting_and_bound_monotonicity():
     assert bounds == sorted(bounds)  # valid cuts never regress the bound
 
 
+def ray_model(kind):
+    m = MilpModel()
+    x = m.add_var("x", CONTINUOUS, 0, np.inf, obj=-1.0)
+    y = m.add_var("y", kind, 0, 5, obj=1.0)
+    m.add_constr("c", [(x, 1.0), (y, -1.0)], GE, 0.0)
+    return m
+
+
+def test_unbounded_status():
+    assert solve(ray_model(CONTINUOUS)).status == Status.UNBOUNDED
+    # HiGHS's MIP presolve says only "unbounded or infeasible", which
+    # scipy.optimize.milp maps to no status either
+    with pytest.raises(milp.ConfigurationError, match="unbounded or infeasible"):
+        solve(ray_model(INTEGER))
+
+
+def test_pure_lp_reports_its_optimum_as_bound():
+    m = MilpModel("lp")
+    x = m.add_var("x", CONTINUOUS, 0, 4, obj=2.0)
+    y = m.add_var("y", CONTINUOUS, 0, 4, obj=3.0)
+    m.add_constr("c", [(x, 1.0), (y, 1.0)], GE, 5.0)
+    sol = solve(m)
+    assert sol.status == Status.OPTIMAL
+    assert sol.objective == pytest.approx(11.0)
+    assert sol.best_bound == sol.objective and sol.gap == 0.0
+    assert sol.values == pytest.approx([4.0, 1.0])
+
+
+def test_highs_core_is_bundled_with_scipy():
+    from scipy.optimize._highspy import _core
+
+    version = tuple(int(v) for v in _core._Highs().version().split(".")[:2])
+    assert version >= (1, 12)
+
+
+def test_duplicate_entries_of_a_row_are_summed():
+    m = MilpModel()
+    x = m.add_var("x", CONTINUOUS, 0, 10, obj=1.0)
+    m.add_constr("c", [(x, 1.0), (x, 2.0)], GE, 6.0)  # 3x >= 6
+    assert solve(m).objective == pytest.approx(2.0)
+
+
+def tsfrag_master():
+    inst = tighten_windows(random_instance(3, n=4, vehicles=2, capacity=3,
+                                           large_share=0.0))
+    net = expand_fragments(inst, enumerate_fragments(inst),
+                           TimeGrid.fixed(inst, 10.0))
+    return build_tsfrag(inst, net)[0]
+
+
+@pytest.mark.parametrize("build", [knapsack_model, tsfrag_master])
+def test_lp_file_reads_back_to_the_same_optimum(tmp_path, build):
+    from scipy.optimize._highspy import _core
+
+    model = build()
+    want = solve(model)
+    assert want.status == Status.OPTIMAL
+    path = tmp_path / "model.lp"
+    write_lp(model, path)
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == _core.HighsStatus.kOk
+    assert highs.getNumCol() == model.num_vars
+    assert highs.getNumRow() == model.num_constrs
+    highs.setOptionValue("mip_rel_gap", milp.MIP_REL_GAP)
+    highs.run()
+    assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
+    got = highs.getInfo().objective_function_value
+    assert got == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+
+
 def test_lp_export_syntax(tmp_path):
     m = MilpModel("export")
     x = m.add_var("x one", INTEGER, 0, 3, obj=2.0)
@@ -128,3 +210,18 @@ def test_scipy_is_imported_with_the_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "True"
+
+
+def test_missing_highs_core_is_a_configuration_error():
+    # a SciPy without the bundled core fails at import, naming its version
+    src = str(Path(darpsv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, scipy\n"
+            "sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "try:\n"
+            "    import darpsv.milp\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, scipy.__version__ in str(exc))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "ConfigurationError True"

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from darpsv.fragments import enumerate_fragments, start_interval
+from darpsv.fragments import enumerate_fragments, feasible_schedule, start_interval
 from darpsv.events import enumerate_events
-from darpsv.instance import random_instance
+from darpsv.instance import (DatasetParams, build_dataset2, random_instance,
+                             tighten_windows)
 from darpsv.timespace import (IDLE, MOVE, TimeGrid, expand_events,
                               expand_fragments)
 
 from conftest import loc_of_node, make_instance
+from test_acceptance import synthetic_base
 
 
 def integerized(seed, n=3, **kw):
@@ -168,3 +170,51 @@ def test_partial_grid_rounds_down():
     assert net.nodes[copy.head].t == pytest.approx(2.0)
     assert copy.end_actual == pytest.approx(2.3)
     assert copy.disc == pytest.approx(0.3)
+
+
+def _refined(inst, grid, rng, points=3):
+    """The grid with a few off-step times inserted at every customer."""
+    fine = TimeGrid(inst, grid.times)
+    for loc in list(inst.pickups) + list(inst.deliveries):
+        lo, hi = inst.earliest[loc], inst.latest[loc]
+        for t in rng.uniform(lo, hi, size=points):
+            fine.insert(loc, float(t))
+    return fine
+
+
+def _network(net):
+    return net.nodes, net.ts_frags, net.arcs
+
+
+def _cache_is_exact(inst, rng):
+    frags = enumerate_fragments(inst)
+    coarse = TimeGrid.fixed(inst, 30.0)
+    expand_fragments(inst, frags, coarse)  # fills the set's timing cache
+    fine = _refined(inst, coarse, rng)
+    cached = expand_fragments(inst, frags, fine)
+    fresh = expand_fragments(inst, enumerate_fragments(inst), fine)
+    assert _network(cached) == _network(fresh)
+    for copy in cached.ts_frags:  # and the schedule oracle, uncached
+        path = frags[copy.frag_id].path
+        assert copy.end_actual == feasible_schedule(
+            inst, path, fixed_start=copy.start_eff).end
+    return len(fresh.ts_frags)
+
+
+def test_fragment_timing_cache_matches_a_fresh_set_after_refinement():
+    # a fragment set keeps start intervals and ends across expansions; over
+    # a refined grid it must give the network a new set gives, copy for copy
+    copies = 0
+    for seed in range(20):
+        inst = tighten_windows(random_instance(seed, n=4 + seed % 3, vehicles=3,
+                                               capacity=3, large_share=0.3))
+        copies += _cache_is_exact(inst, np.random.default_rng(seed))
+    assert copies > 100
+
+
+def test_fragment_timing_cache_on_a_bench_instance():
+    # darp-n24-q6-ddd's instance seed 4
+    base = tighten_windows(synthetic_base(4, n=24, vehicles=3, capacity=6))
+    inst = tighten_windows(build_dataset2(base, DatasetParams(
+        p_de=2.0, p_tw=30, variant="darp", fleet_multiplier=3)))
+    assert _cache_is_exact(inst, np.random.default_rng(4)) > 100
