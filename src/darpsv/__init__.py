@@ -7,10 +7,6 @@ discovery loop that refines coarse time grids to continuous-time optima,
 and an independent validator/brute-force oracle.
 """
 
-# milp, and with it SciPy, is imported first: nested under darpsv.ddd's
-# import, SciPy's import took about 0.1 s longer (perfbench set-up probe,
-# 30 alternating runs on a 2-vCPU VM)
-from .milp import MilpModel, MilpSolution, Status, resolve_with_cuts, solve, write_lp
 from .ddd import SelectionInputs, SelectionResult, ddd_solve, refine_grid, selection_model
 from .events import Event, EventArc, EventNetwork, enumerate_events
 from .formulations import (MethodError, SolveReport, build_abf, build_ebf, build_tsef,
@@ -23,6 +19,7 @@ from .instance import (DatasetParams, Instance, InstanceError,
                        build_dataset2, designate_large, from_json,
                        load_instance, parse_cordeau, random_instance,
                        tighten_windows, to_json)
+from .milp import MilpModel, MilpSolution, Status, resolve_with_cuts, solve, write_lp
 from .timespace import TimeGrid, expand_events, expand_fragments
 from .validate import (Route, RouteSet, Violation, brute_optimum, check,
                        timed_routes)

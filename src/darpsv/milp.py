@@ -2,21 +2,27 @@
 
 Models are built row by row (MilpModel) into flat column lists and COO
 row triples.  solve() converts them once, into a HighsLp with a colwise
-matrix, and runs one session of scipy.optimize._highspy._core._Highs on
-it, with the options and status rules of scipy.optimize.milp.  Models can
-be written in LP file syntax (write_lp).  Lazy constraints are emulated by
-re-solving with the violated rows added (resolve_with_cuts).
+matrix built in numpy, and runs one session of the core's _Highs on it,
+with the options and status rules of scipy.optimize.milp.  The core is
+SciPy's extension module scipy.optimize._highspy._core, loaded from its
+file by path: darpsv never imports scipy.optimize, whose package import
+(with scipy.sparse and scipy.linalg) costs more than most solves here.
+Models can be written in LP file syntax (write_lp).  Lazy constraints are
+emulated by re-solving with the violated rows added (resolve_with_cuts).
 """
 from __future__ import annotations
 
+import os
 import re
+import sys
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 import scipy
-from scipy.sparse import coo_array
 
 from .instance import EPS
 
@@ -42,9 +48,35 @@ class ConfigurationError(RuntimeError):
     """HiGHS failed in a way no solve status describes."""
 
 
-try:  # private SciPy API, present from SciPy 1.17 on
-    from scipy.optimize._highspy import _core as highs_core
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """SciPy's HiGHS extension (private API, present from SciPy 1.17 on),
+    loaded from its file without running scipy/optimize/__init__.py.
+
+    It is loaded under its own name: a later `import scipy.optimize` then
+    gets the same module object from CPython's extension cache, where any
+    other name would register its pybind11 types twice.  An entry already
+    in sys.modules (scipy.optimize imported first) is used as it is."""
+    if _CORE in sys.modules:
+        core = sys.modules[_CORE]
+        if core is None:
+            raise ImportError(f"import of {_CORE} halted; None in sys.modules")
+        return core
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            loader = ExtensionFileLoader(_CORE, path)
+            core = module_from_spec(spec_from_file_location(_CORE, path, loader=loader))
+            loader.exec_module(core)
+            return core
+    raise ImportError(f"no _core extension module in {folder}")
+
+
+try:
+    highs_core = _load_core()
 except ImportError as exc:
     raise ConfigurationError(
         f"darpsv needs the HiGHS core bundled with SciPy >= 1.17; "
@@ -53,9 +85,27 @@ except ImportError as exc:
 _VAR_TYPE = {CONTINUOUS: highs_core.HighsVarType.kContinuous,
              INTEGER: highs_core.HighsVarType.kInteger,
              BINARY: highs_core.HighsVarType.kInteger}
-_LIMITS = (highs_core.HighsModelStatus.kTimeLimit,
-           highs_core.HighsModelStatus.kIterationLimit,
-           highs_core.HighsModelStatus.kSolutionLimit)
+_MS = highs_core.HighsModelStatus
+_LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
+# scipy.optimize.milp's status codes and messages for HiGHS's model
+# statuses (scipy.optimize._linprog_highs._highs_to_scipy_status_message):
+# 0 optimal, 1 stopped at a limit, 2 infeasible, 3 unbounded, 4 failed
+_SCIPY_STATUS = {
+    _MS.kNotset: (4, ""),
+    _MS.kLoadError: (4, ""),
+    _MS.kModelError: (2, ""),
+    _MS.kPresolveError: (4, ""),
+    _MS.kSolveError: (4, ""),
+    _MS.kPostsolveError: (4, ""),
+    _MS.kModelEmpty: (4, ""),
+    _MS.kObjectiveBound: (4, ""),
+    _MS.kObjectiveTarget: (4, ""),
+    _MS.kOptimal: (0, "Optimization terminated successfully. "),
+    _MS.kTimeLimit: (1, "Time limit reached. "),
+    _MS.kIterationLimit: (1, "Iteration limit reached. "),
+    _MS.kInfeasible: (2, "The problem is infeasible. "),
+    _MS.kUnbounded: (3, "The problem is unbounded. "),
+    _MS.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. ")}
 
 
 class MilpModel:
@@ -118,10 +168,21 @@ class MilpModel:
         colwise matrix with duplicate entries summed and row indices
         sorted, the arrays scipy.optimize.milp passes for the same rows."""
         nv, nr = self.num_vars, self.num_constrs
-        A = coo_array((np.array(self.coo_val, dtype=np.float64),
-                       (np.array(self.coo_row, dtype=np.int64),
-                        np.array(self.coo_col, dtype=np.int64))),
-                      shape=(nr, nv)).tocsc()
+        rows = np.array(self.coo_row, dtype=np.int32)
+        cols = np.array(self.coo_col, dtype=np.int32)
+        vals = np.array(self.coo_val, dtype=np.float64)
+        order = np.lexsort((rows, cols))  # stable: duplicates keep their order
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(len(rows), dtype=bool)  # first entry of its cell
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        # duplicates are added one at a time, in the order they were given,
+        # as scipy's coo -> csc conversion does when each column's rows come
+        # in order, as add_constr's do; np.add.reduceat adds a run's later
+        # entries together first, which can differ in the last bit
+        value = vals[first]
+        np.add.at(value, np.cumsum(first)[~first] - 1, vals[~first])
+        start = np.zeros(nv + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols[first], minlength=nv), out=start[1:])
         lp = highs_core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = nv
         lp.num_row_ = lp.a_matrix_.num_row_ = nr
@@ -131,9 +192,9 @@ class MilpModel:
         lp.col_upper_ = np.array(self.col_ub)
         lp.row_lower_ = np.array(self.row_lower)
         lp.row_upper_ = np.array(self.row_upper)
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = rows[first]
+        lp.a_matrix_.value_ = value
         lp.integrality_ = [_VAR_TYPE[kind] for kind in self.col_kind]
         return lp
 
@@ -157,27 +218,33 @@ class MilpSolution:
 
 # -- solving -----------------------------------------------------------------
 
-def _run_highs(lp, time_limit):
-    """One HiGHS session on lp, with scipy.optimize.milp's options and
-    time_limit seconds (None: no limit).  Returns the model status, the
-    info record and the column values; both are None when HiGHS failed
-    before it finished, and the values are None too when the status is
-    neither optimal nor a limit."""
+def _run_highs(lp, time_limit, presolve=True):
+    """One HiGHS session on lp, with scipy.optimize.milp's options (presolve
+    on unless presolve is False) and time_limit seconds (None: no limit).
+    Returns the model status, the info record and the column values; both
+    are None when HiGHS failed before it finished, and the values are None
+    too when the status is neither optimal nor a limit."""
     highs = highs_core._Highs()
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("mip_rel_gap", MIP_REL_GAP)
-    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("presolve", "on" if presolve else "off")
     if time_limit is not None:
         highs.setOptionValue("time_limit", time_limit)
     if highs.passModel(lp) == highs_core.HighsStatus.kError:
-        return highs_core.HighsModelStatus.kModelError, None, None
+        return _MS.kModelError, None, None
     if highs.run() == highs_core.HighsStatus.kError:
         return highs.getModelStatus(), None, None
     status = highs.getModelStatus()
     x = None
-    if status == highs_core.HighsModelStatus.kOptimal or status in _LIMITS:
+    if status == _MS.kOptimal or status in _LIMITS:
         x = np.array(highs.getSolution().col_value)
     return status, highs.getInfo(), x
+
+
+def _time_left(deadline):
+    """HiGHS's time limit for a call made now: what is left until the
+    time.perf_counter() deadline, at least 0.05 s (None: no limit)."""
+    return None if deadline is None else max(deadline - time.perf_counter(), 0.05)
 
 
 def solve(model: MilpModel, deadline=None) -> MilpSolution:
@@ -186,14 +253,23 @@ def solve(model: MilpModel, deadline=None) -> MilpSolution:
     if model.num_vars == 0:
         return MilpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0.0, 0.0, 0.0)
     lp = model.to_highs()
-    time_limit = (None if deadline is None
-                  else max(deadline - time.perf_counter(), 0.05))
+    time_limit = _time_left(deadline)
     start = time.perf_counter()
     status, info, x = _run_highs(lp, time_limit)
+    if status == _MS.kUnboundedOrInfeasible:
+        # HiGHS's MIP presolve does not tell these apart; a run without it does
+        status, info, x = _run_highs(lp, _time_left(deadline), presolve=False)
     elapsed = time.perf_counter() - start
-    code, message = _highs_to_scipy_status_message(status, status.name)
     mip = INTEGER in model.col_kind or BINARY in model.col_kind
-    if x is not None and status != highs_core.HighsModelStatus.kOptimal and (
+    return _solution(status, info, x, mip, elapsed)
+
+
+def _solution(status, info, x, mip, elapsed) -> MilpSolution:
+    """The MilpSolution of a HiGHS outcome (_run_highs's status, info and x)
+    of a MIP or, if not mip, a pure LP, that took elapsed seconds."""
+    code, message = _SCIPY_STATUS.get(
+        status, (4, "The HiGHS status code was not recognized. "))
+    if x is not None and status != _MS.kOptimal and (
             not mip or info.objective_function_value == highs_core.kHighsInf):
         x = None  # a MIP at a limit keeps its incumbent, if it has one
     if code == 0:
@@ -208,12 +284,17 @@ def solve(model: MilpModel, deadline=None) -> MilpSolution:
                             float(info.objective_function_value),
                             float(info.mip_dual_bound), elapsed, info.mip_gap)
     if code == 1:
-        return MilpSolution(Status.TIME_LIMIT, None, None, None, elapsed, None)
+        # a MIP stopped before its first incumbent still has a dual bound
+        bound = info.mip_dual_bound if mip and info is not None else np.nan
+        return MilpSolution(Status.TIME_LIMIT, None, None,
+                            float(bound) if np.isfinite(bound) else None,
+                            elapsed, None)
     if code == 2:
         return MilpSolution(Status.INFEASIBLE, None, None, None, elapsed, None)
     if code == 3:
         return MilpSolution(Status.UNBOUNDED, None, None, None, elapsed, None)
-    raise ConfigurationError(f"HiGHS solve failed: {message}")
+    raise ConfigurationError(
+        f"HiGHS solve failed: {message}(HiGHS Status {int(status)}: {status.name})")
 
 
 @dataclass
@@ -233,23 +314,25 @@ def resolve_with_cuts(model: MilpModel, cut_generator, deadline=None):
 
     cut_generator(solution) returns a list of (name, coeffs, sense, rhs)
     tuples; an empty list terminates the loop.  Emulates lazy-constraint
-    callbacks, which scipy does not expose.  Past the deadline the loop
-    returns TIME_LIMIT with the best bound so far.
+    callbacks, which scipy does not expose.  At the deadline the loop
+    returns TIME_LIMIT with the best bound so far, its last solve's
+    included.
     """
     info = CutLoop()
     prev_bound = -np.inf
     while True:
         if deadline is not None and time.perf_counter() >= deadline:
-            return MilpSolution(Status.TIME_LIMIT, None, None,
-                                prev_bound if np.isfinite(prev_bound) else None,
-                                0.0), info
-        sol = solve(model, deadline)
-        info.solves += 1
-        if not sol.ok:
-            return sol, info
+            sol = MilpSolution(Status.TIME_LIMIT, None, None, None, 0.0)
+        else:
+            sol = solve(model, deadline)
+            info.solves += 1
         if sol.best_bound is not None:
             # valid cuts never push the relaxation below a previous bound
             prev_bound = max(prev_bound, sol.best_bound)
+        if sol.status == Status.TIME_LIMIT:
+            sol.best_bound = prev_bound if np.isfinite(prev_bound) else None
+        if not sol.ok:
+            return sol, info
         cuts = cut_generator(sol)
         if not cuts:
             return sol, info

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,10 +120,64 @@ def ray_model(kind):
 
 def test_unbounded_status():
     assert solve(ray_model(CONTINUOUS)).status == Status.UNBOUNDED
-    # HiGHS's MIP presolve says only "unbounded or infeasible", which
-    # scipy.optimize.milp maps to no status either
+    # HiGHS's MIP presolve says only "unbounded or infeasible"; the run
+    # without presolve that follows tells which
+    assert solve(ray_model(INTEGER)).status == Status.UNBOUNDED
+
+
+@pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
+def test_infeasible_ray_model(kind):
+    m = ray_model(kind)
+    m.add_constr("y7", [(1, 1.0)], GE, 7.0)  # above y's upper bound of 5
+    assert solve(m).status == Status.INFEASIBLE
+
+
+def test_undecided_after_the_run_without_presolve_is_a_configuration_error(monkeypatch):
+    runs = []
+
+    def undecided(lp, time_limit, presolve=True):
+        runs.append(presolve)
+        return milp._MS.kUnboundedOrInfeasible, None, None
+
+    monkeypatch.setattr(milp, "_run_highs", undecided)
     with pytest.raises(milp.ConfigurationError, match="unbounded or infeasible"):
         solve(ray_model(INTEGER))
+    assert runs == [True, False]
+
+
+def stopped_info(bound):
+    """A HiGHS info record of a MIP stopped with no incumbent."""
+    return SimpleNamespace(objective_function_value=milp.highs_core.kHighsInf,
+                           mip_dual_bound=bound, mip_gap=np.inf)
+
+
+@pytest.mark.parametrize("bound, want", [(3.5, 3.5), (-np.inf, None),
+                                         (np.inf, None)])
+def test_mip_stopped_without_incumbent_keeps_a_finite_bound(bound, want):
+    for x in (None, np.zeros(2)):  # HiGHS returns a column vector at a limit
+        sol = milp._solution(milp._MS.kTimeLimit, stopped_info(bound), x,
+                             True, 0.1)
+        assert sol.status == Status.TIME_LIMIT and sol.values is None
+        assert sol.best_bound == want
+    # a pure LP has no MIP bound
+    lp = milp._solution(milp._MS.kTimeLimit, stopped_info(bound), np.zeros(2),
+                        False, 0.1)
+    assert lp.status == Status.TIME_LIMIT and lp.best_bound is None
+
+
+@pytest.mark.parametrize("last_bound, want", [(3.0, 4.0), (5.0, 5.0),
+                                              (None, 4.0)])
+def test_resolve_with_cuts_stopped_keeps_the_larger_bound(monkeypatch,
+                                                          last_bound, want):
+    sols = iter([milp.MilpSolution(Status.OPTIMAL, np.zeros(1), 4.0, 4.0, 0.0),
+                 milp.MilpSolution(Status.TIME_LIMIT, None, None, last_bound,
+                                   0.0)])
+    monkeypatch.setattr(milp, "solve", lambda model, deadline=None: next(sols))
+    m = MilpModel()
+    x = m.add_var("x", INTEGER, 0, 10, obj=1.0)
+    sol, info = resolve_with_cuts(m, lambda s: [("cut", [(x, 1.0)], GE, 5.0)])
+    assert sol.status == Status.TIME_LIMIT and info.solves == 2
+    assert sol.best_bound == want
 
 
 def test_pure_lp_reports_its_optimum_as_bound():
@@ -201,15 +256,96 @@ def test_resolve_with_cuts_exhausted_budget_returns_time_limit():
     assert sol.status == Status.TIME_LIMIT and info.solves == 0
 
 
-def test_scipy_is_imported_with_the_module():
-    # importing SciPy inside solve() would bill ~0.5 s of import time to the
-    # first solve of a process
+def run_python(code):
+    """stdout of code run in a fresh interpreter that imports this darpsv."""
     src = str(Path(darpsv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, darpsv.milp; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "True"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_only_the_highs_core_of_scipy_is_loaded():
+    # scipy.optimize's package import, with scipy.sparse and scipy.linalg,
+    # took 0.5 s of the 0.7 s that importing darpsv took (2-vCPU VM)
+    code = ("import os, sys, scipy, darpsv\n"
+            "core = darpsv.milp.highs_core\n"
+            "folder = os.path.join(scipy.__path__[0], 'optimize', '_highspy')\n"
+            "print(core.__name__, os.path.dirname(core.__file__) == folder)\n"
+            "print(*(name in sys.modules for name in\n"
+            "        ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')))\n")
+    assert run_python(code) == ["scipy.optimize._highspy._core", "True",
+                                "False", "False", "False"]
+
+
+SCIPY_MILP = ("import numpy as np, scipy.optimize\n"
+              "res = scipy.optimize.milp(\n"
+              "    [1.0], integrality=[1], bounds=scipy.optimize.Bounds(0, 9),\n"
+              "    constraints=scipy.optimize.LinearConstraint([[2.0]], 3, np.inf))\n"
+              "print(res.status, res.fun)\n")
+DARPSV_MILP = ("import darpsv\n"
+               "from darpsv.milp import GE, INTEGER, MilpModel, solve\n"
+               "m = MilpModel()\n"
+               "m.add_constr('c', [(m.add_var('x', INTEGER, 0, 9, 1.0), 2.0)], GE, 3)\n"
+               "sol = solve(m)\n"
+               "print(sol.status, sol.objective)\n")
+
+
+@pytest.mark.parametrize("order", [[DARPSV_MILP, SCIPY_MILP],
+                                   [SCIPY_MILP, DARPSV_MILP]],
+                         ids=["darpsv-first", "scipy-first"])
+def test_darpsv_and_scipy_optimize_share_the_highs_core(order):
+    # one module object whatever the import order: loaded twice, HiGHS's
+    # pybind11 types would be registered twice
+    check = "print(darpsv.milp.highs_core is scipy.optimize._highspy._core)\n"
+    printed = {DARPSV_MILP: ["optimal", "2.0"], SCIPY_MILP: ["0", "2.0"]}
+    assert run_python("".join(order) + check) == [
+        *printed[order[0]], *printed[order[1]], "True"]
+
+
+def random_model(rng, nr, nv, dups):
+    """A model whose rows name random columns; each cell named at all is
+    named once or, with dups, up to three times.  Columns beyond those
+    drawn stay empty, as do rows that draw no column."""
+    m = MilpModel("random")
+    for j in range(nv):
+        m.add_var(f"x{j}")
+    for r in range(nr):
+        cells = rng.choice(nv, size=rng.integers(0, min(nv, 6) + 1), replace=False)
+        coeffs = []
+        for j in cells:
+            coeffs += [(int(j), float(v))
+                       for v in rng.normal(size=rng.integers(1, 4) if dups else 1)]
+        rng.shuffle(coeffs)
+        m.add_constr(f"c{r}", coeffs, GE, 0.0)
+    return m
+
+
+def test_colwise_matrix_equals_scipys():
+    from scipy.sparse import coo_array
+
+    rng = np.random.default_rng(7)
+    models = [random_model(rng, int(rng.integers(0, 30)), int(rng.integers(1, 30)),
+                           dups=k % 2 == 1) for k in range(40)]
+    no_entries = MilpModel("no entries")
+    no_entries.add_var("x")
+    no_entries.add_constr("c", [], GE, 0.0)
+    models.append(no_entries)
+    counts = set()  # entries per named cell, over all models
+    empty_row = empty_col = False
+    for model in models:
+        rows = np.array(model.coo_row, dtype=np.int64)
+        cols = np.array(model.coo_col, dtype=np.int64)
+        a = model.to_highs().a_matrix_
+        want = coo_array((np.array(model.coo_val, dtype=np.float64), (rows, cols)),
+                         shape=(model.num_constrs, model.num_vars)).tocsc()
+        assert np.array_equal(a.start_, want.indptr)
+        assert np.array_equal(a.index_, want.indices)
+        assert np.array(a.value_, dtype=np.float64).tobytes() == want.data.tobytes()
+        counts.update(np.unique(rows * model.num_vars + cols, return_counts=True)[1])
+        empty_row |= (np.bincount(rows, minlength=model.num_constrs) == 0).any()
+        empty_col |= (np.bincount(cols, minlength=model.num_vars) == 0).any()
+    assert empty_row and empty_col
+    assert {1, 2, 3} <= counts
 
 
 def test_missing_highs_core_is_a_configuration_error():
