@@ -8,11 +8,12 @@ solve (formulations.solve_report): a proven optimum when the master is
 optimal, its paths timed by their earliest joint schedule; otherwise the
 flagged arcs gain time points and the loop repeats.  The running bound
 takes a master's objective only when that master is optimal, and its
-best bound otherwise, so a master stopped by the deadline never raises
-the bound above the optimum.  For the event mode the master's ride
-rows act on discrete stamps only, so the bound can cut feasible paths; the
-result is labeled approximate, and when refinement can no longer lengthen
-the paths it ends as a RELAXATION with the masters' bound.
+best bound otherwise, also when it stopped before its first incumbent, so
+a master stopped by the deadline never raises the bound above the
+optimum.  For the event mode the master's ride rows act on discrete stamps
+only, so the bound can cut feasible paths; the result is labeled
+approximate, and when refinement can no longer lengthen the paths it ends
+as a RELAXATION with the masters' bound.
 
 Each iteration runs one selection and one refinement, and in the fragment
 mode refinement grows the grid whenever Z != 0.  An arc that an optimal
@@ -252,19 +253,24 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         total_cuts += info.num_cuts
         physical_cuts.extend(cut_sets)
         stats = dict(base_stats, **net.stats())
-        if not sol.ok:
+        if sol.status == Status.INFEASIBLE:
             # an infeasible partial network is a relaxation, so the instance
             # itself is infeasible (event mode: up to the documented ride-row
             # caveat) and no bound is reported
-            sol = _stopped(sol.status,
-                           None if sol.status == Status.INFEASIBLE else bound)
+            sol = _stopped(sol.status, None)
             break
-        if bound is not None and mode == "tsfrag" and sol.objective < bound - 1e-6:
+        if (sol.ok and bound is not None and mode == "tsfrag"
+                and sol.objective < bound - 1e-6):
             raise AssertionError(
                 f"lower bound regressed: {sol.objective} < {bound} at k={k}")
+        # a master stopped before its first incumbent still has a dual bound
         master_bound = (sol.objective if sol.status == Status.OPTIMAL
                         else sol.best_bound)
-        bound = master_bound if bound is None else max(bound, master_bound)
+        if master_bound is not None:
+            bound = master_bound if bound is None else max(bound, master_bound)
+        if not sol.ok:
+            sol = _stopped(sol.status, bound)
+            break
         inputs = inputs_of(inst, net, walks)
         # sel.z is None without a schedule
         sel = selection_model(inst, inputs, deadline=deadline)

@@ -3,10 +3,16 @@
 Models are built row by row (MilpModel) into flat column lists and COO
 row triples.  solve() converts them once, into a HighsLp with a colwise
 matrix built in numpy, and runs one session of the core's _Highs on it,
-with the options and status rules of scipy.optimize.milp.  The core is
-SciPy's extension module scipy.optimize._highspy._core, loaded from its
-file by path: darpsv never imports scipy.optimize, whose package import
-(with scipy.sparse and scipy.linalg) costs more than most solves here.
+with the options and status rules of scipy.optimize.milp, except that
+HiGHS's Feasibility Jump heuristic is off.  Its start-up costs about
+10 ms on every MIP that presolve does not empty, while the MIPs here close
+at the root node after at most a few hundred simplex iterations: a DDD
+selection model of about 160 columns took 8-14 ms with it and 1.3-1.8 ms
+without, and no status or objective of the benchmark's solves changed.
+The core is SciPy's extension module scipy.optimize._highspy._core,
+loaded from its file by path: darpsv never imports scipy.optimize, whose
+package import (with scipy.sparse and scipy.linalg) costs more than most
+solves here.
 Models can be written in LP file syntax (write_lp).  Lazy constraints are
 emulated by re-solving with the violated rows added (resolve_with_cuts).
 """
@@ -33,6 +39,12 @@ BINARY = "binary"
 LE, GE, EQ = "<=", ">=", "="
 
 MIP_REL_GAP = 1e-9  # every MILP here is solved to proven optimality
+
+# every session's options but presolve and time_limit: scipy.optimize.milp's
+# with disp=False, and Feasibility Jump off (see the module docstring)
+_HIGHS_OPTIONS = {"log_to_console": False,
+                  "mip_rel_gap": MIP_REL_GAP,
+                  "mip_heuristic_run_feasibility_jump": False}
 
 
 class Status:
@@ -218,18 +230,30 @@ class MilpSolution:
 
 # -- solving -----------------------------------------------------------------
 
+def _session(time_limit, presolve=True):
+    """A HiGHS session with _HIGHS_OPTIONS, presolve on unless presolve is
+    False, and time_limit seconds (None: no limit).  Raises
+    ConfigurationError naming an option HiGHS does not accept: HiGHS itself
+    only logs it and goes on without it."""
+    highs = highs_core._Highs()
+    options = dict(_HIGHS_OPTIONS, presolve="on" if presolve else "off")
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != highs_core.HighsStatus.kOk:
+            raise ConfigurationError(f"HiGHS rejected option {name} = {value!r}")
+    return highs
+
+
 def _run_highs(lp, time_limit, presolve=True):
-    """One HiGHS session on lp, with scipy.optimize.milp's options (presolve
-    on unless presolve is False) and time_limit seconds (None: no limit).
+    """One HiGHS session on lp, with scipy.optimize.milp's options but
+    Feasibility Jump off, whose start-up takes longer than most of these
+    solves do without it (_HIGHS_OPTIONS; presolve on unless presolve is
+    False), and time_limit seconds (None: no limit).
     Returns the model status, the info record and the column values; both
     are None when HiGHS failed before it finished, and the values are None
     too when the status is neither optimal nor a limit."""
-    highs = highs_core._Highs()
-    highs.setOptionValue("log_to_console", False)
-    highs.setOptionValue("mip_rel_gap", MIP_REL_GAP)
-    highs.setOptionValue("presolve", "on" if presolve else "off")
-    if time_limit is not None:
-        highs.setOptionValue("time_limit", time_limit)
+    highs = _session(time_limit, presolve)
     if highs.passModel(lp) == highs_core.HighsStatus.kError:
         return _MS.kModelError, None, None
     if highs.run() == highs_core.HighsStatus.kError:

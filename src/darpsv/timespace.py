@@ -156,39 +156,49 @@ class _TsBase:
             self.nodes.append(TsNode(*key))
         return nid
 
-    def link(self, tail, head, i, j, times, event_arc=-1):
-        """Add the copies of location arc i -> j that leave place tail at
-        the grid times in times and land at place head (in the fragment
-        network a place is its location), by the landing rule of the
-        module docstring."""
+    def link(self, tail, i, heads, times, event_arc=-1):
+        """Add the copies of the location arcs i -> j, for (head, j) in
+        heads, that leave place tail at the grid times in times and land at
+        place head (in the fragment network a place is its location), by
+        the landing rule of the module docstring.  Copies are added by
+        departure time, and for each time in the order of heads; times
+        ascend, so an arc its first departure overshoots gets no copy."""
         inst = self.inst
-        travel = self._travel[i][j]
-        early, late = self._early[j], self._late[j]
-        cutoff = late + EPS
-        to_dest = j == inst.destination
-        ts = self.grid.times[j]
-        terms = self._terms.get((i, j))
-        for t in times:
-            arrival = t + travel
-            if arrival < early:  # max(), without its call
-                arrival = early
-            if arrival > cutoff:
+        targets = []  # each arc's constants, read once per call
+        for head, j in heads:
+            travel, late = self._travel[i][j], self._late[j]
+            if times[0] + travel > late + EPS:
                 continue
-            if to_dest:  # every return lands at l_j, with no loss
-                r, loss = late, 0.0
-            else:
-                k = bisect_right(ts, arrival + GRID_TOL) - 1
-                if k < 0:  # before j's grid
-                    continue
-                r = ts[k]
-                loss = arrival - r
+            terms = self._terms.get((i, j))
             if terms is None:
                 terms = self._terms[i, j] = (
                     DEPOT_OUT if i == inst.origin else
-                    DEPOT_IN if to_dest else MOVE,
+                    DEPOT_IN if j == inst.destination else MOVE,
                     float(inst.travel_cost[i, j]), inst.arc_cap(i, j))
-            self.arcs.append(TsArc(self.node(tail, t), self.node(head, r), (i, j),
-                                   *terms, loss, event_arc))
+            # a return to the destination lands at l_j, with no loss
+            ts = None if j == inst.destination else self.grid.times[j]
+            targets.append((head, (i, j), travel, self._early[j], late + EPS,
+                            late, ts, terms))
+        for t in times:
+            tail_id = None
+            for head, loc_arc, travel, early, cutoff, late, ts, terms in targets:
+                arrival = t + travel
+                if arrival < early:  # max(), without its call
+                    arrival = early
+                if arrival > cutoff:
+                    continue
+                if ts is None:
+                    r, loss = late, 0.0
+                else:
+                    k = bisect_right(ts, arrival + GRID_TOL) - 1
+                    if k < 0:  # before j's grid
+                        continue
+                    r = ts[k]
+                    loss = arrival - r
+                if tail_id is None:
+                    tail_id = self.node(tail, t)
+                self.arcs.append(TsArc(tail_id, self.node(head, r), loc_arc,
+                                       *terms, loss, event_arc))
 
     def idle(self, place, loc):
         """Waiting arcs between consecutive grid times of loc at place."""
@@ -306,14 +316,11 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
     # node arcs: delivery -> pickup moves (idle arcs shift departures
     # later), depot departures and returns
     for d in inst.deliveries:
-        for t in grid[d]:
-            for p in inst.pickups:
-                if p != d - inst.n:  # a same-customer return only feeds subtours
-                    net.link(d, p, d, p, (t,))
-    for p in inst.pickups:
-        net.link(origin, p, origin, p, (t_min,))
+        # a same-customer return only feeds subtours
+        net.link(d, d, [(p, p) for p in inst.pickups if p != d - inst.n], grid[d])
+    net.link(origin, origin, [(p, p) for p in inst.pickups], (t_min,))
     for d in inst.deliveries:
-        net.link(d, dest, d, dest, grid[d])
+        net.link(d, d, [(dest, dest)], grid[d])
     for loc in list(inst.pickups) + list(inst.deliveries):
         net.idle(loc, loc)
 
@@ -355,7 +362,7 @@ def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
 
     for aid, arc in enumerate(enet.arcs):
         i, j = arc.loc_arc
-        net.link(arc.tail, arc.head, i, j,
+        net.link(arc.tail, i, [(arc.head, j)],
                  (t_min,) if i == inst.origin else grid[i], aid)
     for ev_id, ev in enumerate(enet.events):
         if ev_id not in (enet.origin_id, enet.dest_id):

@@ -395,6 +395,35 @@ def test_master_stopped_with_incumbent_is_never_optimal(monkeypatch):
     assert report.objective == pytest.approx(report.bound + 1.0)
 
 
+def test_master_stopped_without_incumbent_reports_its_own_bound(monkeypatch):
+    # the first master whose optimum is above the running bound comes back
+    # as if the deadline stopped it before its first incumbent, with that
+    # optimum as dual bound: the report carries it
+    inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
+                                           large_share=0.0))
+    separate = ddd.separate_subtours
+    masters = []  # optima of the masters solved to the end
+    stopped_bound = []
+
+    def stopped(*args):
+        sol, info, walks, cut_sets = separate(*args)
+        if masters and sol.objective > max(masters) + 1e-6:
+            stopped_bound.append(sol.objective)
+            sol = milp.MilpSolution(milp.Status.TIME_LIMIT, None, None,
+                                    sol.objective, sol.solve_seconds)
+        else:
+            masters.append(sol.objective)
+        return sol, info, walks, cut_sets
+
+    monkeypatch.setattr(ddd, "separate_subtours", stopped)
+    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=60)
+    assert len(stopped_bound) == 1
+    assert report.status == "time_limit"
+    assert report.objective is None and report.routes is None
+    assert report.history[-1].bound == pytest.approx(max(masters))
+    assert report.bound == pytest.approx(stopped_bound[0])
+
+
 def test_selection_time_limit_ends_the_solve_with_its_bound(
         subtour_regression, monkeypatch):
     timed_out = milp.MilpSolution(milp.Status.TIME_LIMIT, None, None, None, 0.0)

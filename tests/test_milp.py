@@ -192,6 +192,29 @@ def test_pure_lp_reports_its_optimum_as_bound():
     assert sol.values == pytest.approx([4.0, 1.0])
 
 
+@pytest.mark.parametrize("time_limit, presolve", [(None, True), (2.5, False)])
+def test_a_session_reads_back_every_option(time_limit, presolve):
+    # scipy.optimize.milp's options, with Feasibility Jump off
+    want = {"log_to_console": False, "mip_rel_gap": 1e-9,
+            "mip_heuristic_run_feasibility_jump": False,
+            "presolve": "on" if presolve else "off",
+            "time_limit": np.inf if time_limit is None else time_limit}
+    highs = milp._session(time_limit, presolve)
+    for name, value in want.items():
+        assert highs.getOptionValue(name) == (milp.highs_core.HighsStatus.kOk,
+                                              value), name
+
+
+@pytest.mark.parametrize("name, value", [("no_such_option", 1),
+                                         ("mip_rel_gap", "tight")])
+def test_an_option_highs_rejects_is_a_configuration_error(monkeypatch, name,
+                                                          value):
+    # HiGHS itself returns kError, logs it and solves without the option
+    monkeypatch.setitem(milp._HIGHS_OPTIONS, name, value)
+    with pytest.raises(milp.ConfigurationError, match=name):
+        solve(knapsack_model())
+
+
 def test_highs_core_is_bundled_with_scipy():
     from scipy.optimize._highspy import _core
 
