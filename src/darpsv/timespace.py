@@ -19,7 +19,6 @@ service starts there.  Both networks expand their arcs by the same rules:
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .instance import EPS, Instance
@@ -89,8 +88,7 @@ class TsNode(NamedTuple):
     t: float
 
 
-@dataclass(frozen=True)
-class TsFragment:
+class TsFragment(NamedTuple):
     """One time-space copy of a physical fragment.
 
     start_eff is the earliest feasible departure mapping to the grid start
@@ -111,8 +109,7 @@ class TsFragment:
 MOVE, IDLE, DEPOT_OUT, DEPOT_IN = "move", "idle", "depot_out", "depot_in"
 
 
-@dataclass(frozen=True)
-class TsArc:
+class TsArc(NamedTuple):
     tail: int
     head: int
     loc_arc: tuple
@@ -123,22 +120,14 @@ class TsArc:
     event_arc: int = -1  # event-mode: originating event arc id
 
 
-def _moved(el, tail, head):
-    """Copy of a frozen element with new end nodes.  Same as
-    dataclasses.replace (the element classes have no __post_init__), but
-    replace() inspects the fields on every call, which made
-    expand_fragments about 9% slower."""
-    new = object.__new__(type(el))
-    new.__dict__.update(el.__dict__, tail=tail, head=head)
-    return new
-
-
 class _TsBase:
     def __init__(self, inst, grid):
         self.inst = inst
         self.grid = grid
         self.nodes = []
         self.node_index = {}
+        self._ids = {}  # (place, unrounded t) -> node id
+        # TsArc fields as plain tuples until prune() builds each kept arc
         self.arcs = []
         self._terms = {}  # (i, j) -> kind, cost and cap of its copies
         # plain-float copies, so link() reads each arc's constants once
@@ -147,13 +136,17 @@ class _TsBase:
         self._late = inst.latest.tolist()
 
     def node(self, place, t):
-        # a plain tuple finds the same entry as the TsNode it equals, and
-        # takes a tenth of the time to build
-        key = (place, round(float(t), 9))
-        nid = self.node_index.get(key)
+        """Id of the node of place at time t, keyed by t rounded to 9
+        decimals; each (place, t) is rounded once."""
+        nid = self._ids.get((place, t))
         if nid is None:
-            nid = self.node_index[key] = len(self.nodes)
-            self.nodes.append(TsNode(*key))
+            # a plain tuple finds the same entry as the TsNode it equals
+            key = (place, round(float(t), 9))
+            nid = self.node_index.get(key)
+            if nid is None:
+                nid = self.node_index[key] = len(self.nodes)
+                self.nodes.append(TsNode(*key))
+            self._ids[place, t] = nid
         return nid
 
     def link(self, tail, i, heads, times, event_arc=-1):
@@ -197,38 +190,47 @@ class _TsBase:
                     loss = arrival - r
                 if tail_id is None:
                     tail_id = self.node(tail, t)
-                self.arcs.append(TsArc(tail_id, self.node(head, r), loc_arc,
-                                       *terms, loss, event_arc))
+                self.arcs.append((tail_id, self.node(head, r), loc_arc,
+                                  *terms, loss, event_arc))
 
     def idle(self, place, loc):
         """Waiting arcs between consecutive grid times of loc at place."""
-        ts = self.grid[loc]
+        ids = [self.node(place, t) for t in self.grid[loc]]
         cap = self.inst.arc_cap(loc, loc)
-        for a, b in zip(ts, ts[1:]):
-            self.arcs.append(TsArc(self.node(place, a), self.node(place, b),
-                                   (loc, loc), IDLE, 0.0, cap, 0.0))
+        self.arcs.extend((a, b, (loc, loc), IDLE, 0.0, cap, 0.0, -1)
+                         for a, b in zip(ids, ids[1:]))
 
-    def prune(self, *groups):
-        """Keep the nodes that lie on some origin->destination path,
-        renumbered in order, and return each element group without the
-        elements that touch a dropped node."""
+    def prune(self, copies=()):
+        """Keep the nodes that lie on some origin->destination path of the
+        arcs and the raw copies (tuples that start with their tail and head
+        ids), renumbered in order, and build each arc that touches no
+        dropped node.  Returns the new id of each old node, -1 if dropped."""
         heads = [[] for _ in self.nodes]
         tails = [[] for _ in self.nodes]
-        for group in groups:
+        for group in (copies, self.arcs):
             for el in group:
-                heads[el.tail].append(el.head)
-                tails[el.head].append(el.tail)
+                heads[el[0]].append(el[1])
+                tails[el[1]].append(el[0])
         keep = (reachable(self.origin_node, heads.__getitem__)
                 & reachable(self.dest_node, tails.__getitem__))
         keep |= {self.origin_node, self.dest_node}
-        remap = {old_id: k for k, old_id in enumerate(sorted(keep))}
-        self.nodes = [self.nodes[old_id] for old_id in remap]
+        kept = sorted(keep)
+        remap = [-1] * len(self.nodes)
+        for new_id, old_id in enumerate(kept):
+            remap[old_id] = new_id
+        self.nodes = [self.nodes[old_id] for old_id in kept]
         self.node_index = {n: i for i, n in enumerate(self.nodes)}
+        self._ids = None  # keyed by the old ids
         self.origin_node = remap[self.origin_node]
         self.dest_node = remap[self.dest_node]
-        return [[_moved(el, remap[el.tail], remap[el.head])
-                 for el in group if el.tail in remap and el.head in remap]
-                for group in groups]
+        arcs = []
+        for tail, head, loc_arc, kind, cost, cap, disc, event_arc in self.arcs:
+            tail, head = remap[tail], remap[head]
+            if tail >= 0 and head >= 0:
+                arcs.append(TsArc(tail, head, loc_arc, kind, cost, cap, disc,
+                                  event_arc))
+        self.arcs = arcs
+        return remap
 
     def index(self):
         """Adjacency lists, built once the network is final."""
@@ -292,6 +294,7 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
     net.origin_node = net.node(origin, t_min)
     net.dest_node = net.node(dest, float(inst.latest[dest]))
 
+    copies = []  # TsFragment fields as tuples, tail and head first
     for fid, frag in enumerate(frags):
         interval = frags.interval(fid)
         if interval is None:
@@ -307,11 +310,8 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
                 continue
             end = frags.end_from(fid, s_eff)
             r = grid.round_down(frag.end, end)
-            tail = net.node(frag.start, t)
-            head = net.node(frag.end, r)
-            copy = TsFragment(fid, tail, head, frag.vehicles, frag.cost,
-                              s_eff, end, end - r)
-            net.ts_frags.append(copy)
+            copies.append((net.node(frag.start, t), net.node(frag.end, r), fid,
+                           frag.vehicles, frag.cost, s_eff, end, end - r))
 
     # node arcs: delivery -> pickup moves (idle arcs shift departures
     # later), depot departures and returns
@@ -324,7 +324,12 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
     for loc in list(inst.pickups) + list(inst.deliveries):
         net.idle(loc, loc)
 
-    net.ts_frags, net.arcs = net.prune(net.ts_frags, net.arcs)
+    remap = net.prune(copies)
+    for tail, head, fid, vehicles, cost, s_eff, end, disc in copies:
+        tail, head = remap[tail], remap[head]
+        if tail >= 0 and head >= 0:
+            net.ts_frags.append(TsFragment(fid, tail, head, vehicles, cost,
+                                           s_eff, end, disc))
     net.index()
     return net
 
@@ -367,6 +372,6 @@ def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
     for ev_id, ev in enumerate(enet.events):
         if ev_id not in (enet.origin_id, enet.dest_id):
             net.idle(ev_id, ev.loc)
-    net.arcs = net.prune(net.arcs)[0]
+    net.prune()
     net.index()
     return net
