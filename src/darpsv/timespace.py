@@ -2,7 +2,8 @@
 
 Grids are per-location sorted time lists, and a node is a place (a
 location, or an event of the event network) at a grid time: the time
-service starts there.  Both networks expand their arcs by the same rules:
+service starts there.  Both networks expand their arcs by the first two
+rules, the fragment network by all three:
 
 - landing (_TsBase.link): an arc i -> j left at t arrives at
   a = max(t + T_ij, e_j), waiting for j's window, is dropped when a > l_j
@@ -15,6 +16,14 @@ service starts there.  Both networks expand their arcs by the same rules:
 - cap (Instance.arc_cap): at most that many synchronized vehicles share an
   arc, the smaller requirement of its two locations, a depot end taking
   the other end's.
+- dominance (fragment network only): of the departures of one location
+  arc that land at the same head node, only the latest gets a copy.
+  Flow on an earlier copy can wait and take the kept one instead: waiting
+  is free, and every cap still holds, since only the copies of one
+  customer's fragments end at its delivery or start at its pickup, and
+  its cover row lets them carry at most its requirement.  The kept copy
+  also has the smallest rounding loss.  Event networks keep every
+  departure, because TSEF's ride rows read the departure stamps.
 """
 from __future__ import annotations
 
@@ -121,6 +130,9 @@ class TsArc(NamedTuple):
 
 
 class _TsBase:
+    # every departure gets its copy: TSEF's ride rows read the stamps
+    latest_only = False
+
     def __init__(self, inst, grid):
         self.inst = inst
         self.grid = grid
@@ -153,9 +165,14 @@ class _TsBase:
         """Add the copies of the location arcs i -> j, for (head, j) in
         heads, that leave place tail at the grid times in times and land at
         place head (in the fragment network a place is its location), by
-        the landing rule of the module docstring.  Copies are added by
-        departure time, and for each time in the order of heads; times
-        ascend, so an arc its first departure overshoots gets no copy."""
+        the landing rule of the module docstring.
+
+        With latest_only, a departure gets a copy only when the next time
+        in times lands elsewhere, lands past the window, or does not exist:
+        landings never move back as t grows, so that copy is the latest
+        departure to its head node.  Copies are added by departure time,
+        and for each time in the order of heads; times ascend, so an arc
+        its first departure overshoots gets no copy."""
         inst = self.inst
         targets = []  # each arc's constants, read once per call
         for head, j in heads:
@@ -172,26 +189,39 @@ class _TsBase:
             ts = None if j == inst.destination else self.grid.times[j]
             targets.append((head, (i, j), travel, self._early[j], late + EPS,
                             late, ts, terms))
-        for t in times:
-            tail_id = None
-            for head, loc_arc, travel, early, cutoff, late, ts, terms in targets:
+        # each target's copies by departure; times ascend, and with them
+        # arrivals, so a target's walk ends at its first overshoot
+        copies = [[] for _ in times]
+        for head, loc_arc, travel, early, cutoff, late, ts, terms in targets:
+            held = None  # latest_only: (k, copy) of the last landing
+            for k, t in enumerate(times):
                 arrival = t + travel
                 if arrival < early:  # max(), without its call
                     arrival = early
                 if arrival > cutoff:
-                    continue
+                    break
                 if ts is None:
                     r, loss = late, 0.0
                 else:
-                    k = bisect_right(ts, arrival + GRID_TOL) - 1
-                    if k < 0:  # before j's grid
+                    m = bisect_right(ts, arrival + GRID_TOL) - 1
+                    if m < 0:  # before j's grid
                         continue
-                    r = ts[k]
+                    r = ts[m]
                     loss = arrival - r
-                if tail_id is None:
-                    tail_id = self.node(tail, t)
-                self.arcs.append((tail_id, self.node(head, r), loc_arc,
-                                  *terms, loss, event_arc))
+                copy = head, r, loc_arc, terms, loss
+                if not self.latest_only:
+                    copies[k].append(copy)
+                    continue
+                if held is not None and held[1][1] != r:  # lands elsewhere
+                    copies[held[0]].append(held[1])
+                held = k, copy
+            if held is not None:
+                copies[held[0]].append(held[1])
+        node, arcs = self.node, self.arcs
+        for t, group in zip(times, copies):
+            for head, r, loc_arc, terms, loss in group:
+                arcs.append((node(tail, t), node(head, r), loc_arc, *terms,
+                             loss, event_arc))
 
     def idle(self, place, loc):
         """Waiting arcs between consecutive grid times of loc at place."""
@@ -249,6 +279,8 @@ class TsFragNetwork(_TsBase):
     out_elems[u] tries u's copies before its arcs.
     """
 
+    latest_only = True
+
     def __init__(self, inst, grid, frags):
         super().__init__(inst, grid)
         self.frags = frags
@@ -284,9 +316,14 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
     [t, next grid point); its end is the earliest arrival rounded down.
     Anchoring at the earliest such departure keeps every continuous
     solution representable in the partial network, which the DDD bound
-    argument needs.  Start intervals and ends come from frags' own cache,
-    so expanding the same set over a refined grid times only the
-    departures it has not met before.
+    argument needs.  Delivery -> pickup moves and returns keep only the
+    latest departure to each head node (the module docstring's dominance
+    rule): a continuous solution maps onto a flow that may use a dropped
+    move, and waiting to the kept move turns it into a flow of the same
+    cost, so each master is still a relaxation and its optimum a lower
+    bound.  Start intervals and ends come from frags' own cache, so
+    expanding the same set over a refined grid times only the departures
+    it has not met before.
     """
     net = TsFragNetwork(inst, grid, frags)
     origin, dest = inst.origin, inst.destination
@@ -314,7 +351,8 @@ def expand_fragments(inst: Instance, frags: FragmentSet, grid: TimeGrid) -> TsFr
                            frag.vehicles, frag.cost, s_eff, end, end - r))
 
     # node arcs: delivery -> pickup moves (idle arcs shift departures
-    # later), depot departures and returns
+    # later, so each lands from its latest departure), depot departures
+    # and returns
     for d in inst.deliveries:
         # a same-customer return only feeds subtours
         net.link(d, d, [(p, p) for p in inst.pickups if p != d - inst.n], grid[d])

@@ -142,12 +142,15 @@ def check_index(net):
     assert sum(map(len, net.out_arcs)) == sum(map(len, net.in_arcs)) == len(net.arcs)
 
 
-def check_arc_rule(inst, grid, net, links):
+def check_arc_rule(inst, grid, net, links, latest_only):
     """Each arc i -> j left at t lands at round_down(max(t + T_ij, e_j)),
     keeps the rest as disc, and takes inst.arc_cap(i, j) vehicles; returns
     end at the destination within its window, with no loss.  Conversely,
-    each link (tail place, head place, i, j) has that arc at every time
-    where both of its ends are kept."""
+    for each link (tail place, head place, i, j) and each kept head node,
+    consider the departures from the tail's grid times that land there:
+    with latest_only exactly the latest of them has an arc, where its tail
+    is kept, and no earlier one does; otherwise each of them has an arc
+    where its tail is kept."""
     e, l, T = inst.earliest, inst.latest, inst.travel_time
 
     def landing(i, j, t):
@@ -172,13 +175,20 @@ def check_arc_rule(inst, grid, net, links):
 
     present = {(arc.tail, arc.head, arc.loc_arc) for arc in net.arcs}
     for tail, head, i, j in links:
+        tails_of = {}  # kept head node -> tail node (or None) per departure
         for t in [inst.earliest[i]] if i == inst.origin else grid[i]:
-            u = net.node_index.get((tail, round(float(t), 9)))
             want = landing(i, j, t)
-            if u is None or want is None:
-                continue
-            v = net.node_index.get((head, round(float(want[0]), 9)))
-            assert v is None or (u, v, (i, j)) in present
+            v = None if want is None else \
+                net.node_index.get((head, round(float(want[0]), 9)))
+            if v is not None:
+                tails_of.setdefault(v, []).append(
+                    net.node_index.get((tail, round(float(t), 9))))
+        for v, us in tails_of.items():
+            linked = [u for u in us if (u, v, (i, j)) in present]
+            if latest_only:
+                assert linked == [u for u in us[-1:] if u is not None]
+            else:
+                assert linked == [u for u in us if u is not None]
 
 
 DRAWS = [tighten_windows(random_instance(seed, n=3 + seed % 3, vehicles=3,
@@ -211,7 +221,8 @@ def test_pruned_networks_keep_only_path_nodes(k, delta):
                    [(d, p, d, p) for d in inst.deliveries for p in inst.pickups
                     if p != d - inst.n]
                    + [(origin, p, origin, p) for p in inst.pickups]
-                   + [(d, dest, d, dest) for d in inst.deliveries])
+                   + [(d, dest, d, dest) for d in inst.deliveries],
+                   latest_only=True)
 
     events = enumerate_events(inst)
     enet = expand_events(inst, events, grid)
@@ -222,4 +233,5 @@ def test_pruned_networks_keep_only_path_nodes(k, delta):
     assert sorted(a for aids in enet.by_event_arc.values() for a in aids) == \
         [a for a, arc in enumerate(enet.arcs) if arc.event_arc >= 0]
     check_arc_rule(inst, grid, enet, [(arc.tail, arc.head, *arc.loc_arc)
-                                      for arc in events.arcs])
+                                      for arc in events.arcs],
+                   latest_only=False)

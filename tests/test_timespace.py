@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from darpsv import milp
+from darpsv.formulations import build_tsfrag
 from darpsv.fragments import enumerate_fragments, feasible_schedule, start_interval
 from darpsv.events import enumerate_events
-from darpsv.instance import (DatasetParams, build_dataset2, random_instance,
-                             tighten_windows)
-from darpsv.timespace import (IDLE, MOVE, TimeGrid, expand_events,
-                              expand_fragments)
+from darpsv.instance import (EPS, DatasetParams, build_dataset2,
+                             random_instance, tighten_windows)
+from darpsv.timespace import (DEPOT_IN, IDLE, MOVE, TimeGrid, TsArc,
+                              expand_events, expand_fragments)
 
 from conftest import loc_of_node, make_instance
 from test_acceptance import synthetic_base
@@ -218,3 +220,71 @@ def test_fragment_timing_cache_on_a_bench_instance():
     inst = tighten_windows(build_dataset2(base, DatasetParams(
         p_de=2.0, p_tw=30, variant="darp", fleet_multiplier=3)))
     assert _cache_is_exact(inst, np.random.default_rng(4)) > 100
+
+
+def _add_dominated_moves(inst, grid, net):
+    """Add to net every delivery -> pickup move and delivery return that
+    keeping only the latest departure to each head node leaves out: one
+    from every grid time of the delivery that lands, by the landing rule,
+    between nodes of net.  An all-departures network keeps the same nodes,
+    since a path through a left-out move can wait at its tail and take the
+    kept move instead.  Returns the number of moves added."""
+    T, e, l = inst.travel_time, inst.earliest, inst.latest
+    dest = inst.destination
+    present = {(arc.tail, arc.head, arc.loc_arc) for arc in net.arcs}
+    added = 0
+    for d in inst.deliveries:
+        for j in [p for p in inst.pickups if p != d - inst.n] + [dest]:
+            for t in grid[d]:
+                arrival = max(t + T[d, j], e[j])
+                r = l[j] if j == dest else grid.round_down(j, arrival)
+                if arrival > l[j] + EPS or r is None:
+                    continue
+                u = net.node_index.get((d, round(float(t), 9)))
+                v = net.node_index.get((j, round(float(r), 9)))
+                if u is None or v is None or (u, v, (d, j)) in present:
+                    continue
+                net.arcs.append(TsArc(
+                    u, v, (d, j), DEPOT_IN if j == dest else MOVE,
+                    float(inst.travel_cost[d, j]), inst.arc_cap(d, j),
+                    0.0 if j == dest else float(arrival - r)))
+                added += 1
+    net.index()
+    return added
+
+
+def _master_optima(inst, net):
+    """Status and objective of the fixed-grid TSFrag master, without cuts:
+    its LP relaxation first, then the MIP."""
+    model, _ = build_tsfrag(inst, net)
+    mip = milp.solve(model)
+    model.col_kind = [milp.CONTINUOUS] * model.num_vars
+    lp = milp.solve(model)
+    return [(sol.status, sol.objective) for sol in (lp, mip)]
+
+
+OPTIMA_DRAWS = [tighten_windows(random_instance(seed, n=4 + seed % 3, vehicles=3,
+                                                capacity=2 + seed % 2,
+                                                large_share=0.3 * (seed % 2)))
+                for seed in range(10)]
+
+
+@pytest.mark.parametrize("delta", [50.0, 10.0, 5.0])
+def test_latest_departures_keep_the_master_optima(delta):
+    # waiting is free, so a move left at t1 is worth no more than the kept
+    # move to the same head node left at a later t2: the LP and MIP optima
+    # equal those of the network with every departure
+    assert any(inst.large_pickups for inst in OPTIMA_DRAWS)
+    added = 0
+    for inst in OPTIMA_DRAWS:
+        frags = enumerate_fragments(inst)
+        grid = TimeGrid.fixed(inst, delta)
+        net = expand_fragments(inst, frags, grid)
+        full = expand_fragments(inst, frags, grid)
+        added += _add_dominated_moves(inst, grid, full)
+        want = _master_optima(inst, full)
+        got = _master_optima(inst, net)
+        assert [status for status, _ in got] == [status for status, _ in want]
+        for (_, value), (_, expected) in zip(got, want):
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-6)
+    assert added > 0
