@@ -142,6 +142,19 @@ def check_index(net):
     assert sum(map(len, net.out_arcs)) == sum(map(len, net.in_arcs)) == len(net.arcs)
 
 
+def landing(inst, grid, i, j, t):
+    """Head time and rounding loss of location arc i -> j left at t, by
+    the landing rule; None when it lands past j's window or before its
+    grid."""
+    arrival = max(t + inst.travel_time[i, j], inst.earliest[j])
+    if arrival > inst.latest[j] + EPS:
+        return None
+    if j == inst.destination:
+        return inst.latest[j], 0.0
+    r = grid.round_down(j, arrival)
+    return None if r is None else (r, arrival - r)
+
+
 def check_arc_rule(inst, grid, net, links, latest_only):
     """Each arc i -> j left at t lands at round_down(max(t + T_ij, e_j)),
     keeps the rest as disc, and takes inst.arc_cap(i, j) vehicles; returns
@@ -151,23 +164,12 @@ def check_arc_rule(inst, grid, net, links, latest_only):
     with latest_only exactly the latest of them has an arc, where its tail
     is kept, and no earlier one does; otherwise each of them has an arc
     where its tail is kept."""
-    e, l, T = inst.earliest, inst.latest, inst.travel_time
-
-    def landing(i, j, t):
-        arrival = max(t + T[i, j], e[j])
-        if arrival > l[j] + EPS:
-            return None
-        if j == inst.destination:
-            return l[j], 0.0
-        r = grid.round_down(j, arrival)
-        return None if r is None else (r, arrival - r)
-
     for arc in net.arcs:
         i, j = arc.loc_arc
         assert arc.cap == inst.arc_cap(i, j)
         if arc.kind == IDLE:
             continue
-        want = landing(i, j, net.nodes[arc.tail].t)
+        want = landing(inst, grid, i, j, net.nodes[arc.tail].t)
         assert want is not None
         assert (arc.head == net.dest_node) == (arc.kind == DEPOT_IN)
         assert net.nodes[arc.head].t == pytest.approx(want[0], abs=1e-9)
@@ -177,7 +179,7 @@ def check_arc_rule(inst, grid, net, links, latest_only):
     for tail, head, i, j in links:
         tails_of = {}  # kept head node -> tail node (or None) per departure
         for t in [inst.earliest[i]] if i == inst.origin else grid[i]:
-            want = landing(i, j, t)
+            want = landing(inst, grid, i, j, t)
             v = None if want is None else \
                 net.node_index.get((head, round(float(want[0]), 9)))
             if v is not None:

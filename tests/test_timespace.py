@@ -7,13 +7,14 @@ from darpsv import milp
 from darpsv.formulations import build_tsfrag
 from darpsv.fragments import enumerate_fragments, feasible_schedule, start_interval
 from darpsv.events import enumerate_events
-from darpsv.instance import (EPS, DatasetParams, build_dataset2,
-                             random_instance, tighten_windows)
+from darpsv.instance import (DatasetParams, build_dataset2, random_instance,
+                             tighten_windows)
 from darpsv.timespace import (DEPOT_IN, IDLE, MOVE, TimeGrid, TsArc,
                               expand_events, expand_fragments)
 
 from conftest import loc_of_node, make_instance
 from test_acceptance import synthetic_base
+from test_graph import landing
 
 
 def integerized(seed, n=3, **kw):
@@ -229,25 +230,23 @@ def _add_dominated_moves(inst, grid, net):
     between nodes of net.  An all-departures network keeps the same nodes,
     since a path through a left-out move can wait at its tail and take the
     kept move instead.  Returns the number of moves added."""
-    T, e, l = inst.travel_time, inst.earliest, inst.latest
     dest = inst.destination
     present = {(arc.tail, arc.head, arc.loc_arc) for arc in net.arcs}
     added = 0
     for d in inst.deliveries:
         for j in [p for p in inst.pickups if p != d - inst.n] + [dest]:
             for t in grid[d]:
-                arrival = max(t + T[d, j], e[j])
-                r = l[j] if j == dest else grid.round_down(j, arrival)
-                if arrival > l[j] + EPS or r is None:
+                want = landing(inst, grid, d, j, t)
+                if want is None:
                     continue
                 u = net.node_index.get((d, round(float(t), 9)))
-                v = net.node_index.get((j, round(float(r), 9)))
+                v = net.node_index.get((j, round(float(want[0]), 9)))
                 if u is None or v is None or (u, v, (d, j)) in present:
                     continue
                 net.arcs.append(TsArc(
                     u, v, (d, j), DEPOT_IN if j == dest else MOVE,
                     float(inst.travel_cost[d, j]), inst.arc_cap(d, j),
-                    0.0 if j == dest else float(arrival - r)))
+                    float(want[1])))
                 added += 1
     net.index()
     return added
