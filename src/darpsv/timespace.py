@@ -279,6 +279,8 @@ class TsFragNetwork(_TsBase):
     out_elems[u] tries u's copies before its arcs.
     """
 
+    # moves and returns keep the latest departure to each head node (the
+    # module docstring's dominance rule)
     latest_only = True
 
     def __init__(self, inst, grid, frags):
