@@ -4,8 +4,9 @@ An event is a (location, onboard-set) state; arcs are the transitions a
 vehicle can make. Capacity, pairing and precedence are built into the
 state space, so the MILP over this graph needs no explicit rows for them.
 Time-window reachability pruning keeps the graph small; the solvers use
-the time-feasible variant, which also drops states whose location opens
-too late to finish the trip (enumerate_events(inst, timed=True)).
+the time-feasible variant, which labels each state with its earliest
+service time and drops the arcs that reach a state too late to finish the
+trip (enumerate_events(inst, timed=True)).
 """
 import darpsv
 from darpsv.events import dump_events

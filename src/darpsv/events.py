@@ -3,47 +3,61 @@ feasible transitions.  Capacity, pairing and precedence are implicit in the
 state space; time-window reachability filters prune states that cannot
 occur in any feasible schedule.
 
-`enumerate_events` builds one of two networks.
+`enumerate_events` builds one of two networks, by one search.  Each
+state v carries a label E(v), and an arc u -> v is kept when the step rule
+of `fragments.earliest_service` passes:
 
-The paper network (the default) filters arcs one pair at a time
-(e_i + T_ij <= l_j) and keeps the states on some path from the origin
-depot to the destination depot.  The builder never generates a state that
-cannot reach the destination through its location graph: from (loc, S)
-every customer still on board must be delivered before the vehicle
-returns, so the transitive closure of that graph must lead from loc to
-each of their delivery locations and to the destination.  The test is
-necessary for co-reachability, so it removes only states that the
-co-reachability pass would discard; the network is the same as without it.
-`darpsv net dump-events` prints this network.
+    max(E(u) + T_uv, e_v) <= limit(v) + EPS.
+
+States are generated from the origin depot, E(origin) = e_origin, through
+kept arcs only, and popped from a heap in label order.  A state with no
+kept arc into it is never generated.  The builder also never generates a
+state that cannot reach the destination through its location graph: from
+(loc, S) every customer still on board must be delivered before the
+vehicle returns, so the transitive closure of that graph must lead from
+loc to each of their delivery locations and to the destination.  The test
+is necessary for co-reachability, so it removes only states that the
+final co-reachability pass would discard.  Events and arcs are sorted at
+the end, so their numbering does not depend on the order of generation.
+
+The paper network (the default) labels each state by its window's
+opening, E(v) = e_v, with limit(v) = l_v: the step rule is then the
+pairwise test e_u + T_uv <= l_v.  It keeps the states on some path from
+the origin depot to the destination depot.  `darpsv net dump-events`
+prints this network.
 
 The time-feasible network (timed=True, what EBF, TSEF and TSEF+DDD solve)
-also drops a state (loc, S) served no earlier than e_loc when
+labels each state by its earliest service,
 
-    e_loc > D(loc, R) + EPS,   R = S plus loc's own customer at a pickup,
+    E(v) = max(e_v, min over kept arcs u -> v of E(u) + T_uv),
 
-where D is the completion deadline of `fragments` over the shortest-path
-closure T*, with base case D(loc, {}) = min(l_loc, l_dest - T*[loc, dest]):
-the latest time at loc from which some order delivers every customer in R
-within the windows and still reaches the destination depot in time.  A
-schedule that serves the state delivers all of R afterwards and then
-returns; whatever else it visits, waits for or detours through, no path of
-arcs beats T*, and ride limits only add constraints.  So a dropped state
-occurs in no feasible schedule, and the timed network keeps every route
-of the paper network that has a schedule: the optimum is the same.  D
-implies the closure test only when T obeys the triangle inequality, so the
-timed build runs both.  The test prunes during generation, and the paths
-the search finds run through live states only; the result equals the
-paper network with the dead states removed and the states off every
-origin-destination path trimmed again.
+and limits it by its completion deadline, limit(v) = D(loc, R) with R the
+customers on board plus loc's own at a pickup (l_dest at the destination
+depot).  D is the completion deadline of `fragments` over the
+shortest-path closure T*, with base case D(loc, {}) = min(l_loc, l_dest -
+T*[loc, dest]): the latest time at loc from which some order delivers
+every customer in R within the windows and still reaches the destination
+depot in time; it is never later than l_loc.  T >= 0, and the max with e
+keeps the labels monotone along arcs, so a state's label is final when it
+is popped, as in Dijkstra's algorithm, and E(v) is the earliest time any
+path of kept arcs serves v.
+
+The timed network keeps every route of the paper network that has a
+schedule, so the optimum is the same.  A schedule serves its k-th state at
+some t_k >= e, with t_{k+1} >= t_k + T; by induction E(v_k) <= t_k.  The
+vehicle then delivers all of R and returns, and whatever else it visits,
+waits for or detours through, no path of arcs beats T*, so t_k <= D.
+Ride limits only add constraints.  D implies the closure test only when T
+obeys the triangle inequality, so the timed build runs both.
 """
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fragments import completion_deadline, shortest_times
+from .fragments import completion_deadline, earliest_service, shortest_times
 from .graph import reachable
 from .instance import EPS, Instance
 
@@ -146,9 +160,9 @@ def enumerate_events(inst: Instance, timed=False) -> EventNetwork:
     """Build the paper's event network, or with timed=True the
     time-feasible one (module docstring).
 
-    Forward search from the origin depot generates only capacity-feasible
-    states; arcs with e_i + T_ij > l_j are dropped, and events that cannot
-    reach the destination depot are removed afterwards.
+    States are generated from the origin depot in the order of their
+    labels, from a heap, and only through arcs that pass the step rule;
+    events that cannot reach the destination depot are removed afterwards.
 
     A successor (loc, S) is generated only if the location closure leads
     from loc to the destination and to the delivery of every customer
@@ -157,63 +171,72 @@ def enumerate_events(inst: Instance, timed=False) -> EventNetwork:
     those deliveries, so a state failing the test is not co-reachable.
     Every forward path to a co-reachable state runs through co-reachable
     states only, so the prune leaves the kept network unchanged; it is
-    necessary but not sufficient, hence the co-reachability pass.  With
-    timed=True a successor must also pass e_loc <= D(loc, R) + EPS.
+    necessary but not sufficient, hence the co-reachability pass.
     """
-    e, l, T = inst.earliest, inst.latest, inst.travel_time
     n, dest_loc = inst.n, inst.destination
     origin = Event(inst.origin, ())
     dest = Event(dest_loc, ())
     reach = _location_closure(inst)
     if timed:
-        Ts = shortest_times(T)
-        deadline = completion_deadline(
-            inst, Ts, np.minimum(l, l[dest_loc] - Ts[:, dest_loc]))
+        Ts = shortest_times(inst.travel_time)
+        deadline = completion_deadline(inst, Ts, np.minimum(
+            inst.latest, inst.latest[dest_loc] - Ts[:, dest_loc]))
+    # plain lists: the search reads one entry at a time
+    e, l = inst.earliest.tolist(), inst.latest.tolist()
+    T = inst.travel_time.tolist()
 
-    def tw_ok(i, j):
-        return e[i] + T[i, j] <= l[j] + EPS
-
-    def alive(ev):
+    def limit(ev):
+        """Latest service at ev that the step rule allows, or None when
+        the location closure drops ev."""
         row = reach[ev.loc]
         if not row[dest_loc]:
-            return False
+            return None
         pickup = inst.is_pickup(ev.loc)
         if pickup and not row[ev.loc + n]:
-            return False
+            return None
         if not all(row[c + n] for c in ev.onboard):
-            return False
-        if not timed:
-            return True
+            return None
+        if not timed or ev == dest:
+            return l[ev.loc]
         due = frozenset(ev.onboard + (ev.loc,) if pickup else ev.onboard)
-        return e[ev.loc] <= deadline(ev.loc, due) + EPS
+        return deadline(ev.loc, due)
 
-    adjacency = {origin: [], dest: []}
-    queue = deque()
-    for i in inst.pickups:
-        ev = Event(i, ())
-        if tw_ok(inst.origin, i) and alive(ev):
-            adjacency[origin].append(ev)
-            if ev not in adjacency:
-                adjacency[ev] = None
-                queue.append(ev)
-    while queue:
-        ev = queue.popleft()
+    limits = {}
+    label = {origin: e[inst.origin]}
+    heap = [(label[origin], origin.loc, origin.onboard)]
+    adjacency = {dest: []}  # the destination is never expanded
+    while heap:
+        ready, loc, onboard = heapq.heappop(heap)
+        ev = Event(loc, onboard)
+        if ev in adjacency:
+            continue  # settled at a lower label
+        if ev == origin:
+            candidates = [Event(i, ()) for i in inst.pickups]
+        else:
+            candidates = _successors(inst, ev)
+            if inst.is_delivery(loc) and not onboard:
+                candidates.append(dest)
         succ = []
-        for nxt in _successors(inst, ev):
-            if not tw_ok(ev.loc, nxt.loc) or not alive(nxt):
+        for nxt in candidates:
+            if nxt not in limits:
+                limits[nxt] = limit(nxt)
+            if limits[nxt] is None:
+                continue
+            t = earliest_service(ready, T[loc][nxt.loc], e[nxt.loc], limits[nxt])
+            if t is None:
                 continue
             succ.append(nxt)
-            if nxt not in adjacency:
-                adjacency[nxt] = None
-                queue.append(nxt)
-        if inst.is_delivery(ev.loc) and not ev.onboard and tw_ok(ev.loc, dest_loc):
-            succ.append(dest)
+            if not timed:
+                t = e[nxt.loc]  # the paper network's label: E(v) = e_v
+            if t < label.get(nxt, np.inf):
+                label[nxt] = t
+                heapq.heappush(heap, (t, nxt.loc, nxt.onboard))
         adjacency[ev] = succ
 
     # keep only events co-reachable to the destination
     reverse = {}
     for ev, succ in adjacency.items():
-        for nxt in succ or ():
+        for nxt in succ:
             reverse.setdefault(nxt, []).append(ev)
     keep = reachable(dest, lambda ev: reverse.get(ev, ()))
     keep.add(origin)
@@ -223,7 +246,7 @@ def enumerate_events(inst: Instance, timed=False) -> EventNetwork:
     index = {ev: k for k, ev in enumerate(events)}
     arcs = []
     for ev in events:
-        for nxt in adjacency.get(ev) or ():
+        for nxt in adjacency[ev]:
             if nxt in keep:
                 arcs.append(EventArc(index[ev], index[nxt], (ev.loc, nxt.loc),
                                      float(inst.travel_cost[ev.loc, nxt.loc]),

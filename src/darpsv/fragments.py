@@ -6,24 +6,24 @@ oracle solves the underlying difference-constraint system (window bounds,
 travel increments, ride limits) by longest-path relaxation, so feasibility
 is exact and the least solution is the earliest schedule.
 
-Enumeration is a depth-first search over prefixes.  Besides the one-step
-window test it prunes with the completion deadline D(loc, S): the latest
-departure from loc that still lets every customer in S be delivered within
-the windows, in some order,
+Enumeration is a depth-first search over prefixes.  It prunes with the
+completion deadline D(loc, S): the latest departure from loc that still
+lets every customer in S be delivered within the windows, in some order,
 
     D(loc, {}) = l_loc
     D(loc, S)  = max over c in S with D(c+n, S-c) >= e_{c+n}
                  of min(l_loc, D(c+n, S-c) - T*[loc, c+n]),
 
 where T* is the shortest-path closure of T.  A prefix ending at loc with
-customers S on board is dropped when it reaches loc later than D(loc, S).
-Every fragment that extends the prefix delivers all of S before it ends,
-and no path of arcs, however it detours or waits, reaches a delivery
-sooner than T* allows, so a dropped prefix has no completion and the
-fragment set is unchanged, whether or not T obeys the triangle inequality
-(on matrices that do, T* = T).  `completion_deadline` holds the recursion
+customers S on board is dropped when it serves loc later than D(loc, S),
+which is never later than l_loc.  Every fragment that extends the prefix
+delivers all of S before it ends, and no path of arcs, however it detours
+or waits, reaches a delivery sooner than T* allows, so a dropped prefix
+has no completion and the fragment set is unchanged, whether or not T
+obeys the triangle inequality (on matrices that do, T* = T).  `completion_deadline` holds the recursion
 for any base case; the time-feasible event network (`events`) ends it at
-the destination depot instead of at l_loc.
+the destination depot instead of at l_loc.  Both builders take each step
+by one rule, `earliest_service`.
 """
 from __future__ import annotations
 
@@ -266,24 +266,41 @@ def completion_deadline(inst: Instance, Ts, base):
     return deadline
 
 
+def earliest_service(ready, travel, earliest, latest, deadline=None):
+    """One step of a route: a vehicle free at ready travels for travel to a
+    stop whose window is [earliest, latest] and serves it at
+    max(ready + travel, earliest).  Returns that time, or None when it is
+    later than latest + EPS or, if deadline is given, than deadline() +
+    EPS: the stop's completion deadline, asked only once the window test
+    passes, since it costs a memoised recursion and latest a lookup.  The
+    fragment search and the time-feasible event network both step by
+    this rule."""
+    t = max(ready + travel, earliest)
+    if t > latest + EPS or (deadline is not None and t > deadline() + EPS):
+        return None
+    return t
+
+
 def enumerate_fragments(inst: Instance) -> FragmentSet:
     """All fragments: a DFS over capacity-positive extensions from each
     small pickup, plus one pair fragment per large customer.
 
-    A prefix is extended only while its last visit meets its window (the
-    one-step test) and its arrival is no later than the completion
-    deadline D(last, onboard) of the module docstring, up to the same EPS
-    as the window test.  D bounds travel by the closure T*, which no
-    detour beats, and ignores ride limits, so the prune is exact: it drops
-    only prefixes that no extension completes.  Ride limits are checked on
-    emission only (they are not monotone under extension).  A fragment ends
-    at its last delivery, so D's base case is the window alone, l_loc.
+    A prefix is extended only while `earliest_service` serves its last
+    visit within its window and no later than the completion deadline
+    D(last, onboard) of the module docstring.  D bounds travel by the
+    closure T*, which no detour beats, and ignores ride limits, so the
+    prune is exact: it drops only prefixes that no extension completes.
+    Ride limits are checked on emission only (they are not monotone under
+    extension).  A fragment ends at its last delivery, so D's base case is
+    the window alone, l_loc.
     """
     out = []
     n = inst.n
     Q = inst.capacity
-    T = inst.travel_time
-    e, l = inst.earliest, inst.latest
+    # plain lists: the search reads one entry at a time
+    T = inst.travel_time.tolist()
+    e, l = inst.earliest.tolist(), inst.latest.tolist()
+    q = inst.demand.tolist()
 
     for i in inst.large_pickups:
         path = (i, i + n)
@@ -292,18 +309,18 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
                                 inst.vehicles_required(i), "large-pair"))
 
     smalls = inst.small_pickups
-    deadline = completion_deadline(inst, shortest_times(T), l)
+    deadline = completion_deadline(inst, shortest_times(inst.travel_time),
+                                   inst.latest)
 
-    def extend(path, onboard, load, arrive):
+    def extend(path, onboard, load, ready):
         last = path[-1]
-        if arrive > deadline(last, onboard) + EPS:
-            return
         for c in sorted(onboard):
             d = c + n
-            t = max(arrive + T[last, d], e[d])
-            if t > l[d] + EPS:
+            t = earliest_service(ready, T[last][d], e[d], l[d],
+                                 lambda: deadline(d, onboard - {c}))
+            if t is None:
                 continue
-            new_load = load - inst.demand[c]
+            new_load = load - q[c]
             if new_load == 0:
                 full = path + (d,)
                 if feasible_schedule(inst, full) is not None:
@@ -311,15 +328,19 @@ def enumerate_fragments(inst: Instance) -> FragmentSet:
             else:
                 extend(path + (d,), onboard - {c}, new_load, t)
         for j in smalls:
-            if j in path or load + inst.demand[j] > Q:
+            if j in path or load + q[j] > Q:
                 continue
-            t = max(arrive + T[last, j], e[j])
-            if t > l[j] + EPS:
-                continue
-            extend(path + (j,), onboard | {j}, load + inst.demand[j], t)
+            t = earliest_service(ready, T[last][j], e[j], l[j],
+                                 lambda: deadline(j, onboard | {j}))
+            if t is not None:
+                extend(path + (j,), onboard | {j}, load + q[j], t)
 
     for i in smalls:
-        extend((i,), frozenset((i,)), int(inst.demand[i]), float(e[i]))
+        start = frozenset((i,))
+        # the first stop: the vehicle is free from the start of time
+        t = earliest_service(-np.inf, 0.0, e[i], l[i], lambda: deadline(i, start))
+        if t is not None:
+            extend((i,), start, q[i], t)
     return FragmentSet(inst, out)
 
 

@@ -115,6 +115,9 @@ class Instance:
         # a window inverted within EPS becomes the point e: HiGHS rejects
         # inverted bounds, and a grid on it would hold only l < e
         self.latest = np.maximum(self.latest, self.earliest)
+        # vehicles_required per location, read for every network arc
+        self._required = [max(1, math.ceil(abs(q) / self.capacity))
+                          for q in self.demand.tolist()]
 
     # -- structure ---------------------------------------------------------
 
@@ -159,16 +162,17 @@ class Instance:
         """Number of synchronized vehicles that serve location loc: a
         customer needs ceil(q / Q) at its pickup and its delivery, a depot
         counts one."""
-        return max(1, math.ceil(abs(int(self.demand[loc])) / self.capacity))
+        return self._required[loc]
 
     def arc_cap(self, i: int, j: int) -> int:
         """Most vehicles that traverse location arc i -> j together: the
         smaller requirement of its ends, a depot end taking the other's."""
+        required = self._required
         if i == self.origin:
-            return self.vehicles_required(j)
+            return required[j]
         if j == self.destination:
-            return self.vehicles_required(i)
-        return min(self.vehicles_required(i), self.vehicles_required(j))
+            return required[i]
+        return min(required[i], required[j])
 
     def _validate(self):
         m = self.num_locations

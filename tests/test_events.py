@@ -295,46 +295,74 @@ def brute_deadline(inst, Ts, loc, due):
 
 
 def timed_oracle(inst):
-    """The paper network minus every state served after its brute-force
-    completion deadline, trimmed to the states on some origin-destination
-    path of what is left."""
+    """The time-feasible network by brute force.  Every path from the
+    origin through the paper network is walked, serving each state at
+    max(t + T, e) and stopping where that passes its limit, min(l, the
+    brute-force completion deadline); a state's label is the earliest time
+    any such path serves it.  An arc of the paper network is kept when the
+    step from its tail's label passes its head's limit, and what is left is
+    trimmed to the states on some origin-destination path."""
     paper = enumerate_events(inst)
-    Ts = inst.travel_time.copy()
+    e, l, T = inst.earliest, inst.latest, inst.travel_time
+    Ts = T.copy()
     for k in range(len(Ts)):  # Floyd-Warshall
         for i in range(len(Ts)):
             for j in range(len(Ts)):
                 Ts[i, j] = min(Ts[i, j], Ts[i, k] + Ts[k, j])
 
-    def live(ev):
+    def limit(ev):
         if ev.loc in (inst.origin, inst.destination):
-            return True
+            return l[ev.loc]
         due = ev.onboard + ((ev.loc,) if inst.is_pickup(ev.loc) else ())
-        return inst.earliest[ev.loc] <= brute_deadline(inst, Ts, ev.loc, due) + EPS
+        return min(l[ev.loc], brute_deadline(inst, Ts, ev.loc, due))
 
-    succ, pred = {}, {}
+    def served(u, t, v):
+        """When a vehicle serving u at t serves v next, or None past v's
+        limit."""
+        s = max(t + T[u.loc, v.loc], e[v.loc])
+        return s if s <= limit(v) + EPS else None
+
+    succ = {}
     for arc in paper.arcs:
-        tail, head = paper.events[arc.tail], paper.events[arc.head]
-        if live(tail) and live(head):
-            succ.setdefault(tail, []).append(head)
-            pred.setdefault(head, []).append(tail)
-
-    def reach(start, step):
-        seen, stack = {start}, [start]
-        while stack:
-            for nxt in step.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
+        succ.setdefault(paper.events[arc.tail], []).append(
+            paper.events[arc.head])
     origin = paper.events[paper.origin_id]
     dest = paper.events[paper.dest_id]
-    keep = (reach(origin, succ) & reach(dest, pred)) | {origin, dest}
+    label = {}
+    # a path that repeats a state serves it no earlier the second time, so
+    # the simple paths hold every label
+    stack = [(origin, float(e[origin.loc]), {origin})]
+    while stack:
+        ev, t, on_path = stack.pop()
+        label[ev] = min(label.get(ev, np.inf), t)
+        for nxt in succ.get(ev, ()):
+            s = None if nxt in on_path else served(ev, t, nxt)
+            if s is not None:
+                stack.append((nxt, s, on_path | {nxt}))
+
+    kept = [(paper.events[a.tail], paper.events[a.head], a)
+            for a in paper.arcs if paper.events[a.tail] in label
+            and served(paper.events[a.tail], label[paper.events[a.tail]],
+                       paper.events[a.head]) is not None]
+    forward, backward = {}, {}
+    for tail, head, _ in kept:
+        forward.setdefault(tail, []).append(head)
+        backward.setdefault(head, []).append(tail)
+
+    def reach(start, step):
+        seen, todo = {start}, [start]
+        while todo:
+            for nxt in step.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    keep = (reach(origin, forward) & reach(dest, backward)) | {origin, dest}
     events = [ev for ev in paper.events if ev in keep]
     index = {ev: k for k, ev in enumerate(events)}
-    arcs = [EventArc(index[paper.events[a.tail]], index[paper.events[a.head]],
-                     a.loc_arc, a.cost, a.cap) for a in paper.arcs
-            if paper.events[a.tail] in keep and paper.events[a.head] in keep]
+    arcs = [EventArc(index[tail], index[head], a.loc_arc, a.cost, a.cap)
+            for tail, head, a in kept if tail in keep and head in keep]
     return EventNetwork(inst, events, arcs, index[origin], index[dest])
 
 

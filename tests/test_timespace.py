@@ -108,18 +108,17 @@ def test_shortened_lengths_grow_monotonically_under_refinement():
             out[key] = net.nodes[copy.head].t - net.nodes[copy.tail].t
         return out
 
+    fine_net = expand_fragments(inst, frags, fine)
     a = shortened(expand_fragments(inst, frags, coarse))
-    b = shortened(expand_fragments(inst, frags, fine))
+    b = shortened(fine_net)
     for key, length in a.items():
         if key in b:
             # refinement never shortens an arc further
             assert b[key] >= length - 1e-9
-    for copy in expand_fragments(inst, frags, fine).ts_frags:
+    for copy in fine_net.ts_frags:
         actual = copy.end_actual - copy.start_eff
-        stored = None
         # never longer than the true duration
-        assert (expand_fragments(inst, frags, fine)
-                .nodes[copy.head].t - copy.start_eff) <= actual + 1e-9
+        assert fine_net.nodes[copy.head].t - copy.start_eff <= actual + 1e-9
 
 
 def test_destination_reachable_when_route_exists(single_customer):
