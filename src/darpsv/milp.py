@@ -2,13 +2,17 @@
 
 Models are built row by row (MilpModel) into flat column lists and COO
 row triples.  solve() converts them once, into a HighsLp with a colwise
-matrix built in numpy, and runs one session of the core's _Highs on it,
-with the options and status rules of scipy.optimize.milp, except that
-HiGHS's Feasibility Jump heuristic is off.  Its start-up costs about
-10 ms on every MIP that presolve does not empty, while the MIPs here close
-at the root node after at most a few hundred simplex iterations: a DDD
-selection model of about 160 columns took 8-14 ms with it and 1.3-1.8 ms
-without, and no status or objective of the benchmark's solves changed.
+matrix built in numpy, and runs one session of the core's _Highs on it
+with _HIGHS_OPTIONS, where HiGHS's Feasibility Jump heuristic is off.  Its
+start-up costs about 10 ms on every MIP that presolve does not empty,
+while the MIPs here close at the root node after at most a few hundred
+simplex iterations: a DDD selection model of about 160 columns took
+8-14 ms with it and 1.3-1.8 ms without, and no status or objective of the
+benchmark's solves changed.
+_STATUS maps HiGHS's model status to a Status; a status it lacks is a
+ConfigurationError, and a MIP stopped at a limit with an incumbent is
+FEASIBLE_WITH_GAP.  A MIP that presolve finds "unbounded or infeasible"
+is solved again without presolve, which tells the two apart.
 The core is SciPy's extension module scipy.optimize._highspy._core,
 loaded from its file by path: darpsv never imports scipy.optimize, whose
 package import (with scipy.sparse and scipy.linalg) costs more than most
@@ -23,7 +27,7 @@ import re
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
 
@@ -40,8 +44,7 @@ LE, GE, EQ = "<=", ">=", "="
 
 MIP_REL_GAP = 1e-9  # every MILP here is solved to proven optimality
 
-# every session's options but presolve and time_limit: scipy.optimize.milp's
-# with disp=False, and Feasibility Jump off (see the module docstring)
+# every session's options but presolve and time_limit
 _HIGHS_OPTIONS = {"log_to_console": False,
                   "mip_rel_gap": MIP_REL_GAP,
                   "mip_heuristic_run_feasibility_jump": False}
@@ -98,26 +101,14 @@ _VAR_TYPE = {CONTINUOUS: highs_core.HighsVarType.kContinuous,
              INTEGER: highs_core.HighsVarType.kInteger,
              BINARY: highs_core.HighsVarType.kInteger}
 _MS = highs_core.HighsModelStatus
-_LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
-# scipy.optimize.milp's status codes and messages for HiGHS's model
-# statuses (scipy.optimize._linprog_highs._highs_to_scipy_status_message):
-# 0 optimal, 1 stopped at a limit, 2 infeasible, 3 unbounded, 4 failed
-_SCIPY_STATUS = {
-    _MS.kNotset: (4, ""),
-    _MS.kLoadError: (4, ""),
-    _MS.kModelError: (2, ""),
-    _MS.kPresolveError: (4, ""),
-    _MS.kSolveError: (4, ""),
-    _MS.kPostsolveError: (4, ""),
-    _MS.kModelEmpty: (4, ""),
-    _MS.kObjectiveBound: (4, ""),
-    _MS.kObjectiveTarget: (4, ""),
-    _MS.kOptimal: (0, "Optimization terminated successfully. "),
-    _MS.kTimeLimit: (1, "Time limit reached. "),
-    _MS.kIterationLimit: (1, "Iteration limit reached. "),
-    _MS.kInfeasible: (2, "The problem is infeasible. "),
-    _MS.kUnbounded: (3, "The problem is unbounded. "),
-    _MS.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. ")}
+# the HiGHS model statuses a solve reports; _run_highs answers kModelError
+# when HiGHS does not accept the model
+_STATUS = {_MS.kOptimal: Status.OPTIMAL,
+           _MS.kTimeLimit: Status.TIME_LIMIT,
+           _MS.kIterationLimit: Status.TIME_LIMIT,
+           _MS.kInfeasible: Status.INFEASIBLE,
+           _MS.kModelError: Status.INFEASIBLE,
+           _MS.kUnbounded: Status.UNBOUNDED}
 
 
 class MilpModel:
@@ -246,13 +237,10 @@ def _session(time_limit, presolve=True):
 
 
 def _run_highs(lp, time_limit, presolve=True):
-    """One HiGHS session on lp, with scipy.optimize.milp's options but
-    Feasibility Jump off, whose start-up takes longer than most of these
-    solves do without it (_HIGHS_OPTIONS; presolve on unless presolve is
-    False), and time_limit seconds (None: no limit).
+    """One HiGHS session on lp (_session's options and time limit).
     Returns the model status, the info record and the column values; both
     are None when HiGHS failed before it finished, and the values are None
-    too when the status is neither optimal nor a limit."""
+    too unless _STATUS reads the status as optimal or a limit."""
     highs = _session(time_limit, presolve)
     if highs.passModel(lp) == highs_core.HighsStatus.kError:
         return _MS.kModelError, None, None
@@ -260,7 +248,7 @@ def _run_highs(lp, time_limit, presolve=True):
         return highs.getModelStatus(), None, None
     status = highs.getModelStatus()
     x = None
-    if status == _MS.kOptimal or status in _LIMITS:
+    if _STATUS.get(status) in (Status.OPTIMAL, Status.TIME_LIMIT):
         x = np.array(highs.getSolution().col_value)
     return status, highs.getInfo(), x
 
@@ -291,34 +279,31 @@ def solve(model: MilpModel, deadline=None) -> MilpSolution:
 def _solution(status, info, x, mip, elapsed) -> MilpSolution:
     """The MilpSolution of a HiGHS outcome (_run_highs's status, info and x)
     of a MIP or, if not mip, a pure LP, that took elapsed seconds."""
-    code, message = _SCIPY_STATUS.get(
-        status, (4, "The HiGHS status code was not recognized. "))
-    if x is not None and status != _MS.kOptimal and (
-            not mip or info.objective_function_value == highs_core.kHighsInf):
-        x = None  # a MIP at a limit keeps its incumbent, if it has one
-    if code == 0:
+    outcome = _STATUS.get(status)
+    if outcome == Status.OPTIMAL:
         fun = info.objective_function_value
         if mip:
             bound, gap = info.mip_dual_bound, info.mip_gap
         else:  # pure LP: the optimum is its own bound
             bound, gap = fun, 0.0
         return MilpSolution(Status.OPTIMAL, x, float(fun), float(bound), elapsed, gap)
-    if code == 1 and x is not None:
-        return MilpSolution(Status.FEASIBLE_WITH_GAP, x,
-                            float(info.objective_function_value),
-                            float(info.mip_dual_bound), elapsed, info.mip_gap)
-    if code == 1:
+    if outcome == Status.TIME_LIMIT:
+        if mip and x is not None and (
+                info.objective_function_value != highs_core.kHighsInf):
+            # a MIP at a limit keeps its incumbent
+            return MilpSolution(Status.FEASIBLE_WITH_GAP, x,
+                                float(info.objective_function_value),
+                                float(info.mip_dual_bound), elapsed, info.mip_gap)
         # a MIP stopped before its first incumbent still has a dual bound
         bound = info.mip_dual_bound if mip and info is not None else np.nan
         return MilpSolution(Status.TIME_LIMIT, None, None,
                             float(bound) if np.isfinite(bound) else None,
                             elapsed, None)
-    if code == 2:
-        return MilpSolution(Status.INFEASIBLE, None, None, None, elapsed, None)
-    if code == 3:
-        return MilpSolution(Status.UNBOUNDED, None, None, None, elapsed, None)
-    raise ConfigurationError(
-        f"HiGHS solve failed: {message}(HiGHS Status {int(status)}: {status.name})")
+    if outcome is not None:
+        return MilpSolution(outcome, None, None, None, elapsed, None)
+    words = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", status.name[1:]).lower()
+    raise ConfigurationError(f"HiGHS solve failed: {words} "
+                             f"(HiGHS status {int(status)}: {status.name})")
 
 
 @dataclass
@@ -326,11 +311,7 @@ class CutLoop:
     """Bookkeeping of a resolve_with_cuts run."""
 
     solves: int = 0
-    cuts: list = field(default_factory=list)
-
-    @property
-    def num_cuts(self):
-        return len(self.cuts)
+    num_cuts: int = 0
 
 
 def resolve_with_cuts(model: MilpModel, cut_generator, deadline=None):
@@ -362,7 +343,7 @@ def resolve_with_cuts(model: MilpModel, cut_generator, deadline=None):
             return sol, info
         for name, coeffs, sense, rhs in cuts:
             model.add_constr(name, coeffs, sense, rhs)
-            info.cuts.append(name)
+        info.num_cuts += len(cuts)
 
 
 # -- LP-format export --------------------------------------------------------

@@ -145,6 +145,34 @@ def test_undecided_after_the_run_without_presolve_is_a_configuration_error(monke
     assert runs == [True, False]
 
 
+# every HiGHS model status a solve reports; any other is a ConfigurationError
+REPORTED = {"kOptimal": Status.OPTIMAL, "kTimeLimit": Status.TIME_LIMIT,
+            "kIterationLimit": Status.TIME_LIMIT,
+            "kInfeasible": Status.INFEASIBLE, "kModelError": Status.INFEASIBLE,
+            "kUnbounded": Status.UNBOUNDED}
+
+
+@pytest.mark.parametrize("name", list(milp._MS.__members__))
+def test_every_highs_status_has_one_outcome(name):
+    status = milp._MS.__members__[name]
+    want = REPORTED.get(name)
+    for mip, incumbent in itertools.product((True, False), repeat=2):
+        info = SimpleNamespace(
+            objective_function_value=2.0 if incumbent else milp.highs_core.kHighsInf,
+            mip_dual_bound=1.0, mip_gap=0.5)
+        x = np.zeros(2) if want in (Status.OPTIMAL, Status.TIME_LIMIT) else None
+        if want is None:
+            with pytest.raises(milp.ConfigurationError, match=name):
+                milp._solution(status, info, x, mip, 0.1)
+            continue
+        sol = milp._solution(status, info, x, mip, 0.1)
+        limit_with_incumbent = want == Status.TIME_LIMIT and mip and incumbent
+        assert sol.status == (Status.FEASIBLE_WITH_GAP if limit_with_incumbent
+                              else want), (mip, incumbent)
+        assert (sol.values is not None) == (sol.status in (
+            Status.OPTIMAL, Status.FEASIBLE_WITH_GAP))
+
+
 def stopped_info(bound):
     """A HiGHS info record of a MIP stopped with no incumbent."""
     return SimpleNamespace(objective_function_value=milp.highs_core.kHighsInf,
