@@ -171,6 +171,11 @@ def cmd_validate(args) -> int:
                   file=sys.stderr)
             return EXIT_INFEASIBLE
         rs = RouteSet.from_dict(payload)
+        outside = [loc for route in rs.routes for loc in route.path
+                   if not inst.origin <= loc <= inst.destination]
+        if outside:
+            raise ValueError(f"stop at location {outside[0]}, outside "
+                             f"{inst.origin}..{inst.destination}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed solution file: {exc!r}", file=sys.stderr)
         return EXIT_USAGE

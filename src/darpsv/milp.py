@@ -12,7 +12,10 @@ benchmark's solves changed.
 _STATUS maps HiGHS's model status to a Status; a status it lacks is a
 ConfigurationError, and a MIP stopped at a limit with an incumbent is
 FEASIBLE_WITH_GAP.  A MIP that presolve finds "unbounded or infeasible"
-is solved again without presolve, which tells the two apart.
+is solved again without presolve, which tells the two apart.  HiGHS
+answers kModelEmpty for any model with no columns, so solve() decides
+one itself: infeasible when some row's bounds exclude 0.  A call made at
+or past its deadline returns TIME_LIMIT without starting HiGHS.
 The core is SciPy's extension module scipy.optimize._highspy._core,
 loaded from its file by path: darpsv never imports scipy.optimize, whose
 package import (with scipy.sparse and scipy.linalg) costs more than most
@@ -109,6 +112,8 @@ _STATUS = {_MS.kOptimal: Status.OPTIMAL,
            _MS.kInfeasible: Status.INFEASIBLE,
            _MS.kModelError: Status.INFEASIBLE,
            _MS.kUnbounded: Status.UNBOUNDED}
+# _run_highs's outcome of a call made at or past its deadline
+_STOPPED = (_MS.kTimeLimit, None, None)
 
 
 class MilpModel:
@@ -255,22 +260,35 @@ def _run_highs(lp, time_limit, presolve=True):
 
 def _time_left(deadline):
     """HiGHS's time limit for a call made now: what is left until the
-    time.perf_counter() deadline, at least 0.05 s (None: no limit)."""
-    return None if deadline is None else max(deadline - time.perf_counter(), 0.05)
+    time.perf_counter() deadline, at least 0.05 s; 0 at or past the
+    deadline, where no call is made (None: no limit)."""
+    if deadline is None:
+        return None
+    left = deadline - time.perf_counter()
+    return 0 if left <= 0 else max(left, 0.05)
+
+
+def _without_columns(model):
+    """The solution of a model with no columns, where every row reads 0."""
+    if any(lo > 0 or hi < 0 for lo, hi in zip(model.row_lower, model.row_upper)):
+        return MilpSolution(Status.INFEASIBLE, None, None, None, 0.0, None)
+    return MilpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0.0, 0.0, 0.0)
 
 
 def solve(model: MilpModel, deadline=None) -> MilpSolution:
     """Solve a model with HiGHS, stopping it at the time.perf_counter()
     deadline (None: no limit)."""
     if model.num_vars == 0:
-        return MilpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0.0, 0.0, 0.0)
+        return _without_columns(model)
     lp = model.to_highs()
-    time_limit = _time_left(deadline)
     start = time.perf_counter()
-    status, info, x = _run_highs(lp, time_limit)
+    time_limit = _time_left(deadline)
+    status, info, x = _STOPPED if time_limit == 0 else _run_highs(lp, time_limit)
     if status == _MS.kUnboundedOrInfeasible:
         # HiGHS's MIP presolve does not tell these apart; a run without it does
-        status, info, x = _run_highs(lp, _time_left(deadline), presolve=False)
+        time_limit = _time_left(deadline)
+        status, info, x = (_STOPPED if time_limit == 0 else
+                           _run_highs(lp, time_limit, presolve=False))
     elapsed = time.perf_counter() - start
     mip = INTEGER in model.col_kind or BINARY in model.col_kind
     return _solution(status, info, x, mip, elapsed)

@@ -126,7 +126,7 @@ def check(inst: Instance, rs: RouteSet) -> list:
                 out.append(Violation(PRECEDENCE, route.vehicle, loc,
                                      "location visited twice in one route"))
             seen.add(loc)
-            if t < inst.earliest[loc] - EPS or t > inst.latest[loc] + EPS:
+            if not inst.earliest[loc] - EPS <= t <= inst.latest[loc] + EPS:
                 out.append(Violation(
                     WINDOW, route.vehicle, loc,
                     f"t={t:.3f} outside [{inst.earliest[loc]:.3f}, "

@@ -7,7 +7,8 @@ import pytest
 from darpsv import METHODS, cli
 from darpsv.cli import main
 from darpsv.formulations import SolveReport
-from darpsv.instance import from_json
+from darpsv.instance import from_json, to_json
+from darpsv.validate import timed_routes
 
 from conftest import CORDEAU_SAMPLE
 
@@ -108,6 +109,14 @@ MALFORMED = {
         "validate", sample, _write(tmp / "sol.json", json.dumps(
             {"objective": 1.0, "routes": [{"vehicle": 0,
                                            "stops": [{"loc": 0}]}]}))],
+    "stop-past-the-last-location": lambda tmp, sample: [
+        "validate", sample, _write(tmp / "sol.json", json.dumps(
+            {"objective": 1.0, "routes": [{"vehicle": 0, "stops": [
+                {"loc": 0, "t": 0.0}, {"loc": 9, "t": 1.0}]}]}))],
+    "stop-at-a-negative-location": lambda tmp, sample: [
+        "validate", sample, _write(tmp / "sol.json", json.dumps(
+            {"objective": 1.0, "routes": [{"vehicle": 0, "stops": [
+                {"loc": 0, "t": 0.0}, {"loc": -1, "t": 1.0}]}]}))],
     "solution-not-json": lambda tmp, sample: [
         "validate", sample, _write(tmp / "sol.json", "[")],
     "solve-tsfrag+c-large": lambda tmp, sample: [
@@ -126,6 +135,20 @@ def test_malformed_inputs_are_usage_errors(case, sample_file, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "bench.csv").exists()  # no partial bench CSV
+
+
+def test_validate_rejects_stop_times_that_are_not_numbers(single_customer,
+                                                         tmp_path, capsys):
+    inst_file = _write(tmp_path / "inst.json", to_json(single_customer))
+    routes = timed_routes(single_customer, [[0, 1, 2, 3]], 12.0)
+    sol = routes.to_dict()
+    assert main(["validate", inst_file,
+                 _write(tmp_path / "sol.json", json.dumps(sol))]) == 0
+    for stop in sol["routes"][0]["stops"]:
+        stop["t"] = float("nan")
+    assert main(["validate", inst_file,
+                 _write(tmp_path / "nan.json", json.dumps(sol))]) == 1
+    assert "[Window]" in capsys.readouterr().out
 
 
 def test_ddd_trace_on_stderr(sample_file, capsys):

@@ -243,6 +243,17 @@ def test_ebf_on_a_wide_window_bench_instance():
     assert ebf.objective == pytest.approx(ddd.objective, abs=1e-4)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_unreachable_pickup_is_infeasible_for_every_method(method):
+    # the pickup window closes (l = 5) before a vehicle can arrive (T = 10);
+    # untightened, the time-space methods build models with no columns
+    T = np.array([[0.0, 10.0, 15.0, 20.0], [10.0, 0.0, 5.0, 10.0],
+                  [15.0, 5.0, 0.0, 5.0], [20.0, 10.0, 5.0, 0.0]])
+    inst = make_instance(1, T, [0, 0, 0, 0], [100, 5, 60, 200], [0, 30],
+                         [0, 1, -1, 0], capacity=1, vehicles=1)
+    assert run_method(inst, method).status == "infeasible"
+
+
 def test_fixed_grid_optimal_routes_validate():
     # every method on the same draws: an ok report carries routes that
     # check() accepts, and an exact one the EBF optimum.  A fixed grid rounds

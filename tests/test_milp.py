@@ -14,7 +14,7 @@ from darpsv import milp
 from darpsv.formulations import build_tsfrag
 from darpsv.fragments import enumerate_fragments
 from darpsv.instance import random_instance, tighten_windows
-from darpsv.milp import (BINARY, CONTINUOUS, GE, INTEGER, LE, MilpModel,
+from darpsv.milp import (BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel,
                          Status, resolve_with_cuts, solve, write_lp)
 from darpsv.timespace import TimeGrid, expand_fragments
 
@@ -22,6 +22,15 @@ from darpsv.timespace import TimeGrid, expand_fragments
 def test_empty_model_is_trivially_optimal():
     sol = solve(MilpModel("empty"))
     assert sol.status == Status.OPTIMAL and sol.objective == 0.0
+
+
+@pytest.mark.parametrize("sense, rhs, want", [(EQ, 1.0, Status.INFEASIBLE),
+                                             (LE, 3.0, Status.OPTIMAL)])
+def test_a_model_without_columns_is_decided_by_its_rows(sense, rhs, want):
+    # HiGHS answers kModelEmpty whatever the rows say; each row reads 0
+    m = MilpModel("no columns")
+    m.add_constr("c", [], sense, rhs)
+    assert solve(m).status == want
 
 
 def test_min_integer_above_threshold():
@@ -143,6 +152,36 @@ def test_undecided_after_the_run_without_presolve_is_a_configuration_error(monke
     with pytest.raises(milp.ConfigurationError, match="unbounded or infeasible"):
         solve(ray_model(INTEGER))
     assert runs == [True, False]
+
+
+def test_a_call_past_its_deadline_starts_no_highs(monkeypatch):
+    runs = []
+    highs = milp._run_highs
+
+    def recorded(lp, time_limit, presolve=True):
+        runs.append(time_limit)
+        return highs(lp, time_limit, presolve)
+
+    monkeypatch.setattr(milp, "_run_highs", recorded)
+    m = MilpModel()
+    m.add_constr("c", [(m.add_var("x", INTEGER, 0, 5, obj=1.0), 1.0)], GE, 2.0)
+    sol = solve(m, deadline=time.perf_counter() - 1.0)
+    assert sol.status == Status.TIME_LIMIT and sol.values is None
+    assert sol.best_bound is None and runs == []
+
+
+def test_a_rerun_past_the_deadline_starts_no_highs(monkeypatch):
+    runs = []
+    deadline = time.perf_counter() + 0.05
+
+    def undecided_at_the_deadline(lp, time_limit, presolve=True):
+        runs.append(presolve)
+        time.sleep(max(deadline - time.perf_counter(), 0.0))
+        return milp._MS.kUnboundedOrInfeasible, None, None
+
+    monkeypatch.setattr(milp, "_run_highs", undecided_at_the_deadline)
+    assert solve(ray_model(INTEGER), deadline).status == Status.TIME_LIMIT
+    assert runs == [True]
 
 
 # every HiGHS model status a solve reports; any other is a ConfigurationError
