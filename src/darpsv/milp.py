@@ -281,8 +281,8 @@ def solve(model: MilpModel, deadline=None) -> MilpSolution:
     if model.num_vars == 0:
         return _without_columns(model)
     lp = model.to_highs()
-    start = time.perf_counter()
     time_limit = _time_left(deadline)
+    start = time.perf_counter()
     status, info, x = _STOPPED if time_limit == 0 else _run_highs(lp, time_limit)
     if status == _MS.kUnboundedOrInfeasible:
         # HiGHS's MIP presolve does not tell these apart; a run without it does
