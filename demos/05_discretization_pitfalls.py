@@ -43,7 +43,7 @@ print("continuous schedule of (p1,p2,d1,d2):",
 print("ebf:            ", darpsv.solve_ebf(inst).status)
 print("tsef, 10-min:   ", darpsv.solve_tsef(inst, resolution=10.0).status)
 print("tsef+ddd:       ", darpsv.ddd_solve(inst, "tsef").status,
-      "(approximate benchmark: the bound path diverges here)")
+      "(approximate: its ride rows read grid stamps and cut the only path)")
 print("tsfrag+ddd:     ", darpsv.ddd_solve(inst, "tsfrag").status, "\n")
 
 # -- rounding subtours --------------------------------------------------------

@@ -10,10 +10,15 @@ flagged arcs gain time points and the loop repeats.  The running bound
 takes a master's objective only when that master is optimal, and its
 best bound otherwise, also when it stopped before its first incumbent, so
 a master stopped by the deadline never raises the bound above the
-optimum.  For the event mode the master's ride rows act on discrete stamps
-only, so the bound can cut feasible paths; the result is labeled
-approximate, and when refinement can no longer lengthen the paths it ends
-as a RELAXATION with the masters' bound.
+optimum.
+
+The loop drives its master (formulations.TsfragMaster or TsefMaster)
+through the master's own steps, selection inputs included; master.exact
+says whether a master whose paths schedule is a proven optimum.  TSEF's
+ride rows act on discrete stamps only, so its masters can cut feasible
+paths and its bound can exceed the optimum: a schedulable result has
+status APPROXIMATE, and when refinement can no longer lengthen the paths
+the solve ends as a RELAXATION with the masters' bound.
 
 Each iteration runs one selection and one refinement, and in the fragment
 mode refinement grows the grid whenever Z != 0.  An arc that an optimal
@@ -33,17 +38,17 @@ the invariant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import milp
 from .events import enumerate_events
-from .formulations import (SolveReport, TsefMaster, TsfragMaster, paths_tsef,
-                           paths_tsfrag, separate_subtours, solve_report)
+from .formulations import (SelectionInputs, SolveReport, TsefMaster,
+                           TsfragMaster, separate_subtours, solve_report)
 from .fragments import enumerate_fragments, feasible_schedule
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
-from .timespace import IDLE, TimeGrid
+from .timespace import TimeGrid
 
 MAX_ITERATIONS = 500  # StallError beyond this many masters
 
@@ -69,19 +74,8 @@ class Iteration(NamedTuple):
 
 
 @dataclass
-class SelectionInputs:
-    """Paths and shortened lengths drawn from one master solution."""
-
-    location_paths: list  # per used vehicle, 0 .. 2n+1
-    arc_short: dict  # (i, j) -> shortened length \bar T_ij
-    fragment_floors: list  # (start loc, end loc, floor length)
-    used_copies: list = field(default_factory=list)  # (path, ts copy) pairs
-
-
-@dataclass
 class SelectionResult:
-    feasible: bool
-    z: int | None
+    z: int | None  # None when the solve found no schedule
     delta: list  # flagged location arcs
     status: str = Status.OPTIMAL  # of the selection MILP
 
@@ -127,11 +121,11 @@ def selection_model(inst: Instance, inputs: SelectionInputs, deadline=None):
                          LE, float(inst.ride[i]))
     sol = milp.solve(m, deadline)
     if sol.status in (Status.INFEASIBLE, Status.TIME_LIMIT):
-        return SelectionResult(False, None, [], sol.status)
+        return SelectionResult(None, [], sol.status)
     if not sol.ok:
         raise milp.ConfigurationError(f"selection model: {sol.status}")
     flagged = sorted(a for a in arcs if sol.value(delta[a]) > 0.5)
-    return SelectionResult(True, int(round(sol.objective)), flagged, sol.status)
+    return SelectionResult(int(round(sol.objective)), flagged, sol.status)
 
 
 def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
@@ -148,7 +142,7 @@ def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
 def _refine(inst, grid, inputs, sel) -> int:
     """Grow the grid on the arcs sel flags (every shortened arc when no
     schedule exists); returns the number of new points."""
-    flagged = sel.delta if sel.feasible else [
+    flagged = sel.delta if sel.z is not None else [
         a for a, v in inputs.arc_short.items() if v < inst.travel_time[a] - EPS]
     return (refine_grid(grid, flagged, inst)
             + _refine_copy_interiors(inst, grid, inputs, flagged))
@@ -170,68 +164,22 @@ def _refine_copy_interiors(inst, grid, inputs, flagged_arcs) -> int:
     return added
 
 
-def _shorten(arc_short, loc_arc, value):
-    """Keep the shortest rounded-down length seen on a location arc."""
-    prev = arc_short.get(loc_arc)
-    if prev is None or value < prev:
-        arc_short[loc_arc] = value
-
-
-def _frag_inputs(inst, net, walks):
-    floors, used_copies = [], []
-    arc_short = {}
-    seen_copies = set()
-    for walk in walks:
-        for kind, idx in walk:
-            if kind == "frag":
-                if idx in seen_copies:
-                    continue  # synchronized vehicles share one copy
-                seen_copies.add(idx)
-                copy = net.ts_frags[idx]
-                frag = net.frags[copy.frag_id]
-                used_copies.append((frag.path, copy))
-                for (i, j) in zip(frag.path, frag.path[1:]):
-                    _shorten(arc_short, (i, j), inst.travel_time[i, j] - copy.disc)
-                floors.append((frag.start, frag.end,
-                               net.nodes[copy.head].t - copy.start_eff))
-            else:
-                arc = net.arcs[idx]
-                if arc.kind != IDLE:
-                    _shorten(arc_short, arc.loc_arc,
-                             inst.travel_time[arc.loc_arc] - arc.disc)
-    return SelectionInputs(paths_tsfrag(inst, net, walks), arc_short, floors,
-                           used_copies)
-
-
-def _event_inputs(inst, net, walks):
-    arc_short = {}
-    for elements in walks:
-        for aid in elements:
-            arc = net.arcs[aid]
-            if arc.kind != IDLE:
-                _shorten(arc_short, arc.loc_arc,
-                         inst.travel_time[arc.loc_arc] - arc.disc)
-    return SelectionInputs(paths_tsef(inst, net, walks), arc_short, [])
-
-
 def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
               initial_delta=50.0, trace=None) -> SolveReport:
-    """Run DDD to a continuous-time optimum (tsfrag) or approximate
-    benchmark value (tsef).  time_limit becomes one deadline at the call:
-    enumeration and every grid expansion count against it, and every
-    master and selection solve stops at it."""
-    if mode not in ("tsfrag", "tsef"):
-        raise ValueError(f"DDD is defined for time-space modes, not {mode!r}")
+    """Run DDD to a continuous-time optimum (tsfrag) or an approximate
+    value (tsef, status APPROXIMATE).  time_limit becomes one deadline at
+    the call: enumeration and every grid expansion count against it, and
+    every master and selection solve stops at it."""
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     if mode == "tsfrag":
         frags = enumerate_fragments(inst)
-        master, inputs_of = TsfragMaster(inst, frags), _frag_inputs
-        base_stats = {"F": len(frags)}
-    else:
+        master, base_stats = TsfragMaster(inst, frags), {"F": len(frags)}
+    elif mode == "tsef":
         enet = enumerate_events(inst, timed=True)
-        master, inputs_of = TsefMaster(inst, enet), _event_inputs
-        base_stats = enet.stats()
+        master, base_stats = TsefMaster(inst, enet), enet.stats()
+    else:
+        raise ValueError(f"DDD is defined for time-space modes, not {mode!r}")
     grid = TimeGrid.fixed(inst, initial_delta)
     history = []
     bound = paths = None
@@ -259,7 +207,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             # caveat) and no bound is reported
             sol = _stopped(sol.status, None)
             break
-        if (sol.ok and bound is not None and mode == "tsfrag"
+        if (sol.ok and bound is not None and master.exact
                 and sol.objective < bound - 1e-6):
             raise AssertionError(
                 f"lower bound regressed: {sol.objective} < {bound} at k={k}")
@@ -271,14 +219,13 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         if not sol.ok:
             sol = _stopped(sol.status, bound)
             break
-        inputs = inputs_of(inst, net, walks)
-        # sel.z is None without a schedule
+        inputs = master.selection_inputs(walks)
         sel = selection_model(inst, inputs, deadline=deadline)
         if sel.status == Status.TIME_LIMIT:
             sol = _stopped(Status.TIME_LIMIT, bound)
             break
         new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
-        if sel.z != 0 and new_points == 0 and mode == "tsef":
+        if sel.z != 0 and new_points == 0 and not master.exact:
             # nothing left to lengthen yet no continuous schedule: the
             # discrete ride rows cut the path set (documented inexactness),
             # so the masters' bound is all the solve has
@@ -296,8 +243,9 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             raise StallError(f"Z={z} with no grid growth at iteration {k}")
     else:
         raise StallError(f"no convergence within {MAX_ITERATIONS} iterations")
-    return solve_report(inst, f"{mode}+ddd", sol, paths, start, stats,
-                        total_cuts, iterations=k, history=history)
+    return solve_report(inst, master.method + "+ddd", sol, paths, start,
+                        stats, total_cuts, exact=master.exact, iterations=k,
+                        history=history)
 
 
 def _stopped(status, bound):

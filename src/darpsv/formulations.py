@@ -10,7 +10,8 @@ cycle into a cut over its physical elements, re-solve, and read the routes
 off the walks of the last decomposition.  EBF and TSEF share their
 arc-flow rows (_arc_flow) and add their own timing rows.  TsfragMaster and
 TsefMaster hold the steps of one time-space formulation on its current
-grid; fixed-grid solves and DDD drive the same masters.
+grid, DDD's selection inputs and exactness included; fixed-grid solves
+and DDD drive the same masters through those steps alone.
 
 Every solve becomes a report one way (solve_report): status, objective,
 bound and gap come from its own MILP solution, and the location paths of
@@ -18,7 +19,9 @@ an ok solution are timed by their earliest joint schedule (timed_routes)
 and checked (validate.check).  A fixed grid rounds arcs down, so its
 optimum is a relaxation whose paths may admit no continuous schedule;
 paths without a schedule, or whose routes check() rejects, give status
-RELAXATION with the solution's bound and no routes.
+RELAXATION with the solution's bound and no routes.  TSEF is not exact
+(its ride rows act on discrete stamps), so its checked routes give status
+APPROXIMATE, and its bound can exceed the optimum.
 
 Each solve_* turns its time_limit (seconds) into one time.perf_counter()
 deadline when it starts, and every layer below takes that deadline, so
@@ -73,13 +76,8 @@ class SolveReport:
 
     @property
     def ok(self):
-        return self.status in (Status.OPTIMAL, Status.FEASIBLE_WITH_GAP)
-
-    @property
-    def approximate(self):
-        """TSEF's ride rows act on discrete stamps, so its values are
-        benchmarks, not proven continuous-time optima."""
-        return self.method in ("tsef", "tsef+ddd")
+        return self.status in (Status.OPTIMAL, Status.FEASIBLE_WITH_GAP,
+                               Status.APPROXIMATE)
 
     def to_dict(self):
         out = {
@@ -90,26 +88,29 @@ class SolveReport:
             "gap": self.gap,
             "seconds": self.seconds,
             "stats": dict(self.stats, cuts=self.cuts,
-                          iterations=self.iterations,
-                          approximate=self.approximate),
+                          iterations=self.iterations),
         }
         routes = self.routes or RouteSet([], self.objective)
         out.update(routes.to_dict())  # routes carry the report's objective
         return out
 
 
-def solve_report(inst, method, sol, paths, start, stats, cuts, **fields):
+def solve_report(inst, method, sol, paths, start, stats, cuts, exact=True,
+                 **fields):
     """The one way a solve becomes a SolveReport.  Status, objective, bound
     and gap are sol's; an ok sol's location paths (read only then) are
     timed by their earliest joint schedule.  Paths with no schedule, or
     whose routes check() rejects, give RELAXATION with sol's bound and no
-    routes.  fields go to SolveReport as they are (DDD's iterations and
-    history)."""
+    routes.  Checked routes of an inexact formulation give APPROXIMATE,
+    whether its MILP was optimal or stopped with a gap.  fields go to
+    SolveReport as they are (DDD's iterations and history)."""
     status, objective, gap, routes = sol.status, sol.objective, sol.gap, None
     if sol.ok:
         routes = timed_routes(inst, paths, objective)
         if routes is None or check(inst, routes):
             status, objective, gap, routes = Status.RELAXATION, None, None, None
+        elif not exact:
+            status = Status.APPROXIMATE
     return SolveReport(method, status, objective, sol.best_bound, routes,
                        time.perf_counter() - start, gap=gap, cuts=cuts,
                        stats=stats, **fields)
@@ -386,24 +387,6 @@ class TsfragVars:
     usage: dict = field(default_factory=dict)  # loc arc -> lazy indicator var
 
 
-def arc_usage_var(model, net, vars_, loc_arc):
-    """Binary that is forced to 1 whenever any copy of the physical node
-    arc carries flow.  Created lazily: cuts need indicators because a
-    synchronized pair may split its two flow units across a cycle's arcs,
-    and no linear cut in (X, Y) alone separates that from a legitimate
-    chain."""
-    if loc_arc in vars_.usage:
-        return vars_.usage[loc_arc]
-    i, j = loc_arc
-    g = model.add_var(f"g{i}_{j}", BINARY)
-    for aid in net.by_loc_arc.get(loc_arc, []):
-        model.add_constr(f"glk{i}_{j}_{aid}",
-                         [(vars_.Y[aid], 1.0), (g, -float(net.arcs[aid].cap))],
-                         LE, 0.0)
-    vars_.usage[loc_arc] = g
-    return g
-
-
 def build_tsfrag(inst: Instance, net: TsFragNetwork):
     m = MilpModel(f"tsfrag-{inst.name}")
     X = [m.add_var(f"X{c}", BINARY, obj=copy.cost * copy.vehicles)
@@ -458,35 +441,6 @@ def paths_tsfrag(inst, net, walks):
                 path.extend(net.frags[net.ts_frags[idx].frag_id].path)
         paths.append(path + [inst.destination])
     return paths
-
-
-def cycle_physical_elements(net, elements):
-    """Physical fragments and movement location arcs of a residual cycle
-    or a walk, each once, in order; idle arcs carry no physical element."""
-    frags, loc_arcs = [], []
-    for kind, idx in elements:
-        if kind == "frag":
-            fid = net.ts_frags[idx].frag_id
-            if fid not in frags:
-                frags.append(fid)
-        else:
-            arc = net.arcs[idx]
-            if arc.kind != IDLE and arc.loc_arc not in loc_arcs:
-                loc_arcs.append(arc.loc_arc)
-    return frags, loc_arcs
-
-
-def subtour_cut_tsfrag(model, net, vars_, elements, name):
-    """Forbid simultaneous use of every element of a detected cycle, over
-    all time copies: positive flow on the whole physical cycle forces a
-    closed precedence chain, which no continuous schedule satisfies.
-    elements is a (fragment ids, location arcs) pair."""
-    frags, loc_arcs = elements
-    coeffs = [(vars_.X[c], 1.0) for fid in frags for c in net.by_frag.get(fid, [])]
-    for la in loc_arcs:
-        coeffs.append((arc_usage_var(model, net, vars_, la), 1.0))
-    rhs = float(len(frags) + len(loc_arcs) - 1)
-    return (name, coeffs, LE, rhs)
 
 
 class MethodError(ValueError):
@@ -544,12 +498,6 @@ def paths_tsef(inst, net, walks):
             for walk in walks]
 
 
-def subtour_cut_tsef(model, net, vars_, event_arcs, name):
-    coeffs = [(vars_.y[a], 1.0) for ea in event_arcs
-              for a in net.by_event_arc.get(ea, [])]
-    return (name, coeffs, LE, float(len(event_arcs) - 1))
-
-
 def solve_tsef(inst: Instance, resolution=1.0, time_limit=None) -> SolveReport:
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
@@ -567,7 +515,27 @@ def _solve_grid(master, grid, deadline, start):
         master.more_cuts)
     paths = master.paths(walks) if sol.ok else None
     return solve_report(master.inst, master.method, sol, paths, start,
-                        net.stats(), info.num_cuts)
+                        net.stats(), info.num_cuts, exact=master.exact)
+
+
+@dataclass
+class SelectionInputs:
+    """Paths and shortened lengths drawn from one master solution, the
+    input of DDD's selection model (ddd.selection_model)."""
+
+    location_paths: list  # per used vehicle, 0 .. 2n+1
+    arc_short: dict  # (i, j) -> shortened length \bar T_ij
+    fragment_floors: list  # (start loc, end loc, floor length)
+    used_copies: list = field(default_factory=list)  # (path, ts copy) pairs
+
+
+def _shorten(arc_short, inst, loc_arc, disc):
+    """Keep the shortest rounded-down length T - disc seen on a location
+    arc."""
+    value = inst.travel_time[loc_arc] - disc
+    prev = arc_short.get(loc_arc)
+    if prev is None or value < prev:
+        arc_short[loc_arc] = value
 
 
 class TsfragMaster:
@@ -575,7 +543,10 @@ class TsfragMaster:
     grid and builds the model; the other steps act on the last build, and
     call the module-level decomposer when they run, so tracing wrappers
     and test patches see every call.  With callbacks (TSFrag+C), a route
-    with no continuous schedule is cut like a cycle."""
+    with no continuous schedule is cut like a cycle.  Fragments carry
+    every ride limit, so a master whose paths schedule is exact."""
+
+    exact = True
 
     def __init__(self, inst, frags, callbacks=False):
         self.inst, self.frags = inst, frags
@@ -591,13 +562,73 @@ class TsfragMaster:
         return decompose_tsfrag(self.inst, self.net, sol, self.vars)
 
     def physical(self, cycle):
-        return cycle_physical_elements(self.net, cycle)
+        """Physical fragments and movement location arcs of a residual
+        cycle or a walk, each once, in order; idle arcs carry no physical
+        element."""
+        frags, loc_arcs = [], []
+        for kind, idx in cycle:
+            if kind == "frag":
+                fid = self.net.ts_frags[idx].frag_id
+                if fid not in frags:
+                    frags.append(fid)
+            else:
+                arc = self.net.arcs[idx]
+                if arc.kind != IDLE and arc.loc_arc not in loc_arcs:
+                    loc_arcs.append(arc.loc_arc)
+        return frags, loc_arcs
 
     def cut(self, elements, name):
-        return subtour_cut_tsfrag(self.model, self.net, self.vars, elements, name)
+        """Forbid simultaneous use of every element of a detected cycle,
+        over all time copies: positive flow on the whole physical cycle
+        forces a closed precedence chain, which no continuous schedule
+        satisfies.  elements is a (fragment ids, location arcs) pair.
+
+        A location arc enters through a binary forced to 1 whenever any of
+        its copies carries flow, created on first use: a synchronized pair
+        may split its two flow units across a cycle's arcs, and no linear
+        cut in (X, Y) alone separates that from a legitimate chain."""
+        net, vars_, m = self.net, self.vars, self.model
+        frags, loc_arcs = elements
+        coeffs = [(vars_.X[c], 1.0) for fid in frags for c in net.by_frag.get(fid, [])]
+        for (i, j) in loc_arcs:
+            g = vars_.usage.get((i, j))
+            if g is None:
+                g = vars_.usage[i, j] = m.add_var(f"g{i}_{j}", BINARY)
+                for aid in net.by_loc_arc.get((i, j), []):
+                    m.add_constr(f"glk{i}_{j}_{aid}",
+                                 [(vars_.Y[aid], 1.0), (g, -float(net.arcs[aid].cap))],
+                                 LE, 0.0)
+            coeffs.append((g, 1.0))
+        return (name, coeffs, LE, float(len(frags) + len(loc_arcs) - 1))
 
     def paths(self, walks):
         return paths_tsfrag(self.inst, self.net, walks)
+
+    def selection_inputs(self, walks):
+        """Each used copy once (synchronized vehicles share one), with its
+        schedule's floor, and the shortest rounded-down length of every
+        location arc inside a copy or on a movement arc."""
+        floors, used_copies, arc_short = [], [], {}
+        seen_copies = set()
+        for walk in walks:
+            for kind, idx in walk:
+                if kind == "frag":
+                    if idx in seen_copies:
+                        continue
+                    seen_copies.add(idx)
+                    copy = self.net.ts_frags[idx]
+                    frag = self.net.frags[copy.frag_id]
+                    used_copies.append((frag.path, copy))
+                    for loc_arc in zip(frag.path, frag.path[1:]):
+                        _shorten(arc_short, self.inst, loc_arc, copy.disc)
+                    floors.append((frag.start, frag.end,
+                                   self.net.nodes[copy.head].t - copy.start_eff))
+                else:
+                    arc = self.net.arcs[idx]
+                    if arc.kind != IDLE:
+                        _shorten(arc_short, self.inst, arc.loc_arc, arc.disc)
+        return SelectionInputs(self.paths(walks), arc_short, floors,
+                               used_copies)
 
     def _path_cuts(self, walks):
         unscheduled = [self.physical(w) for w, path in zip(walks, self.paths(walks))
@@ -608,10 +639,12 @@ class TsfragMaster:
 
 class TsefMaster:
     """TSEF over an event network, for any grid, with the same steps as
-    TsfragMaster.  Its ride rows act on discrete stamps, so its results
-    are approximate."""
+    TsfragMaster.  It is not exact: its ride rows act on discrete stamps,
+    so they can cut continuous-feasible paths and its bound can exceed
+    the optimum, and its ok reports have status APPROXIMATE."""
 
     method = "tsef"
+    exact = False
     more_cuts = None
 
     def __init__(self, inst, enet):
@@ -631,7 +664,20 @@ class TsefMaster:
                        if self.net.arcs[a].kind != IDLE})
 
     def cut(self, event_arcs, name):
-        return subtour_cut_tsef(self.model, self.net, self.vars, event_arcs, name)
+        coeffs = [(self.vars.y[a], 1.0) for ea in event_arcs
+                  for a in self.net.by_event_arc.get(ea, [])]
+        return (name, coeffs, LE, float(len(event_arcs) - 1))
 
     def paths(self, walks):
         return paths_tsef(self.inst, self.net, walks)
+
+    def selection_inputs(self, walks):
+        """The shortest rounded-down length of every location arc the
+        walks move along; events carry no fragment floors."""
+        arc_short = {}
+        for walk in walks:
+            for aid in walk:
+                arc = self.net.arcs[aid]
+                if arc.kind != IDLE:
+                    _shorten(arc_short, self.inst, arc.loc_arc, arc.disc)
+        return SelectionInputs(self.paths(walks), arc_short, [])

@@ -60,6 +60,7 @@ class Status:
     TIME_LIMIT = "time_limit"
     UNBOUNDED = "unbounded"
     RELAXATION = "relaxation"  # a relaxation's paths with no checked schedule
+    APPROXIMATE = "approximate"  # checked routes of an inexact formulation
 
 
 class ConfigurationError(RuntimeError):

@@ -256,7 +256,8 @@ def test_unreachable_pickup_is_infeasible_for_every_method(method):
 
 def test_fixed_grid_optimal_routes_validate():
     # every method on the same draws: an ok report carries routes that
-    # check() accepts, and an exact one the EBF optimum.  A fixed grid rounds
+    # check() accepts, its status is approximate exactly when its method is
+    # TSEF or TSEF+DDD, and an exact one has the EBF optimum.  A fixed grid rounds
     # arcs down, so its optimum is a relaxation: without a continuous
     # schedule it reports a bound that no feasible plan beats, and no
     # method may call a draw infeasible that EBF solves
@@ -279,8 +280,10 @@ def test_fixed_grid_optimal_routes_validate():
                 if report.ok:
                     if check(inst, report.routes):
                         failures.append(case + ("rejected routes",))
-                    if not report.approximate and \
-                            abs(report.objective - best) > 1e-4:
+                    approximate = report.status == "approximate"
+                    if approximate != (method in ("tsef", "tsef+ddd")):
+                        failures.append(case + ("approximate iff TSEF",))
+                    if not approximate and abs(report.objective - best) > 1e-4:
                         failures.append(case + (report.objective, ebf))
                 elif report.status == "relaxation":
                     relaxations += 1
@@ -350,7 +353,7 @@ def test_exact_grid_tsef_synchronized_routes_validate():
     inst = tighten_windows(integerized(11, large_share=0.4))
     assert inst.large_pickups
     report = solve_tsef(inst, resolution=1.0)
-    assert report.status == "optimal"
+    assert report.status == "approximate"
     assert check(inst, report.routes) == []
 
 
@@ -367,9 +370,10 @@ def test_empty_instance_yields_empty_routeset():
 
 def test_degenerate_grid_merging_all_times_still_solves(single_customer):
     # a step larger than any window collapses grids to {e, l}
-    for solver in (solve_tsef, solve_tsfrag):
+    for solver, status in ((solve_tsef, "approximate"),
+                           (solve_tsfrag, "optimal")):
         report = solver(single_customer, resolution=1e6)
-        assert report.status == "optimal"
+        assert report.status == status
         assert report.objective == pytest.approx(12.0)
 
 

@@ -37,7 +37,9 @@ def test_one_decomposition_per_master_solve(method, draw, subtour_regression,
     # the seeded draw's fixed 10-minute optimum (73.82, below the true
     # 74.64) rounds arcs down onto paths that have no schedule
     relaxed = draw == "seeded" and method in ("tsef", "tsfrag")
-    assert report.status == ("relaxation" if relaxed else "optimal")
+    assert report.status == ("relaxation" if relaxed else
+                             "approximate" if method.startswith("tsef")
+                             else "optimal")
     if draw == "subtour_regression" and method != "ebf":
         assert report.cuts >= 1  # the loop re-solved at least once
     assert counts["solves"] >= 1
