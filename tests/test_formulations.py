@@ -257,8 +257,8 @@ def test_unreachable_pickup_is_infeasible_for_every_method(method):
 def test_fixed_grid_optimal_routes_validate():
     # every method on the same draws: an ok report carries routes that
     # check() accepts, its status is approximate exactly when its method is
-    # TSEF or TSEF+DDD, and an exact one has the EBF optimum.  A fixed grid rounds
-    # arcs down, so its optimum is a relaxation: without a continuous
+    # TSEF or TSEF+DDD, and an exact one has the EBF optimum.  A fixed grid
+    # rounds arcs down, so its optimum is a relaxation: without a continuous
     # schedule it reports a bound that no feasible plan beats, and no
     # method may call a draw infeasible that EBF solves
     failures, relaxations = [], 0
