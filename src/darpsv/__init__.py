@@ -19,7 +19,7 @@ from .instance import (DatasetParams, Instance, InstanceError,
                        build_dataset2, designate_large, from_json,
                        load_instance, parse_cordeau, random_instance,
                        tighten_windows, to_json)
-from .milp import MilpModel, MilpSolution, Status, resolve_with_cuts, solve, write_lp
+from .milp import MilpModel, MilpSolution, Status, resolve_with_cuts, solve
 from .timespace import TimeGrid, expand_events, expand_fragments
 from .validate import (Route, RouteSet, Violation, brute_optimum, check,
                        timed_routes)

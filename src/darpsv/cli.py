@@ -229,7 +229,7 @@ def build_parser():
                    help="fixed grid step in minutes for tsef/tsfrag")
     p.add_argument("--callbacks", action="store_true",
                    help="TSFrag+C: infeasible-path cuts instead of DDD")
-    p.add_argument("--time-limit", type=float, default=1800.0)
+    p.add_argument("--time-limit", type=_positive_float, default=1800.0)
     p.add_argument("--initial-delta", type=_positive_float, default=50.0,
                    help="initial DDD grid step in minutes")
     p.add_argument("--out", help="write the solution JSON here")
@@ -254,7 +254,7 @@ def build_parser():
     p.add_argument("instances", nargs="*")
     p.add_argument("--methods", default="ebf,tsfrag+ddd")
     p.add_argument("--resolution", type=_positive_float, default=1.0)
-    p.add_argument("--time-limit", type=float, default=1800.0)
+    p.add_argument("--time-limit", type=_positive_float, default=1800.0)
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--json", action="store_true",

@@ -95,29 +95,25 @@ def selection_model(inst: Instance, inputs: SelectionInputs, deadline=None):
     for path in inputs.location_paths:
         for loc in path:
             if loc not in tau:
-                tau[loc] = m.add_var(f"tau{loc}", CONTINUOUS,
-                                     inst.earliest[loc], inst.latest[loc])
+                tau[loc] = m.add_var(CONTINUOUS, inst.earliest[loc], inst.latest[loc])
         arcs.update(zip(path, path[1:]))
     arcs = sorted(arcs)
     theta, delta = {}, {}
     T = inst.travel_time
     for (i, j) in arcs:
-        theta[i, j] = m.add_var(f"th{i}_{j}", CONTINUOUS, 0.0)
-        delta[i, j] = m.add_var(f"d{i}_{j}", BINARY, obj=1.0)
-        m.add_constr(f"rel{i}_{j}",
-                     [(theta[i, j], 1.0), (delta[i, j], float(T[i, j]))],
+        theta[i, j] = m.add_var(CONTINUOUS, 0.0)
+        delta[i, j] = m.add_var(BINARY, obj=1.0)
+        m.add_constr([(theta[i, j], 1.0), (delta[i, j], float(T[i, j]))],
                      GE, float(T[i, j]))
-        m.add_constr(f"inc{i}_{j}",
-                     [(tau[i], 1.0), (theta[i, j], 1.0), (tau[j], -1.0)], LE, 0.0)
+        m.add_constr([(tau[i], 1.0), (theta[i, j], 1.0), (tau[j], -1.0)], LE, 0.0)
         short = inputs.arc_short.get((i, j))
         if short is not None and short > 0:
-            m.add_constr(f"min{i}_{j}", [(theta[i, j], 1.0)], GE, float(short))
-    for k, (start, end, floor) in enumerate(inputs.fragment_floors):
-        m.add_constr(f"floor{k}", [(tau[end], 1.0), (tau[start], -1.0)],
-                     GE, float(floor))
+            m.add_constr([(theta[i, j], 1.0)], GE, float(short))
+    for start, end, floor in inputs.fragment_floors:
+        m.add_constr([(tau[end], 1.0), (tau[start], -1.0)], GE, float(floor))
     for i in inst.pickups:
         if i in tau and i + inst.n in tau:
-            m.add_constr(f"ride{i}", [(tau[i + inst.n], 1.0), (tau[i], -1.0)],
+            m.add_constr([(tau[i + inst.n], 1.0), (tau[i], -1.0)],
                          LE, float(inst.ride[i]))
     sol = milp.solve(m, deadline)
     if sol.status in (Status.INFEASIBLE, Status.TIME_LIMIT):
@@ -191,8 +187,8 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             k, sol = k - 1, _stopped(Status.TIME_LIMIT, bound)
             break
         net, model = master.build(grid)
-        for c, phys in enumerate(physical_cuts):
-            model.add_constr(*master.cut(phys, f"pcut{c}"))
+        for phys in physical_cuts:
+            model.add_constr(*master.cut(phys))
         master_start = time.perf_counter()
         sol, info, walks, cut_sets = separate_subtours(
             model, master.decompose, master.physical, master.cut, deadline,

@@ -123,9 +123,9 @@ def separate_subtours(model, decompose, physical, cut, deadline,
     """The subtour-separation loop of every flow formulation.
 
     Each HiGHS solution is decomposed once: decompose(sol) gives the walks
-    (EBF: its routes) and the residual cycles.  Each cycle becomes a cut,
-    cut(physical(cycle), name), and the model is re-solved; more_cuts(walks)
-    runs only when no cycle was cut.  resolve_with_cuts returns an ok
+    (EBF: its routes) and the residual cycles.  Each cycle becomes a
+    (coeffs, sense, rhs) cut, cut(physical(cycle)), and the model is
+    re-solved; more_cuts(walks) runs only when no cycle was cut.  resolve_with_cuts returns an ok
     solution only after the generator found no cut on it, so the last
     decomposition is that solution's.
 
@@ -139,9 +139,9 @@ def separate_subtours(model, decompose, physical, cut, deadline,
         nonlocal walks
         walks, cycles = decompose(sol)
         cuts = []
-        for k, cycle in enumerate(cycles):
+        for cycle in cycles:
             cut_sets.append(physical(cycle))
-            cuts.append(cut(cut_sets[-1], f"cut{model.num_constrs}_{k}"))
+            cuts.append(cut(cut_sets[-1]))
         if not cuts and more_cuts is not None:
             cuts = more_cuts(walks)
         return cuts
@@ -154,60 +154,60 @@ def separate_subtours(model, decompose, physical, cut, deadline,
 
 def _arc_flow(m, inst, arcs, in_arcs, out_arcs, origin, dest):
     """The variables and rows that EBF and TSEF share, over a network with
-    depot nodes origin and dest.  Each arc a gets an integer flow x{a} up
-    to its cap and a binary y{a} that is 1 exactly when x{a} > 0.  Flow is
+    depot nodes origin and dest.  Each arc a gets an integer flow x[a] up
+    to its cap and a binary y[a] that is 1 exactly when x[a] > 0.  Flow is
     conserved at every other node, the arcs leaving each pickup carry its
     vehicles_required (waiting arcs, whose loc_arc is a loop, do not
     count), and at most the fleet leaves the origin.
 
     Returns x, y and the non-waiting arc ids by tail and by head location,
     each in arc order."""
-    x = [m.add_var(f"x{a}", INTEGER, 0, arc.cap, arc.cost)
-         for a, arc in enumerate(arcs)]
-    y = [m.add_var(f"y{a}", BINARY) for a in range(len(arcs))]
+    x = [m.add_var(INTEGER, 0, arc.cap, arc.cost) for arc in arcs]
+    y = [m.add_var(BINARY) for _ in arcs]
     for v in range(len(in_arcs)):
         if v in (origin, dest):
             continue
         coeffs = [(x[a], 1.0) for a in in_arcs[v]]
         coeffs += [(x[a], -1.0) for a in out_arcs[v]]
-        m.add_constr(f"flow{v}", coeffs, EQ, 0.0)
+        m.add_constr(coeffs, EQ, 0.0)
     out_loc, in_loc = {}, {}
     for a, arc in enumerate(arcs):
-        m.add_constr(f"lk1_{a}", [(x[a], 1.0), (y[a], -1.0)], GE, 0.0)
-        m.add_constr(f"lk2_{a}", [(x[a], 1.0), (y[a], -arc.cap)], LE, 0.0)
+        m.add_constr([(x[a], 1.0), (y[a], -1.0)], GE, 0.0)
+        m.add_constr([(x[a], 1.0), (y[a], -arc.cap)], LE, 0.0)
         i, j = arc.loc_arc
         if i != j:
             out_loc.setdefault(i, []).append(a)
             in_loc.setdefault(j, []).append(a)
     for i in inst.pickups:
         coeffs = [(x[a], 1.0) for a in out_loc.get(i, [])]
-        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
-    m.add_constr("fleet", [(x[a], 1.0) for a in out_arcs[origin]],
+        m.add_constr(coeffs, EQ, float(inst.vehicles_required(i)))
+    m.add_constr([(x[a], 1.0) for a in out_arcs[origin]],
                  LE, float(inst.vehicles))
     return x, y, out_loc, in_loc
 
 
 @dataclass
-class EbfVars:
-    x: list  # arc id -> var
-    y: list
+class ArcFlowVars:
+    """The arc-flow variables of an EBF or TSEF model."""
+
+    x: list  # arc id -> integer flow var
+    y: list  # arc id -> binary use var
 
 
 def build_ebf(inst: Instance, net: EventNetwork):
     m = MilpModel(f"ebf-{inst.name}")
     x, y, _, _ = _arc_flow(m, inst, net.arcs, net.in_arcs, net.out_arcs,
                            net.origin_id, net.dest_id)
-    t = {loc: m.add_var(f"t{loc}", CONTINUOUS, inst.earliest[loc], inst.latest[loc])
+    t = {loc: m.add_var(CONTINUOUS, inst.earliest[loc], inst.latest[loc])
          for loc in range(inst.num_locations)}
     for (i, j), aids in sorted(net.by_loc_arc.items()):
         M = big_m(inst, i, j)
         coeffs = [(t[i], 1.0), (t[j], -1.0)]
         coeffs += [(y[a], M) for a in aids]
-        m.add_constr(f"time{i}_{j}", coeffs, LE, M - inst.travel_time[i, j])
+        m.add_constr(coeffs, LE, M - inst.travel_time[i, j])
     for i in inst.pickups:
-        m.add_constr(f"ride{i}", [(t[i + inst.n], 1.0), (t[i], -1.0)],
-                     LE, float(inst.ride[i]))
-    return m, EbfVars(x, y)
+        m.add_constr([(t[i + inst.n], 1.0), (t[i], -1.0)], LE, float(inst.ride[i]))
+    return m, ArcFlowVars(x, y)
 
 
 def extract_routes_ebf(inst, net, sol, vars_):
@@ -225,10 +225,10 @@ def solve_ebf(inst: Instance, time_limit=None) -> SolveReport:
     net = enumerate_events(inst, timed=True)
     model, vars_ = build_ebf(inst, net)
 
-    def cut(arcs, name):
+    def cut(arcs):
         # the big-M time rows already forbid cycles of positive length, so
         # this fires only on zero-length ones
-        return (name, [(vars_.y[a], 1.0) for a in arcs], LE, float(len(arcs) - 1))
+        return [(vars_.y[a], 1.0) for a in arcs], LE, float(len(arcs) - 1)
 
     sol, info, paths, _ = separate_subtours(
         model, lambda sol: extract_routes_ebf(inst, net, sol, vars_),
@@ -285,15 +285,14 @@ def build_abf(inst: Instance):
         vq[i], vq[i + inst.n] = q, -q
 
     f = {(i, j, v): m.add_var(
-            f"f{i}_{j}_{v}", BINARY,
-            obj=0.0 if i == inst.origin and j == inst.destination
+            BINARY, obj=0.0 if i == inst.origin and j == inst.destination
             else float(inst.travel_cost[i, j]))
          for (i, j) in arcs for v in V}
-    t = {(i, v): m.add_var(f"t{i}_{v}", CONTINUOUS, inst.earliest[i], inst.latest[i])
+    t = {(i, v): m.add_var(CONTINUOUS, inst.earliest[i], inst.latest[i])
          for i in range(inst.num_locations) for v in V}
     large_locs = [i for i in inst.large_pickups] + \
                  [i + inst.n for i in inst.large_pickups]
-    tt = {i: m.add_var(f"tt{i}", CONTINUOUS, inst.earliest[i], inst.latest[i])
+    tt = {i: m.add_var(CONTINUOUS, inst.earliest[i], inst.latest[i])
           for i in large_locs}
     load = {}
     for i in range(inst.num_locations):
@@ -303,7 +302,7 @@ def build_abf(inst: Instance):
         if inst.is_delivery(i) and inst.is_large(i - inst.n):
             lo = hi = 0.0
         for v in V:
-            load[i, v] = m.add_var(f"q{i}_{v}", INTEGER, lo, hi)
+            load[i, v] = m.add_var(INTEGER, lo, hi)
 
     out_arcs, in_arcs = {}, {}
     for (i, j) in arcs:
@@ -312,38 +311,32 @@ def build_abf(inst: Instance):
 
     for i in list(inst.pickups) + list(inst.deliveries):
         coeffs = [(f[a + (v,)], 1.0) for a in out_arcs.get(i, []) for v in V]
-        m.add_constr(f"cover{i}", coeffs, EQ, float(inst.vehicles_required(i)))
+        m.add_constr(coeffs, EQ, float(inst.vehicles_required(i)))
     for v in V:
         for i in inst.pickups:
             coeffs = [(f[a + (v,)], 1.0) for a in out_arcs.get(i, [])]
             coeffs += [(f[a + (v,)], -1.0) for a in out_arcs.get(i + inst.n, [])]
-            m.add_constr(f"pair{i}_{v}", coeffs, EQ, 0.0)
-        m.add_constr(f"depart{v}",
-                     [(f[a + (v,)], 1.0) for a in out_arcs[inst.origin]], EQ, 1.0)
-        m.add_constr(f"arrive{v}",
-                     [(f[a + (v,)], 1.0) for a in in_arcs[inst.destination]], EQ, 1.0)
+            m.add_constr(coeffs, EQ, 0.0)
+        m.add_constr([(f[a + (v,)], 1.0) for a in out_arcs[inst.origin]], EQ, 1.0)
+        m.add_constr([(f[a + (v,)], 1.0) for a in in_arcs[inst.destination]], EQ, 1.0)
         for i in list(inst.pickups) + list(inst.deliveries):
             coeffs = [(f[a + (v,)], 1.0) for a in in_arcs.get(i, [])]
             coeffs += [(f[a + (v,)], -1.0) for a in out_arcs.get(i, [])]
-            m.add_constr(f"flow{i}_{v}", coeffs, EQ, 0.0)
+            m.add_constr(coeffs, EQ, 0.0)
         for i in large_locs:
-            m.add_constr(f"sync{i}_{v}", [(t[i, v], 1.0), (tt[i], -1.0)], EQ, 0.0)
+            m.add_constr([(t[i, v], 1.0), (tt[i], -1.0)], EQ, 0.0)
         for (i, j) in arcs:
             M = big_m(inst, i, j)
-            m.add_constr(f"time{i}_{j}_{v}",
-                         [(t[i, v], 1.0), (t[j, v], -1.0), (f[i, j, v], M)],
+            m.add_constr([(t[i, v], 1.0), (t[j, v], -1.0), (f[i, j, v], M)],
                          LE, M - inst.travel_time[i, j])
             W = min(Q, Q + vq[i])
-            m.add_constr(f"load{i}_{j}_{v}",
-                         [(load[i, v], 1.0), (load[j, v], -1.0), (f[i, j, v], W)],
+            m.add_constr([(load[i, v], 1.0), (load[j, v], -1.0), (f[i, j, v], W)],
                          LE, W - vq[j])
         for i in inst.pickups:
-            m.add_constr(f"ride{i}_{v}",
-                         [(t[i + inst.n, v], 1.0), (t[i, v], -1.0)],
+            m.add_constr([(t[i + inst.n, v], 1.0), (t[i, v], -1.0)],
                          LE, float(inst.ride[i]))
             # precedence: the trip takes at least the direct travel time
-            m.add_constr(f"prec{i}_{v}",
-                         [(t[i + inst.n, v], 1.0), (t[i, v], -1.0)],
+            m.add_constr([(t[i + inst.n, v], 1.0), (t[i, v], -1.0)],
                          GE, float(inst.travel_time[i, i + inst.n]))
     return m, AbfVars(f, arcs)
 
@@ -389,10 +382,8 @@ class TsfragVars:
 
 def build_tsfrag(inst: Instance, net: TsFragNetwork):
     m = MilpModel(f"tsfrag-{inst.name}")
-    X = [m.add_var(f"X{c}", BINARY, obj=copy.cost * copy.vehicles)
-         for c, copy in enumerate(net.ts_frags)]
-    Y = [m.add_var(f"Y{a}", INTEGER, 0, arc.cap, arc.cost)
-         for a, arc in enumerate(net.arcs)]
+    X = [m.add_var(BINARY, obj=copy.cost * copy.vehicles) for copy in net.ts_frags]
+    Y = [m.add_var(INTEGER, 0, arc.cap, arc.cost) for arc in net.arcs]
     for nid in range(len(net.nodes)):
         if nid in (net.origin_node, net.dest_node):
             continue
@@ -400,7 +391,7 @@ def build_tsfrag(inst: Instance, net: TsFragNetwork):
         coeffs += [(Y[a], 1.0) for a in net.in_arcs[nid]]
         coeffs += [(X[c], -float(net.ts_frags[c].vehicles)) for c in net.out_frags[nid]]
         coeffs += [(Y[a], -1.0) for a in net.out_arcs[nid]]
-        m.add_constr(f"flow{nid}", coeffs, EQ, 0.0)
+        m.add_constr(coeffs, EQ, 0.0)
     covering = {}
     for c, copy in enumerate(net.ts_frags):
         for loc in net.frags[copy.frag_id].path:
@@ -408,8 +399,8 @@ def build_tsfrag(inst: Instance, net: TsFragNetwork):
                 covering.setdefault(loc, []).append(c)
     for i in inst.pickups:
         coeffs = [(X[c], 1.0) for c in covering.get(i, [])]
-        m.add_constr(f"cover{i}", coeffs, EQ, 1.0)
-    m.add_constr("fleet", [(Y[a], 1.0) for a in net.out_arcs[net.origin_node]],
+        m.add_constr(coeffs, EQ, 1.0)
+    m.add_constr([(Y[a], 1.0) for a in net.out_arcs[net.origin_node]],
                  LE, float(inst.vehicles))
     return m, TsfragVars(X, Y)
 
@@ -463,12 +454,6 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
 
 # -- TSEF -----------------------------------------------------------------------
 
-@dataclass
-class TsefVars:
-    x: list  # ts arc id -> var
-    y: list
-
-
 def build_tsef(inst: Instance, net: TsEventNetwork):
     m = MilpModel(f"tsef-{inst.name}")
     x, y, out_loc, in_loc = _arc_flow(m, inst, net.arcs, net.in_arcs,
@@ -481,8 +466,8 @@ def build_tsef(inst: Instance, net: TsEventNetwork):
                   for a in in_loc.get(i + inst.n, [])]
         coeffs += [(y[a], -net.time_of_node(net.arcs[a].tail))
                    for a in out_loc.get(i, [])]
-        m.add_constr(f"ride{i}", coeffs, LE, float(inst.ride[i]))
-    return m, TsefVars(x, y)
+        m.add_constr(coeffs, LE, float(inst.ride[i]))
+    return m, ArcFlowVars(x, y)
 
 
 def decompose_tsef(inst, net, sol, vars_):
@@ -577,7 +562,7 @@ class TsfragMaster:
                     loc_arcs.append(arc.loc_arc)
         return frags, loc_arcs
 
-    def cut(self, elements, name):
+    def cut(self, elements):
         """Forbid simultaneous use of every element of a detected cycle,
         over all time copies: positive flow on the whole physical cycle
         forces a closed precedence chain, which no continuous schedule
@@ -593,13 +578,12 @@ class TsfragMaster:
         for (i, j) in loc_arcs:
             g = vars_.usage.get((i, j))
             if g is None:
-                g = vars_.usage[i, j] = m.add_var(f"g{i}_{j}", BINARY)
+                g = vars_.usage[i, j] = m.add_var(BINARY)
                 for aid in net.by_loc_arc.get((i, j), []):
-                    m.add_constr(f"glk{i}_{j}_{aid}",
-                                 [(vars_.Y[aid], 1.0), (g, -float(net.arcs[aid].cap))],
+                    m.add_constr([(vars_.Y[aid], 1.0), (g, -float(net.arcs[aid].cap))],
                                  LE, 0.0)
             coeffs.append((g, 1.0))
-        return (name, coeffs, LE, float(len(frags) + len(loc_arcs) - 1))
+        return coeffs, LE, float(len(frags) + len(loc_arcs) - 1)
 
     def paths(self, walks):
         return paths_tsfrag(self.inst, self.net, walks)
@@ -633,8 +617,7 @@ class TsfragMaster:
     def _path_cuts(self, walks):
         unscheduled = [self.physical(w) for w, path in zip(walks, self.paths(walks))
                        if feasible_schedule(self.inst, path) is None]
-        return [self.cut(elements, f"cut_ip{self.model.num_constrs}_{k}")
-                for k, elements in enumerate(unscheduled)]
+        return [self.cut(elements) for elements in unscheduled]
 
 
 class TsefMaster:
@@ -663,10 +646,10 @@ class TsefMaster:
         return sorted({self.net.arcs[a].event_arc for a in cycle
                        if self.net.arcs[a].kind != IDLE})
 
-    def cut(self, event_arcs, name):
+    def cut(self, event_arcs):
         coeffs = [(self.vars.y[a], 1.0) for ea in event_arcs
                   for a in self.net.by_event_arc.get(ea, [])]
-        return (name, coeffs, LE, float(len(event_arcs) - 1))
+        return coeffs, LE, float(len(event_arcs) - 1)
 
     def paths(self, walks):
         return paths_tsef(self.inst, self.net, walks)

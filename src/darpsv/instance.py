@@ -185,6 +185,10 @@ class Instance:
             raise InstanceError("window arrays must have 2n+2 entries")
         if len(self.ride) != self.n + 1:
             raise InstanceError("ride array must have n+1 entries")
+        for name in ("xy", "service", "earliest", "latest", "ride",
+                     "travel_time", "travel_cost"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InstanceError(f"{name} must hold finite numbers")
         if self.demand[0] != 0 or self.demand[self.destination] != 0:
             raise InstanceError("depot load change must be zero")
         for i in self.pickups:

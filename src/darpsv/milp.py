@@ -20,8 +20,10 @@ The core is SciPy's extension module scipy.optimize._highspy._core,
 loaded from its file by path: darpsv never imports scipy.optimize, whose
 package import (with scipy.sparse and scipy.linalg) costs more than most
 solves here.
-Models can be written in LP file syntax (write_lp).  Lazy constraints are
-emulated by re-solving with the violated rows added (resolve_with_cuts).
+A model holds only what HiGHS reads; its columns and rows are known by
+index.  Lazy constraints are emulated by re-solving with the violated rows
+added (resolve_with_cuts); a cut is a (coeffs, sense, rhs) tuple,
+add_constr's arguments.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import os
 import re
 import sys
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
@@ -119,43 +120,37 @@ _STOPPED = (_MS.kTimeLimit, None, None)
 
 class MilpModel:
     """Minimization model: columns as flat lists, rows as COO triples
-    (row, col, val) plus per-row bounds lo <= a.x <= hi."""
+    (row, col, val) plus per-row bounds lo <= a.x <= hi: only what
+    to_highs passes to HiGHS.  add_var and add_constr return the new
+    column's or row's index."""
 
     def __init__(self, name="model"):
         self.name = name
-        self.col_name, self.col_obj, self.col_lb, self.col_ub = [], [], [], []
-        self.col_kind = []
-        self.row_name, self.row_lower, self.row_upper = [], [], []
+        self.col_obj, self.col_lb, self.col_ub, self.col_kind = [], [], [], []
+        self.row_lower, self.row_upper = [], []
         self.coo_row, self.coo_col, self.coo_val = [], [], []
-        self._names = set()
 
-    def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=np.inf, obj=0.0) -> int:
-        if name in self._names:
-            raise ValueError(f"duplicate name {name!r}")
+    def add_var(self, kind=CONTINUOUS, lb=0.0, ub=np.inf, obj=0.0) -> int:
+        if kind not in _VAR_TYPE:
+            raise ValueError(f"bad kind {kind!r}")
         if kind == BINARY:
             lb, ub = max(lb, 0.0), min(ub, 1.0)
+        j = len(self.col_obj)
         if lb > ub + EPS:
-            raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
-        self._names.add(name)
-        self.col_name.append(name)
+            raise ValueError(f"variable {j} has lb {lb} > ub {ub}")
         self.col_obj.append(float(obj))
         self.col_lb.append(float(lb))
         self.col_ub.append(float(ub))
         self.col_kind.append(kind)
-        return len(self.col_name) - 1
+        return j
 
-    def add_constr(self, name, coeffs, sense, rhs) -> int:
-        if name in self._names:
-            raise ValueError(f"duplicate name {name!r}")
+    def add_constr(self, coeffs, sense, rhs) -> int:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"bad sense {sense!r}")
-        nv = len(self.col_name)
+        nv, r = len(self.col_obj), len(self.row_lower)
         for idx, _ in coeffs:
             if not 0 <= idx < nv:
-                raise ValueError(f"constraint {name!r} references unknown var {idx}")
-        self._names.add(name)
-        r = len(self.row_name)
-        self.row_name.append(name)
+                raise ValueError(f"constraint {r} references unknown var {idx}")
         rhs = float(rhs)
         self.row_lower.append(rhs if sense != LE else -np.inf)
         self.row_upper.append(rhs if sense != GE else np.inf)
@@ -166,11 +161,11 @@ class MilpModel:
 
     @property
     def num_vars(self):
-        return len(self.col_name)
+        return len(self.col_obj)
 
     @property
     def num_constrs(self):
-        return len(self.row_name)
+        return len(self.row_lower)
 
     def to_highs(self):
         """The model as a HighsLp: columns in order, rows in order, and a
@@ -336,9 +331,9 @@ class CutLoop:
 def resolve_with_cuts(model: MilpModel, cut_generator, deadline=None):
     """Iterated solve -> inspect incumbent -> add violated constraints.
 
-    cut_generator(solution) returns a list of (name, coeffs, sense, rhs)
-    tuples; an empty list terminates the loop.  Emulates lazy-constraint
-    callbacks, which scipy does not expose.  At the deadline the loop
+    cut_generator(solution) returns a list of (coeffs, sense, rhs) cuts,
+    add_constr's arguments; an empty list terminates the loop.  Emulates
+    lazy-constraint callbacks, which scipy does not expose.  At the deadline the loop
     returns TIME_LIMIT with the best bound so far, its last solve's
     included.
     """
@@ -360,57 +355,7 @@ def resolve_with_cuts(model: MilpModel, cut_generator, deadline=None):
         cuts = cut_generator(sol)
         if not cuts:
             return sol, info
-        for name, coeffs, sense, rhs in cuts:
-            model.add_constr(name, coeffs, sense, rhs)
+        for cut in cuts:
+            model.add_constr(*cut)
         info.num_cuts += len(cuts)
 
-
-# -- LP-format export --------------------------------------------------------
-
-def _lp_name(raw, used, prefix):
-    name = re.sub(r"[^A-Za-z0-9_.]", "_", raw)
-    if not name or not (name[0].isalpha() or name[0] == "_"):
-        name = prefix + name
-    base, k = name, 1
-    while name in used:
-        name = f"{base}_{k}"
-        k += 1
-    used.add(name)
-    return name
-
-
-def write_lp(model: MilpModel, path):
-    """Write the model in LP file syntax (debugging aid).  Numbers are
-    written at full precision, so the model read back from the file has
-    the same optimum."""
-    used = set()
-    vnames = [_lp_name(name, used, "x_") for name in model.col_name]
-    lines = [f"\\ {model.name}", "Minimize", " obj:"]
-    terms = [f" {obj:+.17g} {vnames[j]}" for j, obj in enumerate(model.col_obj)
-             if obj]
-    lines[-1] += "".join(terms) if terms else " 0 " + (vnames[0] if vnames else "")
-    lines.append("Subject To")
-    rows, cols, vals = model.coo_row, model.coo_col, model.coo_val
-    for r, name in enumerate(model.row_name):
-        cname = _lp_name(name, used, "c_")
-        lo, hi = model.row_lower[r], model.row_upper[r]
-        sense, rhs = (EQ, lo) if lo == hi else (LE, hi) if lo == -np.inf else (GE, lo)
-        span = range(bisect_left(rows, r), bisect_right(rows, r))
-        body = "".join(f" {vals[k]:+.17g} {vnames[cols[k]]}" for k in span)
-        lines.append(f" {cname}:{body} {sense} {rhs:.17g}")
-    lines.append("Bounds")
-    for j, (lb, ub) in enumerate(zip(model.col_lb, model.col_ub)):
-        lo = f"{lb:.17g}" if np.isfinite(lb) else "-inf"
-        hi = f"{ub:.17g}" if np.isfinite(ub) else "+inf"
-        lines.append(f" {lo} <= {vnames[j]} <= {hi}")
-    generals = [v for v, kind in zip(vnames, model.col_kind) if kind == INTEGER]
-    binaries = [v for v, kind in zip(vnames, model.col_kind) if kind == BINARY]
-    if generals:
-        lines.append("General")
-        lines.append(" " + " ".join(generals))
-    if binaries:
-        lines.append("Binary")
-        lines.append(" " + " ".join(binaries))
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -7,7 +7,7 @@ import pytest
 from darpsv import METHODS, cli
 from darpsv.cli import main
 from darpsv.formulations import SolveReport
-from darpsv.instance import from_json, to_json
+from darpsv.instance import from_json, parse_cordeau, to_json
 from darpsv.validate import timed_routes
 
 from conftest import CORDEAU_SAMPLE
@@ -78,7 +78,8 @@ def test_solve_accepts_exactly_the_library_methods(sample_file, monkeypatch):
     assert len(solved) == len(METHODS)
 
 
-@pytest.mark.parametrize("flag", ["--resolution", "--initial-delta"])
+@pytest.mark.parametrize("flag", ["--resolution", "--initial-delta",
+                                  "--time-limit"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_grid_steps_must_be_positive(sample_file, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -86,9 +87,23 @@ def test_grid_steps_must_be_positive(sample_file, flag, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bench_time_limit_must_be_positive(sample_file, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", sample_file, "--methods", "ebf", "--time-limit", value])
+    assert exc.value.code == 2
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _json_with(tmp, field, value):
+    """The sample as a JSON instance file, with field[1][2] set to value."""
+    payload = json.loads(to_json(parse_cordeau(CORDEAU_SAMPLE)))
+    payload[field][1][2] = value
+    return _write(tmp / f"{field}.json", json.dumps(payload))
 
 
 # each case: (tmp_path, sample_file) -> argv of a malformed input
@@ -105,6 +120,10 @@ MALFORMED = {
     "inf-load": lambda tmp, sample: ["solve", _write(
         tmp / "inf.txt", CORDEAU_SAMPLE.replace(
             "1   2.0   1.0   3  1    0  480", "1   2.0   1.0   3  inf  0  480"))],
+    "json-nan-travel-time": lambda tmp, sample: [
+        "solve", _json_with(tmp, "travel_time", float("nan"))],
+    "json-inf-travel-cost": lambda tmp, sample: [
+        "solve", _json_with(tmp, "travel_cost", float("inf"))],
     "stop-without-t": lambda tmp, sample: [
         "validate", sample, _write(tmp / "sol.json", json.dumps(
             {"objective": 1.0, "routes": [{"vehicle": 0,

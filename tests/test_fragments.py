@@ -20,19 +20,18 @@ def lp_schedule(inst, path, fixed_start=None):
     """Independent oracle: the same difference constraints as an LP,
     minimizing the end time."""
     m = MilpModel("lp-oracle")
-    t = [m.add_var(f"t{k}", CONTINUOUS, inst.earliest[loc], inst.latest[loc],
+    t = [m.add_var(CONTINUOUS, inst.earliest[loc], inst.latest[loc],
                    obj=1.0 if k == len(path) - 1 else 0.0)
          for k, loc in enumerate(path)]
     if fixed_start is not None:
-        m.add_constr("fix", [(t[0], 1.0)], "=", fixed_start)
+        m.add_constr([(t[0], 1.0)], "=", fixed_start)
     for k in range(len(path) - 1):
-        m.add_constr(f"inc{k}", [(t[k + 1], 1.0), (t[k], -1.0)], GE,
+        m.add_constr([(t[k + 1], 1.0), (t[k], -1.0)], GE,
                      inst.travel_time[path[k], path[k + 1]])
     pos = {loc: k for k, loc in enumerate(path)}
     for loc in path:
         if inst.is_pickup(loc) and loc + inst.n in pos:
-            m.add_constr(f"ride{loc}",
-                         [(t[pos[loc + inst.n]], 1.0), (t[pos[loc]], -1.0)],
+            m.add_constr([(t[pos[loc + inst.n]], 1.0), (t[pos[loc]], -1.0)],
                          LE, inst.ride[loc])
     sol = milp.solve(m)
     if sol.status != "optimal":

@@ -11,12 +11,8 @@ import pytest
 
 import darpsv
 from darpsv import milp
-from darpsv.formulations import build_tsfrag
-from darpsv.fragments import enumerate_fragments
-from darpsv.instance import random_instance, tighten_windows
 from darpsv.milp import (BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel,
-                         Status, resolve_with_cuts, solve, write_lp)
-from darpsv.timespace import TimeGrid, expand_fragments
+                         Status, resolve_with_cuts, solve)
 
 
 def test_empty_model_is_trivially_optimal():
@@ -29,14 +25,14 @@ def test_empty_model_is_trivially_optimal():
 def test_a_model_without_columns_is_decided_by_its_rows(sense, rhs, want):
     # HiGHS answers kModelEmpty whatever the rows say; each row reads 0
     m = MilpModel("no columns")
-    m.add_constr("c", [], sense, rhs)
+    m.add_constr([], sense, rhs)
     assert solve(m).status == want
 
 
 def test_min_integer_above_threshold():
     m = MilpModel()
-    x = m.add_var("x", INTEGER, 0, 10, obj=1.0)
-    m.add_constr("lb", [(x, 1.0)], GE, 3.0)
+    x = m.add_var(INTEGER, 0, 10, obj=1.0)
+    m.add_constr([(x, 1.0)], GE, 3.0)
     sol = solve(m)
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(3.0)
@@ -50,8 +46,8 @@ CAP = 5.0
 
 def knapsack_model():
     m = MilpModel("knapsack")
-    xs = [m.add_var(f"x {i}", BINARY, obj=-VALUES[i]) for i in range(5)]
-    m.add_constr("cap", [(x, w) for x, w in zip(xs, WEIGHTS)], LE, CAP)
+    xs = [m.add_var(BINARY, obj=-VALUES[i]) for i in range(5)]
+    m.add_constr([(x, w) for x, w in zip(xs, WEIGHTS)], LE, CAP)
     return m
 
 
@@ -65,8 +61,8 @@ def test_knapsack_against_exhaustive_search():
 
 def test_infeasible_status():
     m = MilpModel()
-    x = m.add_var("x", CONTINUOUS, 0, 1)
-    m.add_constr("c", [(x, 1.0)], GE, 2.0)
+    x = m.add_var(CONTINUOUS, 0, 1)
+    m.add_constr([(x, 1.0)], GE, 2.0)
     assert solve(m).status == Status.INFEASIBLE
 
 
@@ -74,28 +70,28 @@ def test_bound_never_exceeds_objective():
     rng = np.random.default_rng(0)
     for _ in range(5):
         m = MilpModel()
-        xs = [m.add_var(f"x{i}", INTEGER, 0, 4, obj=float(rng.uniform(1, 3)))
+        xs = [m.add_var(INTEGER, 0, 4, obj=float(rng.uniform(1, 3)))
               for i in range(6)]
-        m.add_constr("c", [(x, 1.0) for x in xs], GE, 7.0)
+        m.add_constr([(x, 1.0) for x in xs], GE, 7.0)
         sol = solve(m)
         assert sol.best_bound <= sol.objective + 1e-6
 
 
 def test_model_validation():
     m = MilpModel()
-    m.add_var("x", CONTINUOUS)
-    with pytest.raises(ValueError, match="duplicate"):
-        m.add_var("x", CONTINUOUS)
+    m.add_var(CONTINUOUS)
     with pytest.raises(ValueError, match="unknown var"):
-        m.add_constr("c", [(5, 1.0)], LE, 0.0)
+        m.add_constr([(5, 1.0)], LE, 0.0)
     with pytest.raises(ValueError, match="lb"):
-        m.add_var("y", CONTINUOUS, 2.0, 1.0)
+        m.add_var(CONTINUOUS, 2.0, 1.0)
+    with pytest.raises(ValueError, match="bad kind"):
+        m.add_var("x", CONTINUOUS)  # a name where the kind goes
 
 
 def test_resolve_with_cuts_silent_generator_solves_once():
     m = MilpModel()
-    x = m.add_var("x", INTEGER, 0, 5, obj=1.0)
-    m.add_constr("c", [(x, 1.0)], GE, 2.0)
+    x = m.add_var(INTEGER, 0, 5, obj=1.0)
+    m.add_constr([(x, 1.0)], GE, 2.0)
     sol, info = resolve_with_cuts(m, lambda s: [])
     assert sol.status == Status.OPTIMAL and info.solves == 1 and info.num_cuts == 0
 
@@ -103,14 +99,14 @@ def test_resolve_with_cuts_silent_generator_solves_once():
 def test_resolve_with_cuts_accounting_and_bound_monotonicity():
     # min x, x in [0,10]; cuts push the lower bound up one unit at a time
     m = MilpModel()
-    x = m.add_var("x", INTEGER, 0, 10, obj=1.0)
+    x = m.add_var(INTEGER, 0, 10, obj=1.0)
     bounds = []
 
     def generator(sol):
         bounds.append(sol.best_bound)
         if sol.values[x] < 4 - 1e-9:
             k = len(bounds)
-            return [(f"cut{k}", [(x, 1.0)], GE, float(k))]
+            return [([(x, 1.0)], GE, float(k))]
         return []
 
     sol, info = resolve_with_cuts(m, generator)
@@ -121,9 +117,9 @@ def test_resolve_with_cuts_accounting_and_bound_monotonicity():
 
 def ray_model(kind):
     m = MilpModel()
-    x = m.add_var("x", CONTINUOUS, 0, np.inf, obj=-1.0)
-    y = m.add_var("y", kind, 0, 5, obj=1.0)
-    m.add_constr("c", [(x, 1.0), (y, -1.0)], GE, 0.0)
+    x = m.add_var(CONTINUOUS, 0, np.inf, obj=-1.0)
+    y = m.add_var(kind, 0, 5, obj=1.0)
+    m.add_constr([(x, 1.0), (y, -1.0)], GE, 0.0)
     return m
 
 
@@ -137,7 +133,7 @@ def test_unbounded_status():
 @pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
 def test_infeasible_ray_model(kind):
     m = ray_model(kind)
-    m.add_constr("y7", [(1, 1.0)], GE, 7.0)  # above y's upper bound of 5
+    m.add_constr([(1, 1.0)], GE, 7.0)  # above y's upper bound of 5
     assert solve(m).status == Status.INFEASIBLE
 
 
@@ -164,7 +160,7 @@ def test_a_call_past_its_deadline_starts_no_highs(monkeypatch):
 
     monkeypatch.setattr(milp, "_run_highs", recorded)
     m = MilpModel()
-    m.add_constr("c", [(m.add_var("x", INTEGER, 0, 5, obj=1.0), 1.0)], GE, 2.0)
+    m.add_constr([(m.add_var(INTEGER, 0, 5, obj=1.0), 1.0)], GE, 2.0)
     sol = solve(m, deadline=time.perf_counter() - 1.0)
     assert sol.status == Status.TIME_LIMIT and sol.values is None
     assert sol.best_bound is None and runs == []
@@ -241,17 +237,17 @@ def test_resolve_with_cuts_stopped_keeps_the_larger_bound(monkeypatch,
                                    0.0)])
     monkeypatch.setattr(milp, "solve", lambda model, deadline=None: next(sols))
     m = MilpModel()
-    x = m.add_var("x", INTEGER, 0, 10, obj=1.0)
-    sol, info = resolve_with_cuts(m, lambda s: [("cut", [(x, 1.0)], GE, 5.0)])
+    x = m.add_var(INTEGER, 0, 10, obj=1.0)
+    sol, info = resolve_with_cuts(m, lambda s: [([(x, 1.0)], GE, 5.0)])
     assert sol.status == Status.TIME_LIMIT and info.solves == 2
     assert sol.best_bound == want
 
 
 def test_pure_lp_reports_its_optimum_as_bound():
     m = MilpModel("lp")
-    x = m.add_var("x", CONTINUOUS, 0, 4, obj=2.0)
-    y = m.add_var("y", CONTINUOUS, 0, 4, obj=3.0)
-    m.add_constr("c", [(x, 1.0), (y, 1.0)], GE, 5.0)
+    x = m.add_var(CONTINUOUS, 0, 4, obj=2.0)
+    y = m.add_var(CONTINUOUS, 0, 4, obj=3.0)
+    m.add_constr([(x, 1.0), (y, 1.0)], GE, 5.0)
     sol = solve(m)
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(11.0)
@@ -291,57 +287,15 @@ def test_highs_core_is_bundled_with_scipy():
 
 def test_duplicate_entries_of_a_row_are_summed():
     m = MilpModel()
-    x = m.add_var("x", CONTINUOUS, 0, 10, obj=1.0)
-    m.add_constr("c", [(x, 1.0), (x, 2.0)], GE, 6.0)  # 3x >= 6
+    x = m.add_var(CONTINUOUS, 0, 10, obj=1.0)
+    m.add_constr([(x, 1.0), (x, 2.0)], GE, 6.0)  # 3x >= 6
     assert solve(m).objective == pytest.approx(2.0)
-
-
-def tsfrag_master():
-    inst = tighten_windows(random_instance(3, n=4, vehicles=2, capacity=3,
-                                           large_share=0.0))
-    net = expand_fragments(inst, enumerate_fragments(inst),
-                           TimeGrid.fixed(inst, 10.0))
-    return build_tsfrag(inst, net)[0]
-
-
-@pytest.mark.parametrize("build", [knapsack_model, tsfrag_master])
-def test_lp_file_reads_back_to_the_same_optimum(tmp_path, build):
-    from scipy.optimize._highspy import _core
-
-    model = build()
-    want = solve(model)
-    assert want.status == Status.OPTIMAL
-    path = tmp_path / "model.lp"
-    write_lp(model, path)
-    highs = _core._Highs()
-    highs.setOptionValue("output_flag", False)
-    assert highs.readModel(str(path)) == _core.HighsStatus.kOk
-    assert highs.getNumCol() == model.num_vars
-    assert highs.getNumRow() == model.num_constrs
-    highs.setOptionValue("mip_rel_gap", milp.MIP_REL_GAP)
-    highs.run()
-    assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
-    got = highs.getInfo().objective_function_value
-    assert got == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
-
-
-def test_lp_export_syntax(tmp_path):
-    m = MilpModel("export")
-    x = m.add_var("x one", INTEGER, 0, 3, obj=2.0)
-    y = m.add_var("y", BINARY, obj=-1.0)
-    m.add_constr("c 1", [(x, 1.0), (y, 2.0)], LE, 4.0)
-    path = tmp_path / "model.lp"
-    write_lp(m, path)
-    text = path.read_text()
-    for token in ("Minimize", "Subject To", "Bounds", "General", "Binary", "End"):
-        assert token in text
-    assert "x_one" in text
 
 
 def test_resolve_with_cuts_exhausted_budget_returns_time_limit():
     m = MilpModel()
-    x = m.add_var("x", INTEGER, 0, 5, obj=1.0)
-    m.add_constr("c", [(x, 1.0)], GE, 2.0)
+    x = m.add_var(INTEGER, 0, 5, obj=1.0)
+    m.add_constr([(x, 1.0)], GE, 2.0)
     sol, info = resolve_with_cuts(m, lambda s: [], deadline=time.perf_counter())
     assert sol.status == Status.TIME_LIMIT and info.solves == 0
 
@@ -375,7 +329,7 @@ SCIPY_MILP = ("import numpy as np, scipy.optimize\n"
 DARPSV_MILP = ("import darpsv\n"
                "from darpsv.milp import GE, INTEGER, MilpModel, solve\n"
                "m = MilpModel()\n"
-               "m.add_constr('c', [(m.add_var('x', INTEGER, 0, 9, 1.0), 2.0)], GE, 3)\n"
+               "m.add_constr([(m.add_var(INTEGER, 0, 9, 1.0), 2.0)], GE, 3)\n"
                "sol = solve(m)\n"
                "print(sol.status, sol.objective)\n")
 
@@ -398,7 +352,7 @@ def random_model(rng, nr, nv, dups):
     drawn stay empty, as do rows that draw no column."""
     m = MilpModel("random")
     for j in range(nv):
-        m.add_var(f"x{j}")
+        m.add_var()
     for r in range(nr):
         cells = rng.choice(nv, size=rng.integers(0, min(nv, 6) + 1), replace=False)
         coeffs = []
@@ -406,7 +360,7 @@ def random_model(rng, nr, nv, dups):
             coeffs += [(int(j), float(v))
                        for v in rng.normal(size=rng.integers(1, 4) if dups else 1)]
         rng.shuffle(coeffs)
-        m.add_constr(f"c{r}", coeffs, GE, 0.0)
+        m.add_constr(coeffs, GE, 0.0)
     return m
 
 
@@ -417,8 +371,8 @@ def test_colwise_matrix_equals_scipys():
     models = [random_model(rng, int(rng.integers(0, 30)), int(rng.integers(1, 30)),
                            dups=k % 2 == 1) for k in range(40)]
     no_entries = MilpModel("no entries")
-    no_entries.add_var("x")
-    no_entries.add_constr("c", [], GE, 0.0)
+    no_entries.add_var()
+    no_entries.add_constr([], GE, 0.0)
     models.append(no_entries)
     counts = set()  # entries per named cell, over all models
     empty_row = empty_col = False
