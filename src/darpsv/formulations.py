@@ -125,9 +125,9 @@ def separate_subtours(model, decompose, physical, cut, deadline,
     Each HiGHS solution is decomposed once: decompose(sol) gives the walks
     (EBF: its routes) and the residual cycles.  Each cycle becomes a
     (coeffs, sense, rhs) cut, cut(physical(cycle)), and the model is
-    re-solved; more_cuts(walks) runs only when no cycle was cut.  resolve_with_cuts returns an ok
-    solution only after the generator found no cut on it, so the last
-    decomposition is that solution's.
+    re-solved; more_cuts(walks) runs only when no cycle was cut.
+    resolve_with_cuts returns an ok solution only after the generator
+    found no cut on it, so the last decomposition is that solution's.
 
     Returns (sol, info, walks, cut_sets): the final solution's walks (None
     unless sol.ok) and the physical element set of every cycle cut, which
