@@ -4,8 +4,10 @@ First pitfall: ride limits on discrete stamps. The route (p1,p2,d1,d2)
 below schedules continuously at 600/624/626/650 with both ride limits 26
 -- tight but feasible. On a 10-minute event grid every representable
 schedule stretches one customer's ride past the limit, so the event-based
-time-space model rejects a feasible instance. Fragments are immune: their
-ride limits live inside the fragment, not on grid stamps.
+time-space master is infeasible on a feasible instance. TSEF is inexact,
+so that proves nothing, and its report says `relaxation` (no bound, no
+routes). Fragments are immune: their ride limits live inside the
+fragment, not on grid stamps.
 
 Second pitfall: rounded-down arcs can close time loops. A fragment whose
 rounded copy ends where it started, plus a short return arc, forms a
@@ -43,7 +45,7 @@ print("continuous schedule of (p1,p2,d1,d2):",
 print("ebf:            ", darpsv.solve_ebf(inst).status)
 print("tsef, 10-min:   ", darpsv.solve_tsef(inst, resolution=10.0).status)
 print("tsef+ddd:       ", darpsv.ddd_solve(inst, "tsef").status,
-      "(approximate: its ride rows read grid stamps and cut the only path)")
+      "(inexact: its ride rows read grid stamps and cut the only path)")
 print("tsfrag+ddd:     ", darpsv.ddd_solve(inst, "tsfrag").status, "\n")
 
 # -- rounding subtours --------------------------------------------------------

@@ -76,6 +76,13 @@ def _positive_float(text):
     return value
 
 
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
 def _float_list(text):
     return [float(x) for x in text.split(",") if x]
 
@@ -208,7 +215,7 @@ def _add_transform_flags(p):
                         "scaled fleet)")
     p.add_argument("--r-l", type=float, default=1.0 / 3.0,
                    help="large-customer fraction for --set1")
-    p.add_argument("--fleet-mult", type=int, default=3,
+    p.add_argument("--fleet-mult", type=_positive_int, default=3,
                    help="fleet multiplier for --set1")
 
 

@@ -17,8 +17,9 @@ through the master's own steps, selection inputs included; master.exact
 says whether a master whose paths schedule is a proven optimum.  TSEF's
 ride rows act on discrete stamps only, so its masters can cut feasible
 paths and its bound can exceed the optimum: a schedulable result has
-status APPROXIMATE, and when refinement can no longer lengthen the paths
-the solve ends as a RELAXATION with the masters' bound.
+status APPROXIMATE, when refinement can no longer lengthen the paths the
+solve ends as a RELAXATION with the masters' bound, and an infeasible
+master ends it as a RELAXATION with no bound.
 
 Each iteration runs one selection and one refinement, and in the fragment
 mode refinement grows the grid whenever Z != 0.  An arc that an optimal
@@ -198,9 +199,10 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         physical_cuts.extend(cut_sets)
         stats = dict(base_stats, **net.stats())
         if sol.status == Status.INFEASIBLE:
-            # an infeasible partial network is a relaxation, so the instance
-            # itself is infeasible (event mode: up to the documented ride-row
-            # caveat) and no bound is reported
+            # an infeasible partial network of an exact master is a
+            # relaxation, so the instance itself is infeasible; an inexact
+            # master's ride rows may have cut every plan, and solve_report
+            # makes that a RELAXATION.  No bound either way
             sol = _stopped(sol.status, None)
             break
         if (sol.ok and bound is not None and master.exact

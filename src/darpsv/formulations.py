@@ -21,7 +21,8 @@ optimum is a relaxation whose paths may admit no continuous schedule;
 paths without a schedule, or whose routes check() rejects, give status
 RELAXATION with the solution's bound and no routes.  TSEF is not exact
 (its ride rows act on discrete stamps), so its checked routes give status
-APPROXIMATE, and its bound can exceed the optimum.
+APPROXIMATE, its bound can exceed the optimum, and its infeasible MILP
+proves nothing about the instance: status RELAXATION with no bound.
 
 Each solve_* turns its time_limit (seconds) into one time.perf_counter()
 deadline when it starts, and every layer below takes that deadline, so
@@ -102,16 +103,21 @@ def solve_report(inst, method, sol, paths, start, stats, cuts, exact=True,
     timed by their earliest joint schedule.  Paths with no schedule, or
     whose routes check() rejects, give RELAXATION with sol's bound and no
     routes.  Checked routes of an inexact formulation give APPROXIMATE,
-    whether its MILP was optimal or stopped with a gap.  fields go to
-    SolveReport as they are (DDD's iterations and history)."""
+    whether its MILP was optimal or stopped with a gap; its INFEASIBLE
+    gives RELAXATION with no bound, since its rows can cut every feasible
+    plan away.  fields go to SolveReport as they are (DDD's iterations and
+    history)."""
     status, objective, gap, routes = sol.status, sol.objective, sol.gap, None
+    bound = sol.best_bound
     if sol.ok:
         routes = timed_routes(inst, paths, objective)
         if routes is None or check(inst, routes):
             status, objective, gap, routes = Status.RELAXATION, None, None, None
         elif not exact:
             status = Status.APPROXIMATE
-    return SolveReport(method, status, objective, sol.best_bound, routes,
+    elif status == Status.INFEASIBLE and not exact:
+        status, bound = Status.RELAXATION, None
+    return SolveReport(method, status, objective, bound, routes,
                        time.perf_counter() - start, gap=gap, cuts=cuts,
                        stats=stats, **fields)
 
@@ -462,9 +468,9 @@ def build_tsef(inst: Instance, net: TsEventNetwork):
     # ride limit at discrete stamps: arrival at the delivery minus departure
     # from the pickup; exact only when the grid is fine enough
     for i in inst.pickups:
-        coeffs = [(y[a], net.time_of_node(net.arcs[a].head))
+        coeffs = [(y[a], net.nodes[net.arcs[a].head].t)
                   for a in in_loc.get(i + inst.n, [])]
-        coeffs += [(y[a], -net.time_of_node(net.arcs[a].tail))
+        coeffs += [(y[a], -net.nodes[net.arcs[a].tail].t)
                    for a in out_loc.get(i, [])]
         m.add_constr(coeffs, LE, float(inst.ride[i]))
     return m, ArcFlowVars(x, y)
@@ -624,7 +630,8 @@ class TsefMaster:
     """TSEF over an event network, for any grid, with the same steps as
     TsfragMaster.  It is not exact: its ride rows act on discrete stamps,
     so they can cut continuous-feasible paths and its bound can exceed
-    the optimum, and its ok reports have status APPROXIMATE."""
+    the optimum: its ok reports have status APPROXIMATE, and its
+    infeasible ones RELAXATION."""
 
     method = "tsef"
     exact = False

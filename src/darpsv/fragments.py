@@ -1,10 +1,11 @@
 """Fragments and the schedule-feasibility oracle.
 
 A fragment is a route path from a pickup to a delivery whose load is zero
-exactly at the two endpoints, with a feasible continuous schedule.  The
-oracle solves the underlying difference-constraint system (window bounds,
-travel increments, ride limits) by longest-path relaxation, so feasibility
-is exact and the least solution is the earliest schedule.
+exactly at the two endpoints, with a feasible continuous schedule.  Every
+schedule question is one difference-constraint system, built by _system
+(window bounds, travel increments, ride limits, one time per customer
+location) and solved by longest-path relaxation in _earliest, so
+feasibility is exact and the least solution is the earliest schedule.
 
 Enumeration is a depth-first search over prefixes.  It prunes with the
 completion deadline D(loc, S): the latest departure from loc that still
@@ -43,128 +44,98 @@ class Schedule:
     end: float
 
 
-class _DiffSystem:
-    """t_v >= t_u + w arcs with box bounds; the least solution via
-    Bellman-Ford style relaxation, the greatest through reversed().
-    Infeasibility <=> some bound bursts (equivalently, a positive cycle)."""
-
-    def __init__(self, num):
-        self.num = num
-        self.lower = np.full(num, -np.inf)
-        self.upper = np.full(num, np.inf)
-        self.arcs = []
-
-    def bound(self, v, lo=None, hi=None):
-        if lo is not None:
-            self.lower[v] = max(self.lower[v], lo)
-        if hi is not None:
-            self.upper[v] = min(self.upper[v], hi)
-
-    def arc(self, u, v, w):
-        self.arcs.append((u, v, w))
-
-    def earliest(self):
-        t = self.lower.copy()
-        if np.any(t > self.upper + EPS):
-            return None
-        for _ in range(self.num + 1):
-            changed = False
-            for u, v, w in self.arcs:
-                nv = t[u] + w
-                if nv > t[v] + EPS:
-                    t[v] = nv
-                    if nv > self.upper[v] + EPS:
-                        return None
-                    changed = True
-            if not changed:
-                return t
-        return None  # positive cycle keeps pushing
-
-    def reversed(self):
-        """The same system in s = -t: t_v >= t_u + w reads s_u >= s_v + w,
-        and the box flips.  Its least solution, negated, is the greatest
-        solution of this one."""
-        rev = _DiffSystem(self.num)
-        rev.lower, rev.upper = -self.upper, -self.lower
-        rev.arcs = [(v, u, w) for u, v, w in self.arcs]
-        return rev
+def _system(inst: Instance, paths):
+    """(lower, upper, arcs, ids) of paths: t solves it when lower <= t <=
+    upper and t[v] >= t[u] + w for each arc (u, v, w); paths[k][m] has
+    variable ids[k][m].  A customer location has one time, whichever paths
+    visit it (synchronization); a depot visit has its own.  Arcs: travel
+    along each path, then by pickup the ride limit t_p >= t_d - R of every
+    customer with both locations keyed."""
+    e, l, T = inst.earliest, inst.latest, inst.travel_time
+    shared = {}  # customer location -> its variable
+    lower, upper, arcs, ids = [], [], [], []
+    for path in paths:
+        row = []
+        for loc in path:
+            v = shared.get(loc)
+            if v is None:
+                v = len(lower)
+                lower.append(float(e[loc]))
+                upper.append(float(l[loc]))
+                if 0 < loc < inst.destination:
+                    shared[loc] = v
+            row.append(v)
+        arcs += [(row[m], row[m + 1], float(T[path[m], path[m + 1]]))
+                 for m in range(len(row) - 1)]
+        ids.append(row)
+    for i in inst.pickups:
+        if i in shared and i + inst.n in shared:
+            arcs.append((shared[i + inst.n], shared[i], -float(inst.ride[i])))
+    return lower, upper, arcs, ids
 
 
-def _path_system(inst: Instance, path, fixed_start=None) -> _DiffSystem:
-    sys = _DiffSystem(len(path))
-    pos = {loc: k for k, loc in enumerate(path)}
-    if len(pos) != len(path):
-        raise ValueError(f"path repeats a location: {path}")
-    for k, loc in enumerate(path):
-        sys.bound(k, inst.earliest[loc], inst.latest[loc])
-    if fixed_start is not None:
-        sys.bound(0, fixed_start, fixed_start)
-    T = inst.travel_time
-    for k in range(len(path) - 1):
-        sys.arc(k, k + 1, T[path[k], path[k + 1]])
-    for loc in path:
-        if inst.is_pickup(loc) and loc + inst.n in pos:
-            # ride limit as a backward arc: t_p >= t_d - R
-            sys.arc(pos[loc + inst.n], pos[loc], -inst.ride[loc])
-    return sys
+def _earliest(lower, upper, arcs):
+    """Least solution of a _system by Bellman-Ford relaxation, or None when
+    a bound bursts (equivalently, a positive cycle).  Minus the least
+    solution in s = -t (box negated, arcs reversed) is the greatest."""
+    if any(lo > hi + EPS for lo, hi in zip(lower, upper)):
+        return None
+    t = list(lower)
+    for _ in range(len(t) + 1):
+        changed = False
+        for u, v, w in arcs:
+            nv = t[u] + w
+            if nv > t[v] + EPS:
+                if nv > upper[v] + EPS:
+                    return None
+                t[v] = nv
+                changed = True
+        if not changed:
+            return t
+    return None  # positive cycle keeps pushing
 
 
 def feasible_schedule(inst: Instance, path, fixed_start=None):
-    """Earliest feasible schedule of a location path, or None.
-
-    Enforces windows, travel increments and the ride limit of every
-    customer whose pickup and delivery both lie on the path.  With
-    fixed_start set, departure from path[0] is pinned to that time.
-    """
+    """Earliest feasible schedule of a location path, or None: windows,
+    travel increments and the ride limit of every customer whose pickup
+    and delivery both lie on the path.  With fixed_start set, departure
+    from path[0] is pinned to that time."""
     if not path:
         return Schedule((), 0.0, 0.0)
-    t = _path_system(inst, path, fixed_start).earliest()
-    if t is None:
-        return None
-    return Schedule(tuple(float(v) for v in t), float(t[0]), float(t[-1]))
+    if len(set(path)) != len(path):
+        raise ValueError(f"path repeats a location: {path}")
+    lower, upper, arcs, _ = _system(inst, [path])
+    if fixed_start is not None:
+        start = float(fixed_start)
+        lower[0], upper[0] = max(lower[0], start), min(upper[0], start)
+    t = _earliest(lower, upper, arcs)
+    return None if t is None else Schedule(tuple(t), t[0], t[-1])
 
 
 def start_interval(inst: Instance, path):
     """Closed interval [s_min, s_max] of feasible departure times from
     path[0], or None when no schedule exists."""
-    sys = _path_system(inst, path)
-    early = sys.earliest()
+    if len(set(path)) != len(path):
+        raise ValueError(f"path repeats a location: {path}")
+    lower, upper, arcs, _ = _system(inst, [path])
+    early = _earliest(lower, upper, arcs)
     if early is None:
         return None
-    late = sys.reversed().earliest()
-    return float(early[0]), float(-late[0])
+    late = _earliest([-hi for hi in upper], [-lo for lo in lower],
+                     [(v, u, w) for u, v, w in arcs])
+    return early[0], -late[0]
 
 
 def joint_schedule(inst: Instance, paths):
-    """Earliest joint schedule for several vehicle paths with one shared
-    time per customer location (synchronization), or None.
-
-    Depot endpoints get per-vehicle variables.
-    """
-    keys = {}
-
-    def key(vehicle, loc):
-        k = loc if 0 < loc < inst.destination else (vehicle, loc)
-        if k not in keys:
-            keys[k] = len(keys)
-        return keys[k]
-
-    indexed = []
-    for v, path in enumerate(paths):
-        indexed.append([(loc, key(v, loc)) for loc in path])
-    sys = _DiffSystem(len(keys))
-    for v, path in enumerate(indexed):
-        for loc, k in path:
-            sys.bound(k, inst.earliest[loc], inst.latest[loc])
-        for (i, ki), (j, kj) in zip(path, path[1:]):
-            sys.arc(ki, kj, inst.travel_time[i, j])
-    for i in inst.pickups:
-        if i in keys and i + inst.n in keys:
-            sys.arc(keys[i + inst.n], keys[i], -inst.ride[i])
-    t = sys.earliest()
+    """Earliest joint schedule of vehicle paths with one shared time per
+    customer location (synchronization): per path, a dict loc -> time.
+    None when the paths have no schedule."""
+    lower, upper, arcs, ids = _system(inst, paths)
+    t = _earliest(lower, upper, arcs)
     if t is None:
         return None
-    return [{loc: float(t[k]) for loc, k in path} for path in indexed]
+    return [{loc: t[v] for loc, v in zip(path, row)}
+            for path, row in zip(paths, ids)]
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,9 @@ class Instance:
         if self.capacity <= 0:
             raise InstanceError(f"vehicle capacity must be positive, "
                                 f"got {self.capacity}")
+        if self.vehicles < 0:
+            raise InstanceError(f"fleet size must be nonnegative, "
+                                f"got {self.vehicles}")
         if self.travel_time.shape != (m, m) or self.travel_cost.shape != (m, m):
             raise InstanceError("travel matrices must be (2n+2) square")
         if len(self.earliest) != m or len(self.latest) != m:
@@ -318,6 +321,9 @@ def designate_large(inst: Instance, r_l: float) -> Instance:
 
     The deterministic index rule keeps dataset construction reproducible.
     """
+    if not 0.0 <= r_l <= 1.0:  # NaN fails too
+        raise InstanceError(f"large-customer fraction must lie in [0, 1], "
+                            f"got {r_l}")
     if r_l <= EPS:
         return inst
     k = round(1.0 / r_l)

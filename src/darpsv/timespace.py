@@ -388,9 +388,6 @@ class TsEventNetwork(_TsBase):
             if arc.event_arc >= 0:
                 self.by_event_arc.setdefault(arc.event_arc, []).append(aid)
 
-    def time_of_node(self, nid):
-        return self.nodes[nid].t
-
     def stats(self):
         return {"ts_nodes": len(self.nodes), "ts_arcs": len(self.arcs),
                 **self.enet.stats(), "grid_points": self.grid.size()}

@@ -13,13 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from darpsv import milp
 from darpsv.ddd import ddd_solve
 from darpsv.events import enumerate_events
-from darpsv.formulations import solve_abf, solve_ebf, solve_tsef, solve_tsfrag
+from darpsv.formulations import (TsefMaster, solve_abf, solve_ebf, solve_tsef,
+                                 solve_tsfrag)
 from darpsv.fragments import enumerate_fragments, feasible_schedule
 from darpsv.instance import (DatasetParams, InfeasibleCustomerError, Instance,
                              build_dataset1, build_dataset2, parse_cordeau,
                              random_instance, tighten_windows)
+from darpsv.timespace import TimeGrid
 from darpsv.validate import brute_optimum, check
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "cordeau"
@@ -218,8 +221,12 @@ def test_criterion_6_discretization_regression(ride_regression):
     assert sched is not None
     assert [round(t) for t in sched.times] == [600, 624, 626, 650]
     assert solve_ebf(inst).status == "optimal"
+    master = TsefMaster(inst, enumerate_events(inst, timed=True))
+    _, model = master.build(TimeGrid.fixed(inst, 10.0))
+    assert milp.solve(model).status == "infeasible"
+    # an inexact master's infeasibility proves nothing about the instance
     tsef = solve_tsef(inst, resolution=10.0)
-    assert tsef.status == "infeasible"
+    assert tsef.status == "relaxation" and tsef.bound is None
     report(6, "route (p1,p2,d1,d2) at 600/624/626/650 with rides 26: "
               "continuous-feasible, infeasible on the 10-minute event grid")
 

@@ -94,6 +94,13 @@ def test_bench_time_limit_must_be_positive(sample_file, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_fleet_multiplier_must_be_positive(sample_file, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", sample_file, "--set1", "--fleet-mult", value])
+    assert exc.value.code == 2
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)
@@ -124,6 +131,17 @@ MALFORMED = {
         "solve", _json_with(tmp, "travel_time", float("nan"))],
     "json-inf-travel-cost": lambda tmp, sample: [
         "solve", _json_with(tmp, "travel_cost", float("inf"))],
+    "json-negative-fleet": lambda tmp, sample: ["solve", _write(
+        tmp / "fleet.json", json.dumps(dict(json.loads(to_json(
+            parse_cordeau(CORDEAU_SAMPLE))), vehicles=-1)))],
+    "r-l-above-one": lambda tmp, sample: [
+        "solve", sample, "--set1", "--r-l", "5"],
+    "r-l-nan": lambda tmp, sample: ["solve", sample, "--set1", "--r-l", "nan"],
+    "r-l-negative": lambda tmp, sample: [
+        "solve", sample, "--set1", "--r-l", "-1"],
+    "gen-dataset-r-l-above-one": lambda tmp, sample: [
+        "gen-dataset", sample, "--out-dir", str(tmp / "ds"), "--r-l", "5",
+        "--unchecked"],
     "stop-without-t": lambda tmp, sample: [
         "validate", sample, _write(tmp / "sol.json", json.dumps(
             {"objective": 1.0, "routes": [{"vehicle": 0,

@@ -177,11 +177,22 @@ def test_callback_cut_accounting_matches_report():
 
 
 def test_tsef_ride_rows_reject_discretized_route(ride_regression):
+    # the discrete ride rows cut the one feasible plan away, so the
+    # infeasible master proves nothing: a relaxation with no bound
     inst = ride_regression
     report = solve_tsef(inst, resolution=10.0)
-    assert report.status == "infeasible"
+    assert report.status == "relaxation" and report.bound is None
     cont = solve_ebf(inst)
     assert cont.status == "optimal"
+
+
+def test_tsef_ddd_infeasible_master_is_a_relaxation(ride_regression):
+    report = ddd_solve(ride_regression, "tsef")
+    assert report.status == "relaxation"
+    assert report.bound is None and report.routes is None
+    exact = ddd_solve(ride_regression, "tsfrag")
+    assert exact.status == "optimal"
+    assert exact.objective == pytest.approx(110.0)
 
 
 def test_formulation_agreement_on_exact_grid():
@@ -251,7 +262,12 @@ def test_unreachable_pickup_is_infeasible_for_every_method(method):
                   [15.0, 5.0, 0.0, 5.0], [20.0, 10.0, 5.0, 0.0]])
     inst = make_instance(1, T, [0, 0, 0, 0], [100, 5, 60, 200], [0, 30],
                          [0, 1, -1, 0], capacity=1, vehicles=1)
-    assert run_method(inst, method).status == "infeasible"
+    report = run_method(inst, method)
+    if method in ("tsef", "tsef+ddd"):
+        # an inexact method's infeasible master proves nothing
+        assert report.status == "relaxation" and report.bound is None
+    else:
+        assert report.status == "infeasible"
 
 
 def test_fixed_grid_optimal_routes_validate():
@@ -285,6 +301,12 @@ def test_fixed_grid_optimal_routes_validate():
                         failures.append(case + ("approximate iff TSEF",))
                     if not approximate and abs(report.objective - best) > 1e-4:
                         failures.append(case + (report.objective, ebf))
+                elif report.status == "relaxation" and report.bound is None:
+                    # an inexact method's infeasible master, which proves
+                    # nothing; on these draws only where EBF finds none
+                    if method not in ("tsef", "tsef+ddd") or \
+                            report.routes is not None or ebf is not None:
+                        failures.append(case + ("no bound", ebf))
                 elif report.status == "relaxation":
                     relaxations += 1
                     if report.routes is not None or \

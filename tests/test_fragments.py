@@ -110,6 +110,29 @@ def test_joint_schedule_synchronizes_large_location():
     assert times[0][3] == times[1][3]
 
 
+def test_every_schedule_question_reads_one_system():
+    # feasible_schedule, start_interval and joint_schedule build the same
+    # difference system; fragments reversed give paths with no schedule
+    scheduled = unscheduled = 0
+    for seed in range(4):
+        inst = tighten_windows(random_instance(seed, n=5, vehicles=3,
+                                               capacity=3, large_share=0.3))
+        frags = enumerate_fragments(inst)
+        for path in [f.path for f in frags] + [f.path[::-1] for f in frags]:
+            sched = feasible_schedule(inst, path)
+            joint = joint_schedule(inst, [path])
+            assert (start_interval(inst, path) is None) == (sched is None)
+            if sched is None:
+                assert joint is None
+                unscheduled += 1
+            else:
+                assert tuple(joint[0][loc] for loc in path) == sched.times
+                scheduled += 1
+            with pytest.raises(ValueError, match="repeats"):
+                start_interval(inst, path + path[:1])
+    assert scheduled > 0 and unscheduled > 0
+
+
 # -- enumeration --------------------------------------------------------------
 
 def brute_fragments(inst):

@@ -147,13 +147,13 @@ def test_event_expansion_stamps_and_idles():
     for arc in moves:
         assert arc.disc <= 1e-9  # exact grid on integer data
         i, j = arc.loc_arc
-        tail_t, head_t = net.time_of_node(arc.tail), net.time_of_node(arc.head)
+        tail_t, head_t = net.nodes[arc.tail].t, net.nodes[arc.head].t
         assert head_t == pytest.approx(
             max(tail_t + inst.travel_time[i, j], inst.earliest[j]))
     for arc in idles:
         assert loc_of_node(net, arc.tail) == loc_of_node(net, arc.head)
         assert arc.cost == 0.0
-        assert net.time_of_node(arc.head) > net.time_of_node(arc.tail)
+        assert net.nodes[arc.head].t > net.nodes[arc.tail].t
 
 
 def test_partial_grid_rounds_down():
