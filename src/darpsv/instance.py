@@ -23,7 +23,7 @@ LARGE_FRACTIONS = (0.0, 1.0 / 6.0, 1.0 / 3.0)
 PICKUP_WIDTHS = (15.0, 30.0)
 RIDE_FACTORS = (1.5, 1.75, 2.0)
 FLEET_MULTIPLIERS = (3, 4, 5)
-VARIANTS = ("darpsv-set1", "darpsv-set2", "darp", "pdptw")
+VARIANTS = ("darpsv-set2", "darp", "pdptw")
 
 
 class InstanceError(ValueError):
@@ -50,10 +50,10 @@ class DatasetParams:
     unchecked: bool = False
 
     def __post_init__(self):
-        if self.unchecked:
-            return
         if self.variant not in VARIANTS:
             raise InstanceError(f"unknown variant {self.variant!r}")
+        if self.unchecked:
+            return
         if not any(abs(self.r_l - v) < EPS for v in LARGE_FRACTIONS):
             raise InstanceError(f"R_L={self.r_l} outside {LARGE_FRACTIONS}")
         if self.p_tw not in PICKUP_WIDTHS:
@@ -376,7 +376,7 @@ def build_dataset2(inst: Instance, params: DatasetParams) -> Instance:
     out = inst.replace(earliest=e, latest=l, ride=ride,
                        vehicles=inst.vehicles * params.fleet_multiplier,
                        name=f"{inst.name}-set2")
-    if params.variant in ("darpsv-set1", "darpsv-set2"):
+    if params.variant == "darpsv-set2":
         out = designate_large(out, params.r_l)
         if not out.large_pickups:
             import warnings

@@ -2,8 +2,7 @@
 
 Grids are per-location sorted time lists, and a node is a place (a
 location, or an event of the event network) at a grid time: the time
-service starts there.  Both networks expand their arcs by the first two
-rules, the fragment network by all three:
+service starts there.  Both networks expand their arcs by three rules:
 
 - landing (_TsBase.link): an arc i -> j left at t arrives at
   a = max(t + T_ij, e_j), waiting for j's window, is dropped when a > l_j
@@ -16,14 +15,20 @@ rules, the fragment network by all three:
 - cap (Instance.arc_cap): at most that many synchronized vehicles share an
   arc, the smaller requirement of its two locations, a depot end taking
   the other end's.
-- dominance (fragment network only): of the departures of one location
-  arc that land at the same head node, only the latest gets a copy.
-  Flow on an earlier copy can wait and take the kept one instead: waiting
-  is free, and every cap still holds, since only the copies of one
-  customer's fragments end at its delivery or start at its pickup, and
-  its cover row lets them carry at most its requirement.  The kept copy
-  also has the smallest rounding loss.  Event networks keep every
-  departure, because TSEF's ride rows read the departure stamps.
+- dominance (_TsBase.link): of the departures of one location arc (one
+  event arc in the event network) that land at the same head node, only
+  the latest gets a copy.  Flow on an earlier copy can wait at its tail
+  and take the kept one: waiting is free, the head stamp does not change,
+  and every cap still holds.  Only one customer's fragment copies end at
+  its delivery or start at its pickup, and its cover row bounds them by
+  its requirement; the pickup rows bound the flow through each location,
+  so all copies of one event arc together carry at most its cap.  The kept
+  copy has the smallest rounding loss.  A departure stamp enters only its
+  own pickup's TSEF ride row, with a minus sign, so the later stamp
+  loosens it.  Only a large customer's direct pickup -> delivery arc can
+  merge used copies; they make up its whole ride row, and each merged
+  term r - t' is at most every old term r - t, so the merged row follows
+  from the old one unless two merged copies land before they leave.
 """
 from __future__ import annotations
 
@@ -130,9 +135,6 @@ class TsArc(NamedTuple):
 
 
 class _TsBase:
-    # every departure gets its copy: TSEF's ride rows read the stamps
-    latest_only = False
-
     def __init__(self, inst, grid):
         self.inst = inst
         self.grid = grid
@@ -167,12 +169,13 @@ class _TsBase:
         place head (in the fragment network a place is its location), by
         the landing rule of the module docstring.
 
-        With latest_only, a departure gets a copy only when the next time
-        in times lands elsewhere, lands past the window, or does not exist:
-        landings never move back as t grows, so that copy is the latest
-        departure to its head node.  Copies are added by departure time,
-        and for each time in the order of heads; times ascend, so an arc
-        its first departure overshoots gets no copy."""
+        A departure gets a copy only when the next time in times lands
+        elsewhere, lands past the window, or does not exist: landings
+        never move back as t grows, so that copy is the latest departure
+        to its head node (the module docstring's dominance rule).  Copies
+        are added by departure time, and for each time in the order of
+        heads; times ascend, so an arc its first departure overshoots gets
+        no copy."""
         inst = self.inst
         targets = []  # each arc's constants, read once per call
         for head, j in heads:
@@ -193,7 +196,7 @@ class _TsBase:
         # arrivals, so a target's walk ends at its first overshoot
         copies = [[] for _ in times]
         for head, loc_arc, travel, early, cutoff, late, ts, terms in targets:
-            held = None  # latest_only: (k, copy) of the last landing
+            held = None  # (k, copy) of the last landing
             for k, t in enumerate(times):
                 arrival = t + travel
                 if arrival < early:  # max(), without its call
@@ -209,9 +212,6 @@ class _TsBase:
                     r = ts[m]
                     loss = arrival - r
                 copy = head, r, loc_arc, terms, loss
-                if not self.latest_only:
-                    copies[k].append(copy)
-                    continue
                 if held is not None and held[1][1] != r:  # lands elsewhere
                     copies[held[0]].append(held[1])
                 held = k, copy
@@ -278,10 +278,6 @@ class TsFragNetwork(_TsBase):
     copy c is element c, arc a is element len(ts_frags) + a, and
     out_elems[u] tries u's copies before its arcs.
     """
-
-    # moves and returns keep the latest departure to each head node (the
-    # module docstring's dominance rule)
-    latest_only = True
 
     def __init__(self, inst, grid, frags):
         super().__init__(inst, grid)
@@ -395,8 +391,10 @@ class TsEventNetwork(_TsBase):
 
 def expand_events(inst: Instance, enet, grid: TimeGrid) -> TsEventNetwork:
     """Expand the event network over the grid: each event arc leaves its
-    tail at every grid time (the origin only at e_origin); movement arcs
-    keep their departure/arrival stamps for the ride-time rows."""
+    tail at its location's grid times (the origin only at e_origin), and
+    only the latest departure to each landing node gets a copy (the module
+    docstring's dominance rule); movement arcs keep their departure and
+    arrival stamps for TSEF's ride-time rows."""
     net = TsEventNetwork(inst, grid, enet)
     t_min = float(inst.earliest[inst.origin])
     net.origin_node = net.node(enet.origin_id, t_min)

@@ -101,6 +101,20 @@ def test_fleet_multiplier_must_be_positive(sample_file, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--fleet-mult", "0"), ("--fleet-mult", "x"), ("--fleet-mult", "4,"),
+    ("--p-tw", "abc"), ("--r-l", ""), ("--variant", "darpsv-set1"),
+])
+def test_gen_dataset_usage_errors_write_nothing(sample_file, tmp_path, flag,
+                                                value):
+    out_dir = tmp_path / "ds"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-dataset", sample_file, "--out-dir", str(out_dir),
+              "--unchecked", "--variant", "darp", flag, value])
+    assert exc.value.code == 2
+    assert not out_dir.exists()
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)

@@ -424,14 +424,15 @@ def test_tsef_extraction_idle_semantics(single_customer):
     flow = [depot_out]
     cur = net.arcs[depot_out].head
     # ride the network forward, idling once at the pickup and once at the
-    # delivery when possible
+    # delivery when possible, and on to the next kept departure: only the
+    # latest departure to each landing node has a move
     idled = set()
     while cur != net.dest_node:
         loc = loc_of_node(net, cur)
         options = [a for a in net.out_arcs[cur]]
         idles = [a for a in options if net.arcs[a].kind == IDLE]
         moves = [a for a in options if net.arcs[a].kind != IDLE]
-        if idles and loc not in idled:
+        if idles and (loc not in idled or not moves):
             idled.add(loc)
             nxt = idles[0]
         else:

@@ -155,15 +155,14 @@ def landing(inst, grid, i, j, t):
     return None if r is None else (r, arrival - r)
 
 
-def check_arc_rule(inst, grid, net, links, latest_only):
+def check_arc_rule(inst, grid, net, links):
     """Each arc i -> j left at t lands at round_down(max(t + T_ij, e_j)),
     keeps the rest as disc, and takes inst.arc_cap(i, j) vehicles; returns
     end at the destination within its window, with no loss.  Conversely,
     for each link (tail place, head place, i, j) and each kept head node,
     consider the departures from the tail's grid times that land there:
-    with latest_only exactly the latest of them has an arc, where its tail
-    is kept, and no earlier one does; otherwise each of them has an arc
-    where its tail is kept."""
+    exactly the latest of them has an arc, where its tail is kept, and no
+    earlier one does."""
     for arc in net.arcs:
         i, j = arc.loc_arc
         assert arc.cap == inst.arc_cap(i, j)
@@ -187,10 +186,7 @@ def check_arc_rule(inst, grid, net, links, latest_only):
                     net.node_index.get((tail, round(float(t), 9))))
         for v, us in tails_of.items():
             linked = [u for u in us if (u, v, (i, j)) in present]
-            if latest_only:
-                assert linked == [u for u in us[-1:] if u is not None]
-            else:
-                assert linked == [u for u in us if u is not None]
+            assert linked == [u for u in us[-1:] if u is not None]
 
 
 DRAWS = [tighten_windows(random_instance(seed, n=3 + seed % 3, vehicles=3,
@@ -223,8 +219,7 @@ def test_pruned_networks_keep_only_path_nodes(k, delta):
                    [(d, p, d, p) for d in inst.deliveries for p in inst.pickups
                     if p != d - inst.n]
                    + [(origin, p, origin, p) for p in inst.pickups]
-                   + [(d, dest, d, dest) for d in inst.deliveries],
-                   latest_only=True)
+                   + [(d, dest, d, dest) for d in inst.deliveries])
 
     events = enumerate_events(inst)
     enet = expand_events(inst, events, grid)
@@ -235,5 +230,4 @@ def test_pruned_networks_keep_only_path_nodes(k, delta):
     assert sorted(a for aids in enet.by_event_arc.values() for a in aids) == \
         [a for a, arc in enumerate(enet.arcs) if arc.event_arc >= 0]
     check_arc_rule(inst, grid, enet, [(arc.tail, arc.head, *arc.loc_arc)
-                                      for arc in events.arcs],
-                   latest_only=False)
+                                      for arc in events.arcs])

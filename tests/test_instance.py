@@ -214,6 +214,15 @@ def test_dataset_params_guardrails():
     DatasetParams(p_tw=12.0, unchecked=True)  # explicit override allowed
 
 
+@pytest.mark.parametrize("kw", [dict(variant="darpsv-set1"),
+                                dict(variant="bogus", unchecked=True)])
+def test_dataset_params_check_the_variant_even_unchecked(kw):
+    # darpsv-set1 was built as set 2 under another name, and an unchecked
+    # unknown variant as darp
+    with pytest.raises(InstanceError, match="unknown variant"):
+        DatasetParams(**kw)
+
+
 def _tight_sample():
     return tighten_windows(parse_cordeau(CORDEAU_SAMPLE))
 

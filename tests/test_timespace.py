@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from darpsv import milp
-from darpsv.formulations import build_tsfrag
+from darpsv.formulations import build_tsef, build_tsfrag
 from darpsv.fragments import enumerate_fragments, feasible_schedule, start_interval
 from darpsv.events import enumerate_events
 from darpsv.instance import (DatasetParams, build_dataset2, random_instance,
                              tighten_windows)
-from darpsv.timespace import (DEPOT_IN, IDLE, MOVE, TimeGrid, TsArc,
-                              expand_events, expand_fragments)
+from darpsv.timespace import (DEPOT_IN, DEPOT_OUT, IDLE, MOVE, TimeGrid,
+                              TsArc, expand_events, expand_fragments)
 
 from conftest import loc_of_node, make_instance
 from test_acceptance import synthetic_base
@@ -222,43 +222,61 @@ def test_fragment_timing_cache_on_a_bench_instance():
     assert _cache_is_exact(inst, np.random.default_rng(4)) > 100
 
 
-def _add_dominated_moves(inst, grid, net):
-    """Add to net every delivery -> pickup move and delivery return that
-    keeping only the latest departure to each head node leaves out: one
-    from every grid time of the delivery that lands, by the landing rule,
-    between nodes of net.  An all-departures network keeps the same nodes,
-    since a path through a left-out move can wait at its tail and take the
-    kept move instead.  Returns the number of moves added."""
-    dest = inst.destination
-    present = {(arc.tail, arc.head, arc.loc_arc) for arc in net.arcs}
+def _add_dominated_copies(inst, grid, net, links):
+    """Add to net every copy of a link (tail place, head place, i, j, event
+    arc id or -1) that keeping only the latest departure to each head node
+    leaves out: one from every grid time of i (e_origin alone at the
+    origin) that lands, by the landing rule, between nodes of net.  An
+    all-departures network keeps the same nodes, since a path through a
+    left-out copy can wait at its tail and take the kept one instead.
+    Returns the number of copies added."""
+    origin, dest = inst.origin, inst.destination
+    present = {(arc.tail, arc.head, arc.loc_arc, arc.event_arc)
+               for arc in net.arcs}
     added = 0
-    for d in inst.deliveries:
-        for j in [p for p in inst.pickups if p != d - inst.n] + [dest]:
-            for t in grid[d]:
-                want = landing(inst, grid, d, j, t)
-                if want is None:
-                    continue
-                u = net.node_index.get((d, round(float(t), 9)))
-                v = net.node_index.get((j, round(float(want[0]), 9)))
-                if u is None or v is None or (u, v, (d, j)) in present:
-                    continue
-                net.arcs.append(TsArc(
-                    u, v, (d, j), DEPOT_IN if j == dest else MOVE,
-                    float(inst.travel_cost[d, j]), inst.arc_cap(d, j),
-                    float(want[1])))
-                added += 1
+    for tail, head, i, j, event_arc in links:
+        for t in [inst.earliest[i]] if i == origin else grid[i]:
+            want = landing(inst, grid, i, j, t)
+            if want is None:
+                continue
+            u = net.node_index.get((tail, round(float(t), 9)))
+            v = net.node_index.get((head, round(float(want[0]), 9)))
+            if u is None or v is None or (u, v, (i, j), event_arc) in present:
+                continue
+            kind = (DEPOT_OUT if i == origin else
+                    DEPOT_IN if j == dest else MOVE)
+            net.arcs.append(TsArc(u, v, (i, j), kind,
+                                  float(inst.travel_cost[i, j]),
+                                  inst.arc_cap(i, j), float(want[1]),
+                                  event_arc))
+            added += 1
     net.index()
     return added
 
 
-def _master_optima(inst, net):
-    """Status and objective of the fixed-grid TSFrag master, without cuts:
-    its LP relaxation first, then the MIP."""
-    model, _ = build_tsfrag(inst, net)
+def _master_optima(inst, net, build):
+    """Status and objective of the fixed-grid master that build makes
+    (build_tsfrag or build_tsef), without cuts: its LP relaxation first,
+    then the MIP."""
+    model, _ = build(inst, net)
     mip = milp.solve(model)
     model.col_kind = [milp.CONTINUOUS] * model.num_vars
     lp = milp.solve(model)
     return [(sol.status, sol.objective) for sol in (lp, mip)]
+
+
+def _optima_kept(inst, grid, expand, links, build):
+    """Assert that build's master over the network expand() returns has
+    the LP and MIP optima of that network with every dominated copy of
+    links added back; returns the number added."""
+    net, full = expand(), expand()
+    added = _add_dominated_copies(inst, grid, full, links)
+    want = _master_optima(inst, full, build)
+    got = _master_optima(inst, net, build)
+    assert [status for status, _ in got] == [status for status, _ in want]
+    for (_, value), (_, expected) in zip(got, want):
+        assert value == pytest.approx(expected, rel=1e-9, abs=1e-6)
+    return added
 
 
 OPTIMA_DRAWS = [tighten_windows(random_instance(seed, n=4 + seed % 3, vehicles=3,
@@ -277,12 +295,27 @@ def test_latest_departures_keep_the_master_optima(delta):
     for inst in OPTIMA_DRAWS:
         frags = enumerate_fragments(inst)
         grid = TimeGrid.fixed(inst, delta)
-        net = expand_fragments(inst, frags, grid)
-        full = expand_fragments(inst, frags, grid)
-        added += _add_dominated_moves(inst, grid, full)
-        want = _master_optima(inst, full)
-        got = _master_optima(inst, net)
-        assert [status for status, _ in got] == [status for status, _ in want]
-        for (_, value), (_, expected) in zip(got, want):
-            assert value == pytest.approx(expected, rel=1e-9, abs=1e-6)
+        links = [(d, j, d, j, -1) for d in inst.deliveries
+                 for j in [p for p in inst.pickups if p != d - inst.n]
+                 + [inst.destination]]
+        added += _optima_kept(inst, grid,
+                              lambda: expand_fragments(inst, frags, grid),
+                              links, build_tsfrag)
+    assert added > 0
+
+
+@pytest.mark.parametrize("delta", [50.0, 10.0, 5.0])
+def test_latest_departures_keep_the_tsef_optima(delta):
+    # the same for TSEF: a kept copy of an event arc leaves later than the
+    # copies it stands for, and its departure stamp only loosens its
+    # pickup's ride row
+    added = 0
+    for inst in OPTIMA_DRAWS:
+        events = enumerate_events(inst, timed=True)
+        grid = TimeGrid.fixed(inst, delta)
+        links = [(arc.tail, arc.head, *arc.loc_arc, aid)
+                 for aid, arc in enumerate(events.arcs)]
+        added += _optima_kept(inst, grid,
+                              lambda: expand_events(inst, events, grid),
+                              links, build_tsef)
     assert added > 0
