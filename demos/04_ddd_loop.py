@@ -1,10 +1,11 @@
 """Watching dynamic discretization discovery converge.
 
 The loop starts from a 50-minute grid: arcs round down onto it, so the
-master is a relaxation and its objective a valid lower bound. The
-selection model then asks whether the chosen paths admit a continuous
-schedule with the actual arc lengths (Z = 0) -- if not, the flagged arcs
-gain time points and the master re-solves. Bounds only move up.
+master is a relaxation and its objective a valid lower bound. The schedule
+oracle then asks whether the chosen paths admit a continuous schedule with
+the actual arc lengths (Z = 0) -- if not, every arc the grid shortened is
+flagged (Z counts them), gains time points, and the master re-solves.
+Bounds only move up.
 """
 import darpsv
 

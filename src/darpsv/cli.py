@@ -95,7 +95,7 @@ def cmd_gen_dataset(args) -> int:
     import itertools
     import os
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    built = []  # every instance is built before anything is written
     for path in args.instances:
         base = tighten_windows(load_instance(path))
         grid = itertools.product(args.r_l, args.p_tw, args.p_de,
@@ -106,14 +106,16 @@ def cmd_gen_dataset(args) -> int:
                                    unchecked=args.unchecked)
             name = (f"{base.name}_RL{r_l:g}_TW{p_tw:g}_DE{p_de:g}"
                     f"_V{mult}_{args.variant}")
-            inst = inst_mod.build_dataset2(base, params).replace(
+            built.append(inst_mod.build_dataset2(base, params).replace(
                 name=name, meta={"r_l": r_l, "p_tw": p_tw, "p_de": p_de,
                                  "fleet_multiplier": mult,
-                                 "variant": args.variant, "source": base.name})
-            out_path = os.path.join(args.out_dir, name + ".json")
-            with open(out_path, "w") as fh:
-                fh.write(inst_mod.to_json(inst))
-            print(out_path)
+                                 "variant": args.variant, "source": base.name}))
+    os.makedirs(args.out_dir, exist_ok=True)
+    for inst in built:
+        out_path = os.path.join(args.out_dir, inst.name + ".json")
+        with open(out_path, "w") as fh:
+            fh.write(inst_mod.to_json(inst))
+        print(out_path)
     return EXIT_OK
 
 

@@ -1,16 +1,17 @@
 """Dynamic discretization discovery for the time-space formulations.
 
 Each iteration solves the partial-network master (a relaxation, since arc
-lengths are rounded down), decomposes its paths, and asks the selection
-model whether they admit a continuous schedule with the actual arc lengths.
-Z = 0 terminates, and the master's solution is reported like any other
-solve (formulations.solve_report): a proven optimum when the master is
-optimal, its paths timed by their earliest joint schedule; otherwise the
-flagged arcs gain time points and the loop repeats.  The running bound
-takes a master's objective only when that master is optimal, and its
-best bound otherwise, also when it stopped before its first incumbent, so
-a master stopped by the deadline never raises the bound above the
-optimum.
+lengths are rounded down), decomposes its paths, and asks the schedule
+oracle (fragments.joint_schedule) whether they admit a continuous
+schedule with the actual arc lengths, windows, synchronization and ride
+limits.  A schedule (Z = 0) terminates, and the master's solution is
+reported like any other solve (formulations.solve_report): a proven
+optimum when the master is optimal, its paths timed by their earliest
+joint schedule; otherwise the shortened arcs gain time points and the
+loop repeats.  The running bound takes a master's objective only when
+that master is optimal, and its best bound otherwise, also when it
+stopped before its first incumbent, so a master stopped by the deadline
+never raises the bound above the optimum.
 
 The loop drives its master (formulations.TsfragMaster or TsefMaster)
 through the master's own steps, selection inputs included; master.exact
@@ -22,33 +23,31 @@ solve ends as a RELAXATION with the masters' bound, and an infeasible
 master ends it as a RELAXATION with no bound.
 
 Each iteration runs one selection and one refinement, and in the fragment
-mode refinement grows the grid whenever Z != 0.  An arc that an optimal
-selection flags has a use whose rounding loss is positive: with no loss,
-delta = 0 is feasible for it and cheaper.  Refinement inserts that use's
-exact time.
-For a master arc, refine_grid inserts the departure time plus T; for a
-fragment copy, _refine_copy_interiors inserts the copy's schedule,
-unrounded end included.  When the selection has no schedule at all,
-every arc shortened by more than EPS is flagged.  So the grid can stay
-unchanged only at tolerance level: every loss is at most EPS, or an
-arrival lands in (l + GRID_TOL, l + EPS], past the window end l that
-TimeGrid.insert accepts.  Other fragment floors in the selection would not
-reach those cases, so the loop has no second selection; StallError guards
-the invariant.
+mode refinement grows the grid whenever Z != 0.  Paths without a schedule
+flag every location arc that a used copy or move shortens by more than
+EPS ("too short" arcs, after Boland, Hewitt, Marshall & Savelsbergh,
+Operations Research 2017), and Z counts them.  Refinement inserts each
+flagged use's exact time.  For a master arc, refine_grid inserts the
+departure time plus T; for a fragment copy, _refine_copy_interiors inserts
+the copy's schedule, unrounded end included.  A shortened use landed on
+the last grid point before its exact arrival, so that arrival is a new
+point unless it lies past the window end l that TimeGrid.insert accepts.
+So the grid can stay unchanged only at tolerance level: every loss is at
+most EPS, or an arrival lands in (l + GRID_TOL, l + EPS].  StallError
+guards that invariant.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import milp
 from .events import enumerate_events
 from .formulations import (SelectionInputs, SolveReport, TsefMaster,
                            TsfragMaster, separate_subtours, solve_report)
-from .fragments import enumerate_fragments, feasible_schedule
-from .instance import EPS, Instance
-from .milp import BINARY, CONTINUOUS, GE, LE, MilpModel, Status
+from .fragments import enumerate_fragments, feasible_schedule, joint_schedule
+from .instance import Instance
+from .milp import Status
 from .timespace import TimeGrid
 
 MAX_ITERATIONS = 500  # StallError beyond this many masters
@@ -63,7 +62,7 @@ class Iteration(NamedTuple):
 
     k: int
     bound: float  # best master bound so far
-    z: int  # selection value; -1 when no schedule exists at all
+    z: int  # arcs flagged; 0 when the paths schedule
     new_points: int  # time points added to the grid
     master_seconds: float  # master solve, subtour separation included
     cuts: int  # subtour cuts added by this master
@@ -74,55 +73,17 @@ class Iteration(NamedTuple):
                 f"master_seconds={self.master_seconds:.3f}")
 
 
-@dataclass
-class SelectionResult:
-    z: int | None  # None when the solve found no schedule
-    delta: list  # flagged location arcs
-    status: str = Status.OPTIMAL  # of the selection MILP
-
-
-def selection_model(inst: Instance, inputs: SelectionInputs, deadline=None):
-    """Minimal number of arcs that must keep a shortened travel time for the
-    given paths to schedule; Z = 0 certifies continuous feasibility.
-
-    Ride limits are part of the system: without them a zero-shortening
-    schedule could still stretch a customer's trip beyond R_i, so Z = 0
-    would not certify the paths.  A solve that hits the deadline before any
-    solution returns status TIME_LIMIT and z None.
-    """
-    m = MilpModel("selection")
-    tau = {}
-    arcs = set()
-    for path in inputs.location_paths:
-        for loc in path:
-            if loc not in tau:
-                tau[loc] = m.add_var(CONTINUOUS, inst.earliest[loc], inst.latest[loc])
-        arcs.update(zip(path, path[1:]))
-    arcs = sorted(arcs)
-    theta, delta = {}, {}
-    T = inst.travel_time
-    for (i, j) in arcs:
-        theta[i, j] = m.add_var(CONTINUOUS, 0.0)
-        delta[i, j] = m.add_var(BINARY, obj=1.0)
-        m.add_constr([(theta[i, j], 1.0), (delta[i, j], float(T[i, j]))],
-                     GE, float(T[i, j]))
-        m.add_constr([(tau[i], 1.0), (theta[i, j], 1.0), (tau[j], -1.0)], LE, 0.0)
-        short = inputs.arc_short.get((i, j))
-        if short is not None and short > 0:
-            m.add_constr([(theta[i, j], 1.0)], GE, float(short))
-    for start, end, floor in inputs.fragment_floors:
-        m.add_constr([(tau[end], 1.0), (tau[start], -1.0)], GE, float(floor))
-    for i in inst.pickups:
-        if i in tau and i + inst.n in tau:
-            m.add_constr([(tau[i + inst.n], 1.0), (tau[i], -1.0)],
-                         LE, float(inst.ride[i]))
-    sol = milp.solve(m, deadline)
-    if sol.status in (Status.INFEASIBLE, Status.TIME_LIMIT):
-        return SelectionResult(None, [], sol.status)
-    if not sol.ok:
-        raise milp.ConfigurationError(f"selection model: {sol.status}")
-    flagged = sorted(a for a in arcs if sol.value(delta[a]) > 0.5)
-    return SelectionResult(int(round(sol.objective)), flagged, sol.status)
+def selection_model(inst: Instance, inputs: SelectionInputs):
+    """The location arcs to refine, or None when the master's paths have a
+    continuous schedule (Z = 0): joint_schedule decides that with the
+    actual travel times, windows, synchronization and ride limits.
+    Without a schedule, every arc that a used copy or move shortens by
+    more than EPS is flagged, in walk order: refine_grid then inserts the
+    arrivals along a path arc by arc, so a time inserted at an arc's head
+    is a departure time of the next arc."""
+    if joint_schedule(inst, inputs.location_paths) is not None:
+        return None
+    return list(inputs.arc_short)
 
 
 def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
@@ -136,11 +97,9 @@ def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
     return added
 
 
-def _refine(inst, grid, inputs, sel) -> int:
-    """Grow the grid on the arcs sel flags (every shortened arc when no
-    schedule exists); returns the number of new points."""
-    flagged = sel.delta if sel.z is not None else [
-        a for a, v in inputs.arc_short.items() if v < inst.travel_time[a] - EPS]
+def _refine(inst, grid, inputs, flagged) -> int:
+    """Grow the grid on the flagged arcs; returns the number of new
+    points."""
     return (refine_grid(grid, flagged, inst)
             + _refine_copy_interiors(inst, grid, inputs, flagged))
 
@@ -166,7 +125,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
     """Run DDD to a continuous-time optimum (tsfrag) or an approximate
     value (tsef, status APPROXIMATE).  time_limit becomes one deadline at
     the call: enumeration and every grid expansion count against it, and
-    every master and selection solve stops at it."""
+    every master stops at it."""
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     if mode == "tsfrag":
@@ -218,23 +177,21 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             sol = _stopped(sol.status, bound)
             break
         inputs = master.selection_inputs(walks)
-        sel = selection_model(inst, inputs, deadline=deadline)
-        if sel.status == Status.TIME_LIMIT:
-            sol = _stopped(Status.TIME_LIMIT, bound)
-            break
-        new_points = 0 if sel.z == 0 else _refine(inst, grid, inputs, sel)
-        if sel.z != 0 and new_points == 0 and not master.exact:
+        flagged = selection_model(inst, inputs)
+        new_points = (0 if flagged is None
+                      else _refine(inst, grid, inputs, flagged))
+        if flagged is not None and new_points == 0 and not master.exact:
             # nothing left to lengthen yet no continuous schedule: the
             # discrete ride rows cut the path set (documented inexactness),
             # so the masters' bound is all the solve has
             sol = _stopped(Status.RELAXATION, bound)
             break
-        z = -1 if sel.z is None else sel.z
+        z = 0 if flagged is None else len(flagged)
         history.append(Iteration(k, bound, z, new_points, master_seconds,
                                  info.num_cuts))
         if trace is not None:
             trace(str(history[-1]))
-        if z == 0:
+        if flagged is None:
             paths = inputs.location_paths
             break
         if new_points == 0:

@@ -511,22 +511,14 @@ def _solve_grid(master, grid, deadline, start):
 
 @dataclass
 class SelectionInputs:
-    """Paths and shortened lengths drawn from one master solution, the
-    input of DDD's selection model (ddd.selection_model)."""
+    """Paths drawn from one master solution and what DDD refines when they
+    have no continuous schedule (ddd.selection_model)."""
 
     location_paths: list  # per used vehicle, 0 .. 2n+1
-    arc_short: dict  # (i, j) -> shortened length \bar T_ij
-    fragment_floors: list  # (start loc, end loc, floor length)
+    # location arcs a used copy or move shortens by more than EPS, as dict
+    # keys in walk order (an ordered set; see ddd.selection_model)
+    arc_short: dict
     used_copies: list = field(default_factory=list)  # (path, ts copy) pairs
-
-
-def _shorten(arc_short, inst, loc_arc, disc):
-    """Keep the shortest rounded-down length T - disc seen on a location
-    arc."""
-    value = inst.travel_time[loc_arc] - disc
-    prev = arc_short.get(loc_arc)
-    if prev is None or value < prev:
-        arc_short[loc_arc] = value
 
 
 class TsfragMaster:
@@ -595,10 +587,10 @@ class TsfragMaster:
         return paths_tsfrag(self.inst, self.net, walks)
 
     def selection_inputs(self, walks):
-        """Each used copy once (synchronized vehicles share one), with its
-        schedule's floor, and the shortest rounded-down length of every
-        location arc inside a copy or on a movement arc."""
-        floors, used_copies, arc_short = [], [], {}
+        """Each used copy once (synchronized vehicles share one), and every
+        location arc inside a copy or on a movement arc that the grid
+        shortens by more than EPS, in walk order."""
+        used_copies, arc_short = [], {}
         seen_copies = set()
         for walk in walks:
             for kind, idx in walk:
@@ -607,18 +599,13 @@ class TsfragMaster:
                         continue
                     seen_copies.add(idx)
                     copy = self.net.ts_frags[idx]
-                    frag = self.net.frags[copy.frag_id]
-                    used_copies.append((frag.path, copy))
-                    for loc_arc in zip(frag.path, frag.path[1:]):
-                        _shorten(arc_short, self.inst, loc_arc, copy.disc)
-                    floors.append((frag.start, frag.end,
-                                   self.net.nodes[copy.head].t - copy.start_eff))
-                else:
-                    arc = self.net.arcs[idx]
-                    if arc.kind != IDLE:
-                        _shorten(arc_short, self.inst, arc.loc_arc, arc.disc)
-        return SelectionInputs(self.paths(walks), arc_short, floors,
-                               used_copies)
+                    path = self.net.frags[copy.frag_id].path
+                    used_copies.append((path, copy))
+                    if copy.disc > EPS:
+                        arc_short.update(dict.fromkeys(zip(path, path[1:])))
+                elif self.net.arcs[idx].disc > EPS:  # never an idle arc
+                    arc_short[self.net.arcs[idx].loc_arc] = None
+        return SelectionInputs(self.paths(walks), arc_short, used_copies)
 
     def _path_cuts(self, walks):
         unscheduled = [self.physical(w) for w, path in zip(walks, self.paths(walks))
@@ -662,12 +649,9 @@ class TsefMaster:
         return paths_tsef(self.inst, self.net, walks)
 
     def selection_inputs(self, walks):
-        """The shortest rounded-down length of every location arc the
-        walks move along; events carry no fragment floors."""
-        arc_short = {}
-        for walk in walks:
-            for aid in walk:
-                arc = self.net.arcs[aid]
-                if arc.kind != IDLE:
-                    _shorten(arc_short, self.inst, arc.loc_arc, arc.disc)
-        return SelectionInputs(self.paths(walks), arc_short, [])
+        """Every location arc the walks move along that the grid shortens by
+        more than EPS, in walk order; events have no fragment copies."""
+        arcs = self.net.arcs  # an idle arc loses nothing
+        arc_short = dict.fromkeys(arcs[a].loc_arc for walk in walks
+                                  for a in walk if arcs[a].disc > EPS)
+        return SelectionInputs(self.paths(walks), arc_short)

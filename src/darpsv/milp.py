@@ -4,11 +4,12 @@ Models are built row by row (MilpModel) into flat column lists and COO
 row triples.  solve() converts them once, into a HighsLp with a colwise
 matrix built in numpy, and runs one session of the core's _Highs on it
 with _HIGHS_OPTIONS, where HiGHS's Feasibility Jump heuristic is off.  Its
-start-up costs about 10 ms on every MIP that presolve does not empty,
-while the MIPs here close at the root node after at most a few hundred
-simplex iterations: a DDD selection model of about 160 columns took
-8-14 ms with it and 1.3-1.8 ms without, and no status or objective of the
-benchmark's solves changed.
+start-up costs time on every MIP that presolve does not empty, while the
+DDD masters here close at the root node: the 34 master solves of
+TSFrag+DDD on the benchmark's seven DDD instances took 0.78-0.85 s in
+HiGHS with it and 0.42-0.43 s without (median 15-19 ms and 8 ms a call,
+two runs each on a 2-vCPU VM), with the same statuses, objectives and
+iteration counts.
 _STATUS maps HiGHS's model status to a Status; a status it lacks is a
 ConfigurationError, and a MIP stopped at a limit with an incumbent is
 FEASIBLE_WITH_GAP.  A MIP that presolve finds "unbounded or infeasible"

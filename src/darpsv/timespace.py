@@ -9,7 +9,8 @@ service starts there.  Both networks expand their arcs by three rules:
   or a precedes j's grid, and lands at round_down(a), the last grid point
   of j at or before a.
   Partial (DDD) grids thus shorten arcs; each arc and fragment copy keeps
-  its rounding loss a - round_down(a) as disc, for the selection model.
+  its rounding loss a - round_down(a) as disc, which tells DDD the arcs
+  to refine.
   Returns to the destination only test its window and land on the
   destination node.
 - cap (Instance.arc_cap): at most that many synchronized vehicles share an

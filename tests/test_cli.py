@@ -104,14 +104,21 @@ def test_fleet_multiplier_must_be_positive(sample_file, value):
 @pytest.mark.parametrize("flag, value", [
     ("--fleet-mult", "0"), ("--fleet-mult", "x"), ("--fleet-mult", "4,"),
     ("--p-tw", "abc"), ("--r-l", ""), ("--variant", "darpsv-set1"),
+    # errors found while building: the second grid point's window collapses
+    # after the first built, every point's does, and the input is missing
+    ("--p-tw", "15,-5"), ("--p-de", "0.5"), ("input", "missing.txt"),
 ])
 def test_gen_dataset_usage_errors_write_nothing(sample_file, tmp_path, flag,
                                                 value):
     out_dir = tmp_path / "ds"
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-dataset", sample_file, "--out-dir", str(out_dir),
-              "--unchecked", "--variant", "darp", flag, value])
-    assert exc.value.code == 2
+    source = str(tmp_path / value) if flag == "input" else sample_file
+    extra = [] if flag == "input" else [flag, value]
+    try:
+        code = main(["gen-dataset", source, "--out-dir", str(out_dir),
+                     "--unchecked", "--variant", "darp", *extra])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code == 2
     assert not out_dir.exists()
 
 

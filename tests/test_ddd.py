@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -8,13 +9,15 @@ import pytest
 from darpsv import ddd, formulations, milp, run_method
 from darpsv.ddd import (SelectionInputs, StallError, ddd_solve, refine_grid,
                         selection_model)
-from darpsv.formulations import solve_ebf
-from darpsv.fragments import joint_schedule
+from darpsv.formulations import (TsfragMaster, build_tsfrag,
+                                 separate_subtours, solve_ebf)
+from darpsv.fragments import enumerate_fragments, joint_schedule
 from darpsv.instance import InfeasibleCustomerError, random_instance, tighten_windows
-from darpsv.timespace import TimeGrid
+from darpsv.timespace import TimeGrid, expand_fragments
 from darpsv.validate import brute_optimum, check
 
 from conftest import make_instance
+from test_timespace import _master_optima
 
 
 def test_selection_all_actual_lengths_is_zero():
@@ -23,27 +26,23 @@ def test_selection_all_actual_lengths_is_zero():
     sched = joint_schedule(inst, paths)
     if sched is None:
         pytest.skip("infeasible draw")
-    inputs = SelectionInputs(paths, {}, [])
-    res = selection_model(inst, inputs)
-    assert res.z == 0 and res.delta == []
+    # paths that schedule flag nothing, whatever the master shortened
+    inputs = SelectionInputs(paths, dict.fromkeys([(1, 3)]))
+    assert selection_model(inst, inputs) is None
 
 
 def test_selection_on_ride_time_route(ride_regression):
     path = [0, 1, 2, 3, 4, 5]
-    short = {(1, 2): 20.0, (2, 3): 0.0, (3, 4): 24.0}
-    inputs = SelectionInputs([path], short, [])
+    inputs = SelectionInputs([path], dict.fromkeys([(2, 3), (1, 2)]))
     # with ride limits 26 the route schedules continuously: Z = 0, and its
     # earliest schedule is 600/624/626/650
-    res = selection_model(ride_regression, inputs)
-    assert res.z == 0
+    assert selection_model(ride_regression, inputs) is None
     times = joint_schedule(ride_regression, [path])[0]
     assert [round(times[loc]) for loc in (1, 2, 3, 4)] == [600, 624, 626, 650]
-    # one minute less and some arc must stay shortened
+    # one minute less and every shortened arc is flagged, in input order
     tight = ride_regression.replace(ride=np.array([0.0, 25.0, 25.0]))
-    res = selection_model(tight, inputs)
-    assert res.z is None or res.z >= 1
-    if res.z is not None:
-        assert res.delta
+    assert joint_schedule(tight, [path]) is None
+    assert selection_model(tight, inputs) == [(2, 3), (1, 2)]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -65,10 +64,10 @@ def test_selection_zero_agrees_with_joint_oracle(seed):
         paths.append(path)
     if not paths:
         pytest.skip("degenerate split")
-    inputs = SelectionInputs(paths, {}, [])
-    res = selection_model(inst, inputs)
+    short = dict.fromkeys(arc for path in paths for arc in zip(path, path[1:]))
+    res = selection_model(inst, SelectionInputs(paths, short))
     oracle = joint_schedule(inst, paths)
-    assert (res.z == 0) == (oracle is not None)
+    assert res == (None if oracle is not None else list(short))
 
 
 def test_refine_inserts_single_point():
@@ -141,6 +140,78 @@ def test_ddd_bounds_monotone_and_sound():
             assert report.status == "infeasible"
             assert brute_optimum(inst)[0] is None
     assert solved >= 10
+
+
+BRUTE_SHAPES = [  # the n >= 3 shapes of acceptance criterion 4
+    dict(n=3, vehicles=2, capacity=2, large_share=0.4),
+    dict(n=3, vehicles=3, capacity=3, large_share=0.3),
+    dict(n=4, vehicles=3, capacity=2, large_share=0.35),
+]
+
+
+def _grid_chain(inst, frags, rng, points, rounds=3):
+    """Grids G ⊂ G' ⊂ G'' ...: the 50-minute fixed grid; that grid with
+    `points` seeded random in-window times at every location; then one
+    grid per refinement that _refine makes of the TSFrag master's paths,
+    until they schedule or for `rounds` refinements."""
+    grid = TimeGrid.fixed(inst, 50.0)
+    chain = [grid]
+    grid = TimeGrid(inst, grid.times)
+    for loc in range(inst.num_locations):
+        lo, hi = inst.earliest[loc], inst.latest[loc]
+        for t in rng.uniform(lo, hi, size=points):
+            grid.insert(loc, float(t))
+    chain.append(grid)
+    master = TsfragMaster(inst, frags)
+    for _ in range(rounds):
+        _, model = master.build(grid)
+        sol, _, walks, _ = separate_subtours(
+            model, master.decompose, master.physical, master.cut, None)
+        if not sol.ok:
+            break
+        inputs = master.selection_inputs(walks)
+        flagged = selection_model(inst, inputs)
+        if flagged is None:
+            break
+        grid = TimeGrid(inst, grid.times)
+        assert ddd._refine(inst, grid, inputs, flagged) > 0
+        chain.append(grid)
+    return chain
+
+
+def test_tsfrag_masters_bound_the_optimum_and_rise_along_grid_chains():
+    # DDD is exact only if the TSFrag master over every grid that contains
+    # the fixed grid is a relaxation, and inserting time points never
+    # lowers its optimum, whichever rule inserts them: random times here,
+    # then DDD's own refinement.  An infeasible master counts as +inf
+    chains = refined = risen = 0
+    for shape, seed in itertools.product(BRUTE_SHAPES, range(40)):
+        try:
+            inst = tighten_windows(random_instance(seed, **shape))
+        except InfeasibleCustomerError:
+            continue
+        optimum, _ = brute_optimum(inst)
+        frags = enumerate_fragments(inst)
+        chain = _grid_chain(inst, frags, np.random.default_rng(seed),
+                            points=1 + seed % 3)
+        optima = []  # [LP, MIP] per grid
+        for grid in chain:
+            pair = _master_optima(inst, expand_fragments(inst, frags, grid),
+                                  build_tsfrag)
+            assert all(status in (milp.Status.OPTIMAL, milp.Status.INFEASIBLE)
+                       for status, _ in pair)
+            optima.append([math.inf if value is None else value
+                           for _, value in pair])
+        case = (shape, seed, optimum, optima)
+        for lp, mip in optima:
+            assert lp <= mip + 1e-6, case
+            assert optimum is None or mip <= optimum + 1e-6, case
+        for before, after in zip(optima, optima[1:]):
+            assert all(b >= a - 1e-6 for a, b in zip(before, after)), case
+        chains += 1
+        refined += len(chain) > 2
+        risen += optima[-1][1] > optima[0][1] + 1e-6
+    assert chains >= 110 and refined >= 15 and risen >= 20
 
 
 def test_tsef_ddd_approximate_on_ride_pattern(ride_regression):
@@ -254,53 +325,9 @@ def test_ddd_enumerates_through_its_own_binding(single_customer, monkeypatch,
     assert calls == [single_customer]
 
 
-def selection_calls(monkeypatch, result=None):
-    """Record the deadline of every selection-model solve and when it was
-    made; with result set, return it instead of solving."""
-    calls = []
-    solve = milp.solve
-
-    def recorded(model, deadline=None):
-        if model.name != "selection":
-            return solve(model, deadline)
-        calls.append((deadline, time.perf_counter()))
-        return solve(model, deadline) if result is None else result
-
-    monkeypatch.setattr(milp, "solve", recorded)
-    return calls
-
-
-def test_selection_solves_get_the_remaining_time(monkeypatch):
-    # five DDD iterations from a 20-minute grid
-    inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
-                                           large_share=0.0))
-    calls = selection_calls(monkeypatch)
-    enumerate_ = ddd.enumerate_fragments
-    pause = 0.3
-
-    def slow(inst):
-        time.sleep(pause)
-        return enumerate_(inst)
-
-    monkeypatch.setattr(ddd, "enumerate_fragments", slow)
-    limit = 30.0
-    start = time.perf_counter()
-    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)
-    assert report.status == "optimal"
-    assert len(calls) >= report.iterations >= 3
-    assert all(deadline is not None and math.isfinite(deadline)
-               for deadline, _ in calls)
-    left = [deadline - at for deadline, at in calls]
-    assert left == sorted(left, reverse=True)
-    for deadline, at in calls:
-        # enumeration alone used `pause` of the budget; no more than the
-        # whole wall time since the call began has gone
-        assert limit - (at - start) <= deadline - at <= limit - pause
-
-
 def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
     # grid expansion runs before each master; its time counts against the
-    # limit of that master's HiGHS calls as much as of the selections'
+    # limit of that master's HiGHS calls, and masters are the only calls
     inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
                                            large_share=0.0))
     expand = formulations.expand_fragments
@@ -337,7 +364,7 @@ def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
     report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)
     assert report.status == "optimal" and report.iterations >= 3
     names = {name for name, _, _ in solves}
-    assert "selection" in names and len(names) == 2
+    assert names == {f"tsfrag-{inst.name}"}
     deadline = solves[0][1]
     assert start + limit <= deadline <= start + limit + pause
     assert all(d == deadline for _, d, _ in solves)
@@ -354,6 +381,7 @@ def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
 def test_time_limit_keeps_the_last_network_sizes(monkeypatch):
     # the deadline passes during the first selection, so the solve stops at
     # the top of iteration 2 and reports the sizes of the network it solved
+    limit = 2.0
     inst = tighten_windows(random_instance(10, n=4, vehicles=2, capacity=2,
                                            large_share=0.0))
     expand = formulations.expand_fragments
@@ -366,14 +394,15 @@ def test_time_limit_keeps_the_last_network_sizes(monkeypatch):
 
     select = ddd.selection_model
 
-    def slow_selection(*args, deadline=None, **kwargs):
-        sel = select(*args, deadline=deadline, **kwargs)
-        time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
-        return sel
+    def slow_selection(inst, inputs):
+        flagged = select(inst, inputs)
+        time.sleep(max(0.0, called + limit - time.perf_counter()) + 0.05)
+        return flagged
 
     monkeypatch.setattr(formulations, "expand_fragments", recorded)
     monkeypatch.setattr(ddd, "selection_model", slow_selection)
-    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=2.0)
+    called = time.perf_counter()  # the solve's deadline is just after
+    report = ddd_solve(inst, "tsfrag", initial_delta=20.0, time_limit=limit)
     assert report.status == "time_limit" and report.iterations == 1
     assert len(sizes) == 1 and report.history[0].z != 0
     assert "ts_arcs" in report.stats and report.stats == sizes[0]
@@ -436,18 +465,6 @@ def test_master_stopped_without_incumbent_reports_its_own_bound(monkeypatch):
     assert report.bound == pytest.approx(stopped_bound[0])
 
 
-def test_selection_time_limit_ends_the_solve_with_its_bound(
-        subtour_regression, monkeypatch):
-    timed_out = milp.MilpSolution(milp.Status.TIME_LIMIT, None, None, None, 0.0)
-    calls = selection_calls(monkeypatch, timed_out)
-    report = ddd_solve(subtour_regression, "tsfrag", initial_delta=10.0,
-                       time_limit=30.0)
-    assert len(calls) == 1
-    assert report.status == "time_limit"
-    assert report.objective is None and report.routes is None
-    assert report.bound is not None and report.bound > 0
-
-
 def test_refinement_grows_the_grid_whenever_z_is_not_zero(monkeypatch):
     # the loop runs one selection per iteration: every refinement it asks
     # for must add a time point, or the solve would stall
@@ -459,7 +476,7 @@ def test_refinement_grows_the_grid_whenever_z_is_not_zero(monkeypatch):
         return added[-1]
 
     monkeypatch.setattr(ddd, "_refine", recorded)
-    for seed in range(20):
+    for seed in range(25):
         try:
             inst = tighten_windows(random_instance(
                 seed, n=4, vehicles=3, capacity=2 + seed % 2,
