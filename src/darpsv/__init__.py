@@ -7,7 +7,7 @@ discovery loop that refines coarse time grids to continuous-time optima,
 and an independent validator/brute-force oracle.
 """
 
-from .ddd import SelectionInputs, ddd_solve, refine_grid, selection_model
+from .ddd import ddd_solve, refine_grid, selection_model
 from .events import Event, EventArc, EventNetwork, enumerate_events
 from .formulations import (MethodError, SolveReport, build_abf, build_ebf, build_tsef,
                            build_tsfrag, solve_abf, solve_ebf, solve_tsef,

@@ -264,7 +264,7 @@ def build_parser():
     p.add_argument("--methods", default="ebf,tsfrag+ddd")
     p.add_argument("--resolution", type=_positive_float, default=1.0)
     p.add_argument("--time-limit", type=_positive_float, default=1800.0)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_positive_int, default=1)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--json", action="store_true",
                    help="also write one JSON object per row")

@@ -14,7 +14,7 @@ stopped before its first incumbent, so a master stopped by the deadline
 never raises the bound above the optimum.
 
 The loop drives its master (formulations.TsfragMaster or TsefMaster)
-through the master's own steps, selection inputs included; master.exact
+through the master's own steps, the shortened arcs included; master.exact
 says whether a master whose paths schedule is a proven optimum.  TSEF's
 ride rows act on discrete stamps only, so its masters can cut feasible
 paths and its bound can exceed the optimum: a schedulable result has
@@ -26,10 +26,10 @@ Each iteration runs one selection and one refinement, and in the fragment
 mode refinement grows the grid whenever Z != 0.  Paths without a schedule
 flag every location arc that a used copy or move shortens by more than
 EPS ("too short" arcs, after Boland, Hewitt, Marshall & Savelsbergh,
-Operations Research 2017), and Z counts them.  Refinement inserts each
-flagged use's exact time.  For a master arc, refine_grid inserts the
-departure time plus T; for a fragment copy, _refine_copy_interiors inserts
-the copy's schedule, unrounded end included.  A shortened use landed on
+Operations Research 2017), and Z counts them.  Refinement (refine_grid)
+inserts each flagged use's exact time: for a master arc, the departure
+time plus T; for a fragment copy that holds a flagged arc, the copy's
+schedule from its start, unrounded end included.  A shortened use landed on
 the last grid point before its exact arrival, so that arrival is a new
 point unless it lies past the window end l that TimeGrid.insert accepts.
 So the grid can stay unchanged only at tolerance level: every loss is at
@@ -43,8 +43,8 @@ from typing import NamedTuple
 
 from . import milp
 from .events import enumerate_events
-from .formulations import (SelectionInputs, SolveReport, TsefMaster,
-                           TsfragMaster, separate_subtours, solve_report)
+from .formulations import (SolveReport, TsefMaster, TsfragMaster,
+                           separate_subtours, solve_report)
 from .fragments import enumerate_fragments, feasible_schedule, joint_schedule
 from .instance import Instance
 from .milp import Status
@@ -73,50 +73,31 @@ class Iteration(NamedTuple):
                 f"master_seconds={self.master_seconds:.3f}")
 
 
-def selection_model(inst: Instance, inputs: SelectionInputs):
+def selection_model(inst: Instance, paths, arcs):
     """The location arcs to refine, or None when the master's paths have a
     continuous schedule (Z = 0): joint_schedule decides that with the
     actual travel times, windows, synchronization and ride limits.
-    Without a schedule, every arc that a used copy or move shortens by
-    more than EPS is flagged, in walk order: refine_grid then inserts the
-    arrivals along a path arc by arc, so a time inserted at an arc's head
-    is a departure time of the next arc."""
-    if joint_schedule(inst, inputs.location_paths) is not None:
-        return None
-    return list(inputs.arc_short)
+    Without a schedule, every arc the master shortened (master.shortened,
+    in walk order) is flagged."""
+    return None if joint_schedule(inst, paths) is not None else arcs
 
 
-def refine_grid(grid: TimeGrid, flagged_arcs, inst: Instance) -> int:
-    """Insert t + T_pp' into the head's grid for every tail time point;
-    returns the number of new points."""
+def refine_grid(grid: TimeGrid, arcs, copies, inst: Instance) -> int:
+    """Insert t + T_pp' into the head's grid for every tail time point of
+    each arc, arc by arc, so a time inserted at an arc's head is a
+    departure time of the next arc.  Then insert each copy's earliest
+    schedule from its start, given as (path, start_eff): grid times are
+    blind to visit times interior to a fragment, so this keeps a copy's
+    shortened representation from persisting.  Returns the number of
+    new points."""
     added = 0
-    for (p, q) in flagged_arcs:
+    for (p, q) in arcs:
         for t in list(grid[p]):
-            if grid.insert(q, t + inst.travel_time[p, q]):
-                added += 1
-    return added
-
-
-def _refine(inst, grid, inputs, flagged) -> int:
-    """Grow the grid on the flagged arcs; returns the number of new
-    points."""
-    return (refine_grid(grid, flagged, inst)
-            + _refine_copy_interiors(inst, grid, inputs, flagged))
-
-
-def _refine_copy_interiors(inst, grid, inputs, flagged_arcs) -> int:
-    """Grid-time candidates are blind to visit times interior to a
-    fragment; when a flagged arc lies in a used copy, insert that copy's
-    whole schedule so its shortened representation cannot persist."""
-    flagged = set(flagged_arcs)
-    added = 0
-    for path, copy in inputs.used_copies:
-        if not any((i, j) in flagged for i, j in zip(path, path[1:])):
-            continue
-        sched = feasible_schedule(inst, path, fixed_start=copy.start_eff)
+            added += grid.insert(q, t + inst.travel_time[p, q])
+    for path, start in copies:
+        sched = feasible_schedule(inst, path, fixed_start=start)
         for loc, t in zip(path, sched.times):
-            if grid.insert(loc, t):
-                added += 1
+            added += grid.insert(loc, t)
     return added
 
 
@@ -176,10 +157,11 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         if not sol.ok:
             sol = _stopped(sol.status, bound)
             break
-        inputs = master.selection_inputs(walks)
-        flagged = selection_model(inst, inputs)
+        arcs, copies = master.shortened(walks)
+        location_paths = master.paths(walks)
+        flagged = selection_model(inst, location_paths, arcs)
         new_points = (0 if flagged is None
-                      else _refine(inst, grid, inputs, flagged))
+                      else refine_grid(grid, flagged, copies, inst))
         if flagged is not None and new_points == 0 and not master.exact:
             # nothing left to lengthen yet no continuous schedule: the
             # discrete ride rows cut the path set (documented inexactness),
@@ -192,7 +174,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         if trace is not None:
             trace(str(history[-1]))
         if flagged is None:
-            paths = inputs.location_paths
+            paths = location_paths
             break
         if new_points == 0:
             raise StallError(f"Z={z} with no grid growth at iteration {k}")

@@ -10,8 +10,9 @@ cycle into a cut over its physical elements, re-solve, and read the routes
 off the walks of the last decomposition.  EBF and TSEF share their
 arc-flow rows (_arc_flow) and add their own timing rows.  TsfragMaster and
 TsefMaster hold the steps of one time-space formulation on its current
-grid, DDD's selection inputs and exactness included; fixed-grid solves
-and DDD drive the same masters through those steps alone.
+grid, exactness and the arcs that DDD refines (shortened) included;
+fixed-grid solves and DDD drive the same masters through those steps
+alone.
 
 Every solve becomes a report one way (solve_report): status, objective,
 bound and gap come from its own MILP solution, and the location paths of
@@ -509,18 +510,6 @@ def _solve_grid(master, grid, deadline, start):
                         net.stats(), info.num_cuts, exact=master.exact)
 
 
-@dataclass
-class SelectionInputs:
-    """Paths drawn from one master solution and what DDD refines when they
-    have no continuous schedule (ddd.selection_model)."""
-
-    location_paths: list  # per used vehicle, 0 .. 2n+1
-    # location arcs a used copy or move shortens by more than EPS, as dict
-    # keys in walk order (an ordered set; see ddd.selection_model)
-    arc_short: dict
-    used_copies: list = field(default_factory=list)  # (path, ts copy) pairs
-
-
 class TsfragMaster:
     """TSFrag over a fragment set, for any grid.  build(grid) expands the
     grid and builds the model; the other steps act on the last build, and
@@ -586,26 +575,25 @@ class TsfragMaster:
     def paths(self, walks):
         return paths_tsfrag(self.inst, self.net, walks)
 
-    def selection_inputs(self, walks):
-        """Each used copy once (synchronized vehicles share one), and every
-        location arc inside a copy or on a movement arc that the grid
-        shortens by more than EPS, in walk order."""
-        used_copies, arc_short = [], {}
-        seen_copies = set()
+    def shortened(self, walks):
+        """The location arcs that a used copy or move shortens by more than
+        EPS, each once, in walk order; and the (path, start_eff) of each
+        used copy that holds one of them, once even when synchronized
+        vehicles share the copy (ddd.refine_grid inserts its schedule)."""
+        arcs, used = {}, {}
         for walk in walks:
             for kind, idx in walk:
                 if kind == "frag":
-                    if idx in seen_copies:
-                        continue
-                    seen_copies.add(idx)
                     copy = self.net.ts_frags[idx]
                     path = self.net.frags[copy.frag_id].path
-                    used_copies.append((path, copy))
+                    used[idx] = (path, copy.start_eff)
                     if copy.disc > EPS:
-                        arc_short.update(dict.fromkeys(zip(path, path[1:])))
+                        arcs.update(dict.fromkeys(zip(path, path[1:])))
                 elif self.net.arcs[idx].disc > EPS:  # never an idle arc
-                    arc_short[self.net.arcs[idx].loc_arc] = None
-        return SelectionInputs(self.paths(walks), arc_short, used_copies)
+                    arcs[self.net.arcs[idx].loc_arc] = None
+        copies = [(path, start) for path, start in used.values()
+                  if any(arc in arcs for arc in zip(path, path[1:]))]
+        return list(arcs), copies
 
     def _path_cuts(self, walks):
         unscheduled = [self.physical(w) for w, path in zip(walks, self.paths(walks))
@@ -648,10 +636,9 @@ class TsefMaster:
     def paths(self, walks):
         return paths_tsef(self.inst, self.net, walks)
 
-    def selection_inputs(self, walks):
+    def shortened(self, walks):
         """Every location arc the walks move along that the grid shortens by
-        more than EPS, in walk order; events have no fragment copies."""
+        more than EPS, once, in walk order; events have no fragment copies."""
         arcs = self.net.arcs  # an idle arc loses nothing
-        arc_short = dict.fromkeys(arcs[a].loc_arc for walk in walks
-                                  for a in walk if arcs[a].disc > EPS)
-        return SelectionInputs(self.paths(walks), arc_short)
+        return list(dict.fromkeys(arcs[a].loc_arc for walk in walks
+                                  for a in walk if arcs[a].disc > EPS)), []

@@ -55,6 +55,11 @@ def test_usage_errors(sample_file):
     assert main(["solve", sample_file, "--formulation", "abf", "--ddd"]) == 2
     assert main(["solve", sample_file, "--formulation", "ebf",
                  "--callbacks"]) == 2
+    for workers in ("0", "-3"):  # these ran serially and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", sample_file, "--methods", "ebf",
+                  "--parallel", workers])
+        assert exc.value.code == 2
 
 
 def test_solve_accepts_exactly_the_library_methods(sample_file, monkeypatch):

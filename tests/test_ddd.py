@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from darpsv import ddd, formulations, milp, run_method
-from darpsv.ddd import (SelectionInputs, StallError, ddd_solve, refine_grid,
-                        selection_model)
+from darpsv.ddd import StallError, ddd_solve, refine_grid, selection_model
 from darpsv.formulations import (TsfragMaster, build_tsfrag,
                                  separate_subtours, solve_ebf)
-from darpsv.fragments import enumerate_fragments, joint_schedule
-from darpsv.instance import InfeasibleCustomerError, random_instance, tighten_windows
+from darpsv.fragments import (enumerate_fragments, feasible_schedule,
+                              joint_schedule)
+from darpsv.instance import (EPS, InfeasibleCustomerError, random_instance,
+                             tighten_windows)
 from darpsv.timespace import TimeGrid, expand_fragments
 from darpsv.validate import brute_optimum, check
 
@@ -27,22 +28,21 @@ def test_selection_all_actual_lengths_is_zero():
     if sched is None:
         pytest.skip("infeasible draw")
     # paths that schedule flag nothing, whatever the master shortened
-    inputs = SelectionInputs(paths, dict.fromkeys([(1, 3)]))
-    assert selection_model(inst, inputs) is None
+    assert selection_model(inst, paths, [(1, 3)]) is None
 
 
 def test_selection_on_ride_time_route(ride_regression):
     path = [0, 1, 2, 3, 4, 5]
-    inputs = SelectionInputs([path], dict.fromkeys([(2, 3), (1, 2)]))
+    arcs = [(2, 3), (1, 2)]
     # with ride limits 26 the route schedules continuously: Z = 0, and its
     # earliest schedule is 600/624/626/650
-    assert selection_model(ride_regression, inputs) is None
+    assert selection_model(ride_regression, [path], arcs) is None
     times = joint_schedule(ride_regression, [path])[0]
     assert [round(times[loc]) for loc in (1, 2, 3, 4)] == [600, 624, 626, 650]
     # one minute less and every shortened arc is flagged, in input order
     tight = ride_regression.replace(ride=np.array([0.0, 25.0, 25.0]))
     assert joint_schedule(tight, [path]) is None
-    assert selection_model(tight, inputs) == [(2, 3), (1, 2)]
+    assert selection_model(tight, [path], arcs) == [(2, 3), (1, 2)]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -65,7 +65,7 @@ def test_selection_zero_agrees_with_joint_oracle(seed):
     if not paths:
         pytest.skip("degenerate split")
     short = dict.fromkeys(arc for path in paths for arc in zip(path, path[1:]))
-    res = selection_model(inst, SelectionInputs(paths, short))
+    res = selection_model(inst, paths, list(short))
     oracle = joint_schedule(inst, paths)
     assert res == (None if oracle is not None else list(short))
 
@@ -74,7 +74,7 @@ def test_refine_inserts_single_point():
     inst = make_instance(1, np.full((4, 4), 7.0), [0, 0, 0, 0],
                          [100, 50, 60, 100], [0, 100], [0, 1, -1, 0])
     grid = TimeGrid(inst, {0: [0.0], 1: [10.0], 2: [0.0, 60.0], 3: [100.0]})
-    added = refine_grid(grid, [(1, 2)], inst)
+    added = refine_grid(grid, [(1, 2)], [], inst)
     assert added == 1 and 17.0 in grid[2]
 
 
@@ -82,7 +82,7 @@ def test_refine_window_clamp():
     inst = make_instance(1, np.full((4, 4), 7.0), [0, 0, 0, 0],
                          [100, 50, 20, 100], [0, 100], [0, 1, -1, 0])
     grid = TimeGrid(inst, {0: [0.0], 1: [40.0], 2: [0.0, 20.0], 3: [100.0]})
-    assert refine_grid(grid, [(1, 2)], inst) == 0  # 47 > l = 20
+    assert refine_grid(grid, [(1, 2)], [], inst) == 0  # 47 > l = 20
 
 
 def test_refine_reaches_fixed_point():
@@ -91,7 +91,7 @@ def test_refine_reaches_fixed_point():
     grid = TimeGrid(inst, {0: [0.0], 1: [0.0, 15.0, 30.0], 2: [0.0, 60.0],
                            3: [100.0]})
     rounds = 0
-    while refine_grid(grid, [(1, 2)], inst):
+    while refine_grid(grid, [(1, 2)], [], inst):
         rounds += 1
     assert rounds <= len(grid[1])
     assert {7.0, 22.0, 37.0} <= set(grid[2])
@@ -149,11 +149,37 @@ BRUTE_SHAPES = [  # the n >= 3 shapes of acceptance criterion 4
 ]
 
 
+def _agreement_shape(seed):
+    """The shape of the seed-th draw of
+    test_timed_network_methods_agree_on_moderate_draws."""
+    return dict(n=5 + seed % 3, vehicles=3, capacity=3, large_share=0.3)
+
+
+def _ebf_optimum(inst):
+    """EBF's optimum, None on an infeasible instance."""
+    report = solve_ebf(inst, time_limit=120)
+    assert report.status in ("optimal", "infeasible")
+    return report.objective
+
+
+# (seed, shape) draws, their true optimum, and the least chains, refined
+# chains and risen chains a pass must see
+GRID_CHAIN_CASES = {
+    "brute": ([(seed, shape) for shape, seed
+               in itertools.product(BRUTE_SHAPES, range(40))],
+              lambda inst: brute_optimum(inst)[0], (110, 15, 20)),
+    # too large for brute force
+    "agreement": ([(seed, _agreement_shape(seed)) for seed in range(40)],
+                  _ebf_optimum, (40, 15, 20)),
+}
+
+
 def _grid_chain(inst, frags, rng, points, rounds=3):
     """Grids G ⊂ G' ⊂ G'' ...: the 50-minute fixed grid; that grid with
     `points` seeded random in-window times at every location; then one
-    grid per refinement that _refine makes of the TSFrag master's paths,
-    until they schedule or for `rounds` refinements."""
+    grid per refinement that the DDD loop's own step makes of the TSFrag
+    master's paths (master.shortened, selection_model, refine_grid), until
+    they schedule or for `rounds` refinements."""
     grid = TimeGrid.fixed(inst, 50.0)
     chain = [grid]
     grid = TimeGrid(inst, grid.times)
@@ -169,28 +195,31 @@ def _grid_chain(inst, frags, rng, points, rounds=3):
             model, master.decompose, master.physical, master.cut, None)
         if not sol.ok:
             break
-        inputs = master.selection_inputs(walks)
-        flagged = selection_model(inst, inputs)
+        arcs, copies = master.shortened(walks)
+        flagged = selection_model(inst, master.paths(walks), arcs)
         if flagged is None:
             break
         grid = TimeGrid(inst, grid.times)
-        assert ddd._refine(inst, grid, inputs, flagged) > 0
+        assert refine_grid(grid, flagged, copies, inst) > 0
         chain.append(grid)
     return chain
 
 
-def test_tsfrag_masters_bound_the_optimum_and_rise_along_grid_chains():
+@pytest.mark.parametrize("name", GRID_CHAIN_CASES)
+def test_tsfrag_masters_bound_the_optimum_and_rise_along_grid_chains(name):
     # DDD is exact only if the TSFrag master over every grid that contains
     # the fixed grid is a relaxation, and inserting time points never
     # lowers its optimum, whichever rule inserts them: random times here,
     # then DDD's own refinement.  An infeasible master counts as +inf
+    draws, true_optimum, (min_chains, min_refined, min_risen) = \
+        GRID_CHAIN_CASES[name]
     chains = refined = risen = 0
-    for shape, seed in itertools.product(BRUTE_SHAPES, range(40)):
+    for seed, shape in draws:
         try:
             inst = tighten_windows(random_instance(seed, **shape))
         except InfeasibleCustomerError:
             continue
-        optimum, _ = brute_optimum(inst)
+        optimum = true_optimum(inst)
         frags = enumerate_fragments(inst)
         chain = _grid_chain(inst, frags, np.random.default_rng(seed),
                             points=1 + seed % 3)
@@ -211,7 +240,54 @@ def test_tsfrag_masters_bound_the_optimum_and_rise_along_grid_chains():
         chains += 1
         refined += len(chain) > 2
         risen += optima[-1][1] > optima[0][1] + 1e-6
-    assert chains >= 110 and refined >= 15 and risen >= 20
+    assert (chains >= min_chains and refined >= min_refined
+            and risen >= min_risen), (chains, refined, risen)
+
+
+def test_shortened_lists_each_copy_that_holds_a_shortened_arc_once():
+    # agreement draw 3 on a 20-minute grid: the master's paths share the
+    # copy of large customer 2's fragment, hold a shortened arc in it and
+    # in a copy with two interior visits, and use two copies that hold none
+    inst = tighten_windows(random_instance(3, **_agreement_shape(3)))
+    assert inst.large_pickups == (2,)
+    master = TsfragMaster(inst, enumerate_fragments(inst))
+    grid = TimeGrid.fixed(inst, 20.0)
+    _, model = master.build(grid)
+    sol, _, walks, _ = separate_subtours(
+        model, master.decompose, master.physical, master.cut, None)
+    assert sol.ok
+    arcs, copies = master.shortened(walks)
+    net = master.net
+    used = [net.ts_frags[idx] for walk in walks for kind, idx in walk
+            if kind == "frag"]
+    paths = {copy: net.frags[copy.frag_id].path for copy in used}
+
+    def holds_a_shortened_arc(copy):
+        return any(arc in arcs for arc in zip(paths[copy], paths[copy][1:]))
+
+    shared = {copy for copy in used if used.count(copy) == 2}
+    assert [paths[copy] for copy in shared] == [(2, 7)]
+    listed = [copy for copy in dict.fromkeys(used)
+              if holds_a_shortened_arc(copy)]
+    assert copies == [(paths[copy], copy.start_eff) for copy in listed]
+    assert [path for path, _ in copies] == [(2, 7), (3, 5, 8, 10)]
+    assert sum(not holds_a_shortened_arc(copy) for copy in set(used)) == 2
+    # refine_grid inserts each listed copy's start, interior visits and
+    # unrounded end, which the grid rounded down, and counts the new points
+    refined = TimeGrid(inst, grid.times)
+    schedules = [feasible_schedule(inst, paths[c], fixed_start=c.start_eff)
+                 for c in listed]
+    new = {(loc, t) for copy, sched in zip(listed, schedules)
+           for loc, t in zip(paths[copy], sched.times)
+           if not grid.contains(loc, t)}
+    assert refine_grid(refined, [], copies, inst) == len(new) > 0
+    for copy, sched in zip(listed, schedules):
+        assert sched.start == copy.start_eff
+        assert sched.end == pytest.approx(copy.end_actual, abs=1e-9)
+        assert copy.disc > EPS
+        assert not grid.contains(paths[copy][-1], copy.end_actual)
+        assert all(refined.contains(loc, t)
+                   for loc, t in zip(paths[copy], sched.times))
 
 
 def test_tsef_ddd_approximate_on_ride_pattern(ride_regression):
@@ -394,8 +470,8 @@ def test_time_limit_keeps_the_last_network_sizes(monkeypatch):
 
     select = ddd.selection_model
 
-    def slow_selection(inst, inputs):
-        flagged = select(inst, inputs)
+    def slow_selection(inst, paths, arcs):
+        flagged = select(inst, paths, arcs)
         time.sleep(max(0.0, called + limit - time.perf_counter()) + 0.05)
         return flagged
 
@@ -469,13 +545,13 @@ def test_refinement_grows_the_grid_whenever_z_is_not_zero(monkeypatch):
     # the loop runs one selection per iteration: every refinement it asks
     # for must add a time point, or the solve would stall
     added = []
-    refine = ddd._refine
+    refine = ddd.refine_grid
 
     def recorded(*args):
         added.append(refine(*args))
         return added[-1]
 
-    monkeypatch.setattr(ddd, "_refine", recorded)
+    monkeypatch.setattr(ddd, "refine_grid", recorded)
     for seed in range(25):
         try:
             inst = tighten_windows(random_instance(
@@ -494,7 +570,7 @@ def test_refinement_that_adds_nothing_raises_stall_error(monkeypatch):
                                            large_share=0.0))
     report = ddd_solve(inst, "tsfrag", time_limit=60)
     assert report.status == "optimal" and report.history[0].z != 0
-    monkeypatch.setattr(ddd, "_refine", lambda *args: 0)
+    monkeypatch.setattr(ddd, "refine_grid", lambda *args: 0)
     with pytest.raises(StallError, match="iteration 1"):
         ddd_solve(inst, "tsfrag", time_limit=60)
 
