@@ -117,7 +117,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         master, base_stats = TsefMaster(inst, enet), enet.stats()
     else:
         raise ValueError(f"DDD is defined for time-space modes, not {mode!r}")
-    grid = TimeGrid.fixed(inst, initial_delta)
+    grid = TimeGrid.fixed(inst, initial_delta, deadline)
     history = []
     bound = paths = None
     stats = base_stats

@@ -202,7 +202,7 @@ class ArcFlowVars:
 
 
 def build_ebf(inst: Instance, net: EventNetwork):
-    m = MilpModel(f"ebf-{inst.name}")
+    m = MilpModel()
     x, y, _, _ = _arc_flow(m, inst, net.arcs, net.in_arcs, net.out_arcs,
                            net.origin_id, net.dest_id)
     t = {loc: m.add_var(CONTINUOUS, inst.earliest[loc], inst.latest[loc])
@@ -282,7 +282,7 @@ def abf_arcs(inst: Instance):
 
 
 def build_abf(inst: Instance):
-    m = MilpModel(f"abf-{inst.name}")
+    m = MilpModel()
     arcs = abf_arcs(inst)
     V = range(inst.vehicles)
     Q = inst.capacity
@@ -388,7 +388,7 @@ class TsfragVars:
 
 
 def build_tsfrag(inst: Instance, net: TsFragNetwork):
-    m = MilpModel(f"tsfrag-{inst.name}")
+    m = MilpModel()
     X = [m.add_var(BINARY, obj=copy.cost * copy.vehicles) for copy in net.ts_frags]
     Y = [m.add_var(INTEGER, 0, arc.cap, arc.cost) for arc in net.arcs]
     for nid in range(len(net.nodes)):
@@ -456,13 +456,14 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
         raise MethodError("infeasible-path callbacks need independent route "
                           "schedules; large customers require DDD")
     master = TsfragMaster(inst, enumerate_fragments(inst), callbacks)
-    return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline, start)
+    return _solve_grid(master, TimeGrid.fixed(inst, resolution, deadline),
+                       deadline, start)
 
 
 # -- TSEF -----------------------------------------------------------------------
 
 def build_tsef(inst: Instance, net: TsEventNetwork):
-    m = MilpModel(f"tsef-{inst.name}")
+    m = MilpModel()
     x, y, out_loc, in_loc = _arc_flow(m, inst, net.arcs, net.in_arcs,
                                       net.out_arcs, net.origin_node,
                                       net.dest_node)
@@ -494,7 +495,8 @@ def solve_tsef(inst: Instance, resolution=1.0, time_limit=None) -> SolveReport:
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     master = TsefMaster(inst, enumerate_events(inst, timed=True))
-    return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline, start)
+    return _solve_grid(master, TimeGrid.fixed(inst, resolution, deadline),
+                       deadline, start)
 
 
 # -- time-space masters ----------------------------------------------------------

@@ -12,19 +12,20 @@ two runs each on a 2-vCPU VM), with the same statuses, objectives and
 iteration counts.
 _STATUS maps HiGHS's model status to a Status; a status it lacks is a
 ConfigurationError, and a MIP stopped at a limit with an incumbent is
-FEASIBLE_WITH_GAP.  A MIP that presolve finds "unbounded or infeasible"
-is solved again without presolve, which tells the two apart.  HiGHS
-answers kModelEmpty for any model with no columns, so solve() decides
-one itself: infeasible when some row's bounds exclude 0.  A call made at
+FEASIBLE_WITH_GAP.  add_var rejects a non-finite column bound, so no
+model is unbounded: the "unbounded or infeasible" of HiGHS's MIP presolve
+reads as infeasible, and each solve is one HiGHS session.  HiGHS answers
+kModelEmpty for any model with no columns, so solve() decides one
+itself: infeasible when some row's bounds exclude 0.  A call made at
 or past its deadline returns TIME_LIMIT without starting HiGHS.
 The core is SciPy's extension module scipy.optimize._highspy._core,
 loaded from its file by path: darpsv never imports scipy.optimize, whose
 package import (with scipy.sparse and scipy.linalg) costs more than most
 solves here.
-A model holds only what HiGHS reads; its columns and rows are known by
-index.  Lazy constraints are emulated by re-solving with the violated rows
-added (resolve_with_cuts); a cut is a (coeffs, sense, rhs) tuple,
-add_constr's arguments.
+A model holds only what HiGHS reads, with no name; its columns and rows
+are known by index.  Lazy constraints are emulated by re-solving with the
+violated rows added (resolve_with_cuts); a cut is a (coeffs, sense, rhs)
+tuple, add_constr's arguments.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ import time
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
+from math import inf
 
 import numpy as np
 import scipy
@@ -49,8 +51,9 @@ LE, GE, EQ = "<=", ">=", "="
 
 MIP_REL_GAP = 1e-9  # every MILP here is solved to proven optimality
 
-# every session's options but presolve and time_limit
+# every session's options but time_limit
 _HIGHS_OPTIONS = {"log_to_console": False,
+                  "presolve": "on",
                   "mip_rel_gap": MIP_REL_GAP,
                   "mip_heuristic_run_feasibility_jump": False}
 
@@ -60,7 +63,6 @@ class Status:
     FEASIBLE_WITH_GAP = "feasible_with_gap"
     INFEASIBLE = "infeasible"
     TIME_LIMIT = "time_limit"
-    UNBOUNDED = "unbounded"
     RELAXATION = "relaxation"  # a relaxation's paths with no checked schedule
     APPROXIMATE = "approximate"  # checked routes of an inexact formulation
 
@@ -113,20 +115,18 @@ _STATUS = {_MS.kOptimal: Status.OPTIMAL,
            _MS.kTimeLimit: Status.TIME_LIMIT,
            _MS.kIterationLimit: Status.TIME_LIMIT,
            _MS.kInfeasible: Status.INFEASIBLE,
-           _MS.kModelError: Status.INFEASIBLE,
-           _MS.kUnbounded: Status.UNBOUNDED}
-# _run_highs's outcome of a call made at or past its deadline
-_STOPPED = (_MS.kTimeLimit, None, None)
+           # finite column bounds leave no ray, so the model is infeasible
+           _MS.kUnboundedOrInfeasible: Status.INFEASIBLE,
+           _MS.kModelError: Status.INFEASIBLE}
 
 
 class MilpModel:
     """Minimization model: columns as flat lists, rows as COO triples
     (row, col, val) plus per-row bounds lo <= a.x <= hi: only what
     to_highs passes to HiGHS.  add_var and add_constr return the new
-    column's or row's index."""
+    column's or row's index; every column's bounds are finite."""
 
-    def __init__(self, name="model"):
-        self.name = name
+    def __init__(self):
         self.col_obj, self.col_lb, self.col_ub, self.col_kind = [], [], [], []
         self.row_lower, self.row_upper = [], []
         self.coo_row, self.coo_col, self.coo_val = [], [], []
@@ -137,8 +137,9 @@ class MilpModel:
         if kind == BINARY:
             lb, ub = max(lb, 0.0), min(ub, 1.0)
         j = len(self.col_obj)
-        if lb > ub + EPS:
-            raise ValueError(f"variable {j} has lb {lb} > ub {ub}")
+        if not -inf < lb <= ub + EPS < inf:  # NaN fails too
+            raise ValueError(f"variable {j} has lb {lb}, ub {ub}: bounds "
+                             f"must be finite, with lb <= ub")
         self.col_obj.append(float(obj))
         self.col_lb.append(float(lb))
         self.col_ub.append(float(ub))
@@ -223,13 +224,12 @@ class MilpSolution:
 
 # -- solving -----------------------------------------------------------------
 
-def _session(time_limit, presolve=True):
-    """A HiGHS session with _HIGHS_OPTIONS, presolve on unless presolve is
-    False, and time_limit seconds (None: no limit).  Raises
-    ConfigurationError naming an option HiGHS does not accept: HiGHS itself
-    only logs it and goes on without it."""
+def _session(time_limit):
+    """A HiGHS session with _HIGHS_OPTIONS and time_limit seconds (None: no
+    limit).  Raises ConfigurationError naming an option HiGHS does not
+    accept: HiGHS itself only logs it and goes on without it."""
     highs = highs_core._Highs()
-    options = dict(_HIGHS_OPTIONS, presolve="on" if presolve else "off")
+    options = dict(_HIGHS_OPTIONS)
     if time_limit is not None:
         options["time_limit"] = time_limit
     for name, value in options.items():
@@ -238,12 +238,12 @@ def _session(time_limit, presolve=True):
     return highs
 
 
-def _run_highs(lp, time_limit, presolve=True):
+def _run_highs(lp, time_limit):
     """One HiGHS session on lp (_session's options and time limit).
     Returns the model status, the info record and the column values; both
     are None when HiGHS failed before it finished, and the values are None
     too unless _STATUS reads the status as optimal or a limit."""
-    highs = _session(time_limit, presolve)
+    highs = _session(time_limit)
     if highs.passModel(lp) == highs_core.HighsStatus.kError:
         return _MS.kModelError, None, None
     if highs.run() == highs_core.HighsStatus.kError:
@@ -280,12 +280,9 @@ def solve(model: MilpModel, deadline=None) -> MilpSolution:
     lp = model.to_highs()
     time_limit = _time_left(deadline)
     start = time.perf_counter()
-    status, info, x = _STOPPED if time_limit == 0 else _run_highs(lp, time_limit)
-    if status == _MS.kUnboundedOrInfeasible:
-        # HiGHS's MIP presolve does not tell these apart; a run without it does
-        time_limit = _time_left(deadline)
-        status, info, x = (_STOPPED if time_limit == 0 else
-                           _run_highs(lp, time_limit, presolve=False))
+    # a call at or past its deadline starts no HiGHS session
+    status, info, x = ((_MS.kTimeLimit, None, None) if time_limit == 0
+                       else _run_highs(lp, time_limit))
     elapsed = time.perf_counter() - start
     mip = INTEGER in model.col_kind or BINARY in model.col_kind
     return _solution(status, info, x, mip, elapsed)

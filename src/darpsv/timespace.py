@@ -33,6 +33,7 @@ service starts there.  Both networks expand their arcs by three rules:
 """
 from __future__ import annotations
 
+import time
 from bisect import bisect_right, insort
 from typing import NamedTuple
 
@@ -51,19 +52,27 @@ class TimeGrid:
         self.times = {loc: sorted(ts) for loc, ts in times.items()}
 
     @classmethod
-    def fixed(cls, inst: Instance, delta: float) -> "TimeGrid":
-        """e_p + k*delta clipped to the window, plus l_p."""
+    def fixed(cls, inst: Instance, delta: float, deadline=None) -> "TimeGrid":
+        """e_p + k*delta clipped to the window, plus l_p, skipping a point
+        within GRID_TOL of the one before (contains() reads them as one).
+        At the time.perf_counter() deadline (None: no limit) the steps
+        stop, and each location keeps e_p, the points so far and l_p: the
+        solve the grid is built for stops at the same deadline."""
         if not delta > 0:
             raise ValueError(f"grid step must be positive, got {delta!r}")
         times = {}
         for loc in range(inst.num_locations):
-            e, l = inst.earliest[loc], inst.latest[loc]
-            ts = []
-            k = 0
+            e, l = inst.earliest[loc], inst.latest[loc]  # e <= l
+            ts = [e]
+            k = 1
             while e + k * delta <= l + GRID_TOL:
-                ts.append(min(e + k * delta, l))
+                if deadline is not None and time.perf_counter() >= deadline:
+                    break
+                t = min(e + k * delta, l)
+                if t > ts[-1] + GRID_TOL:
+                    ts.append(t)
                 k += 1
-            if not ts or ts[-1] < l - GRID_TOL:
+            if ts[-1] < l - GRID_TOL:
                 ts.append(l)
             times[loc] = ts
         return cls(inst, times)

@@ -1,7 +1,15 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from darpsv.instance import Instance
+from darpsv.instance import Instance, random_instance
+
+# the benchmark's instance recipe, read from perfbench/ as
+# tools/fingerprint.py reads it
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from suites import synthetic_base  # noqa: E402,F401
 
 
 def make_instance(n, T, earliest, latest, ride, demand, capacity=2, vehicles=2,
@@ -15,6 +23,17 @@ def make_instance(n, T, earliest, latest, ride, demand, capacity=2, vehicles=2,
                     np.asarray(demand, dtype=int), np.asarray(earliest, dtype=float),
                     np.asarray(latest, dtype=float), np.asarray(ride, dtype=float),
                     T, T.copy())
+
+
+def integerized(seed, n=3, **kw):
+    """A random instance with travel times, windows and ride limits
+    rounded to whole minutes (times up, window starts down)."""
+    inst = random_instance(seed, n=n, **kw)
+    T = np.ceil(inst.travel_time)
+    np.fill_diagonal(T, 0.0)
+    return inst.replace(travel_time=T, travel_cost=T.copy(),
+                        earliest=np.floor(inst.earliest),
+                        latest=np.ceil(inst.latest), ride=np.ceil(inst.ride))
 
 
 def loc_of_node(net, nid):

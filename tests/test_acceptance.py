@@ -10,7 +10,6 @@ absent.  Everything else runs self-contained.
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from darpsv import milp
@@ -19,11 +18,13 @@ from darpsv.events import enumerate_events
 from darpsv.formulations import (TsefMaster, solve_abf, solve_ebf, solve_tsef,
                                  solve_tsfrag)
 from darpsv.fragments import enumerate_fragments, feasible_schedule
-from darpsv.instance import (DatasetParams, InfeasibleCustomerError, Instance,
+from darpsv.instance import (DatasetParams, InfeasibleCustomerError,
                              build_dataset1, build_dataset2, parse_cordeau,
                              random_instance, tighten_windows)
 from darpsv.timespace import TimeGrid
 from darpsv.validate import brute_optimum, check
+
+from conftest import synthetic_base
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "cordeau"
 
@@ -42,34 +43,6 @@ def _benchmark(name):
         f"environment cannot download it (no general network access; the "
         f"package mirror carries no instance data). Place the original "
         f"file there to run this criterion.")
-
-
-def synthetic_base(seed, n=6, vehicles=2, capacity=3):
-    """Cordeau-style base: planar coordinates, unit demands, service 3,
-    ride limit 30, 8-hour horizon."""
-    rng = np.random.default_rng(seed)
-    m = 2 * n + 2
-    xy = rng.uniform(-10.0, 10.0, size=(m, 2))
-    xy[0] = xy[-1] = (0.0, 0.0)
-    service = np.full(m, 3.0)
-    service[0] = service[-1] = 0.0
-    demand = np.zeros(m, dtype=int)
-    demand[1:n + 1] = 1
-    demand[n + 1:2 * n + 1] = -1
-    earliest = np.zeros(m)
-    latest = np.full(m, 480.0)
-    for i in range(1, n + 1):
-        lo = rng.uniform(60.0, 420.0)
-        if rng.random() < 0.5:
-            earliest[i], latest[i] = lo, lo + 15.0
-        else:
-            earliest[i + n], latest[i + n] = lo, lo + 15.0
-    dist = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(-1))
-    ride = np.zeros(n + 1)
-    ride[1:] = 30.0 + service[n + 1:2 * n + 1]
-    return Instance(f"synth-{seed}", n, vehicles, capacity, xy, service,
-                    demand, earliest, latest, ride, dist + service[:, None],
-                    dist)
 
 
 def dataset2_instances(params, seeds=range(6), n=6):

@@ -1,9 +1,14 @@
 import itertools
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import darpsv
 from darpsv import METHODS, cli
 from darpsv.cli import main
 from darpsv.formulations import SolveReport
@@ -314,3 +319,28 @@ def test_bench_empty_instance_list_header_only(tmp_path):
     assert main(["bench", "--methods", "ebf", "--out", out]) == 0
     lines = open(out).read().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("instance,")
+
+
+def _capped_address_space():
+    # a grid that outgrows its deadline fails here with MemoryError
+    cap = 600 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--formulation", "tsfrag", "--resolution", "1e-300"],
+    ["--formulation", "tsef", "--resolution", "1e-300"],
+    ["--formulation", "tsfrag", "--ddd", "--initial-delta", "1e-300"],
+], ids=["tsfrag", "tsef", "tsfrag+ddd"])
+def test_a_grid_step_far_below_the_tolerance_stops_at_the_limit(sample_file,
+                                                                flags):
+    # e + k*1e-300 stays e: the grid's steps run until the solve's deadline,
+    # adding no point, and the solve reports its time limit
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(darpsv.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "darpsv", "solve", sample_file, "--set1",
+         *flags, "--time-limit", "2"], env=env, capture_output=True,
+        text=True, timeout=10, preexec_fn=_capped_address_space)
+    assert done.returncode == 3, done.stderr
+    assert "time_limit" in done.stdout

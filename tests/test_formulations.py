@@ -14,17 +14,8 @@ from darpsv.instance import (DatasetParams, InfeasibleCustomerError,
 from darpsv.timespace import TimeGrid, expand_fragments
 from darpsv.validate import brute_optimum, check
 
-from conftest import loc_of_node, make_instance
-from test_acceptance import synthetic_base
-
-
-def integerized(seed, n=3, **kw):
-    inst = random_instance(seed, n=n, **kw)
-    T = np.ceil(inst.travel_time)
-    np.fill_diagonal(T, 0.0)
-    return inst.replace(travel_time=T, travel_cost=T.copy(),
-                        earliest=np.floor(inst.earliest),
-                        latest=np.ceil(inst.latest), ride=np.ceil(inst.ride))
+from conftest import (integerized, loc_of_node, make_instance,
+                      synthetic_base, two_customer_matrix)
 
 
 def test_single_customer_forced_route(single_customer):
@@ -129,6 +120,20 @@ def test_subtour_cut_fires_once_then_optimal(subtour_regression):
     report5 = solve_tsfrag(subtour_regression, resolution=5.0)
     assert report5.cuts == 0
     assert report5.objective == pytest.approx(208.0)
+
+
+def test_ebf_cuts_a_zero_length_cycle():
+    # travel among the four customer stops is free, so p1 -> d1 -> p2 -> d2
+    # -> p1 satisfies EBF's big-M time rows and would serve both customers
+    # with no vehicle; its cut forces a route out of the depot
+    T = two_customer_matrix(fill=0.0, depot_out=50.0, depot_in=50.0)
+    inst = tighten_windows(make_instance(2, T, [0] * 6, [1000] * 6,
+                                         [0, 100, 100], [0, 1, 1, -1, -1, 0],
+                                         capacity=1, vehicles=2))
+    report = solve_ebf(inst)
+    assert report.status == "optimal" and report.cuts == 1
+    assert report.objective == pytest.approx(100.0)
+    assert report.objective == pytest.approx(brute_optimum(inst)[0])
 
 
 def test_exact_grid_never_needs_cuts():

@@ -19,7 +19,7 @@ from conftest import CORDEAU_SAMPLE, make_instance
 def lp_schedule(inst, path, fixed_start=None):
     """Independent oracle: the same difference constraints as an LP,
     minimizing the end time."""
-    m = MilpModel("lp-oracle")
+    m = MilpModel()
     t = [m.add_var(CONTINUOUS, inst.earliest[loc], inst.latest[loc],
                    obj=1.0 if k == len(path) - 1 else 0.0)
          for k, loc in enumerate(path)]

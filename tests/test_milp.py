@@ -16,7 +16,7 @@ from darpsv.milp import (BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel,
 
 
 def test_empty_model_is_trivially_optimal():
-    sol = solve(MilpModel("empty"))
+    sol = solve(MilpModel())
     assert sol.status == Status.OPTIMAL and sol.objective == 0.0
 
 
@@ -24,7 +24,7 @@ def test_empty_model_is_trivially_optimal():
                                              (LE, 3.0, Status.OPTIMAL)])
 def test_a_model_without_columns_is_decided_by_its_rows(sense, rhs, want):
     # HiGHS answers kModelEmpty whatever the rows say; each row reads 0
-    m = MilpModel("no columns")
+    m = MilpModel()
     m.add_constr([], sense, rhs)
     assert solve(m).status == want
 
@@ -45,7 +45,7 @@ CAP = 5.0
 
 
 def knapsack_model():
-    m = MilpModel("knapsack")
+    m = MilpModel()
     xs = [m.add_var(BINARY, obj=-VALUES[i]) for i in range(5)]
     m.add_constr([(x, w) for x, w in zip(xs, WEIGHTS)], LE, CAP)
     return m
@@ -77,15 +77,34 @@ def test_bound_never_exceeds_objective():
         assert sol.best_bound <= sol.objective + 1e-6
 
 
+def ray_model(kind, x_ub=np.inf):
+    """min y - x over x >= y, x in [0, x_ub], y in [0, 5]: unbounded when
+    x_ub is."""
+    m = MilpModel()
+    x = m.add_var(CONTINUOUS, 0, x_ub, obj=-1.0)
+    y = m.add_var(kind, 0, 5, obj=1.0)
+    m.add_constr([(x, 1.0), (y, -1.0)], GE, 0.0)
+    return m
+
+
 def test_model_validation():
     m = MilpModel()
-    m.add_var(CONTINUOUS)
+    m.add_var(CONTINUOUS, 0.0, 1.0)
     with pytest.raises(ValueError, match="unknown var"):
         m.add_constr([(5, 1.0)], LE, 0.0)
     with pytest.raises(ValueError, match="lb"):
         m.add_var(CONTINUOUS, 2.0, 1.0)
     with pytest.raises(ValueError, match="bad kind"):
         m.add_var("x", CONTINUOUS)  # a name where the kind goes
+    # a column without finite bounds could make a model unbounded
+    for kind in (CONTINUOUS, INTEGER):
+        with pytest.raises(ValueError, match="must be finite"):
+            ray_model(kind)
+    for lb, ub in ((-np.inf, 0.0), (0.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            m.add_var(CONTINUOUS, lb, ub)
+    assert m.add_var(BINARY) == 1  # clipped to [0, 1]
+    assert (m.col_lb[1], m.col_ub[1]) == (0.0, 1.0)
 
 
 def test_resolve_with_cuts_silent_generator_solves_once():
@@ -115,50 +134,47 @@ def test_resolve_with_cuts_accounting_and_bound_monotonicity():
     assert bounds == sorted(bounds)  # valid cuts never regress the bound
 
 
-def ray_model(kind):
-    m = MilpModel()
-    x = m.add_var(CONTINUOUS, 0, np.inf, obj=-1.0)
-    y = m.add_var(kind, 0, 5, obj=1.0)
-    m.add_constr([(x, 1.0), (y, -1.0)], GE, 0.0)
+def infeasible_ray_model(kind):
+    m = ray_model(kind, x_ub=9.0)
+    m.add_constr([(1, 1.0)], GE, 7.0)  # above y's upper bound of 5
     return m
 
 
-def test_unbounded_status():
-    assert solve(ray_model(CONTINUOUS)).status == Status.UNBOUNDED
-    # HiGHS's MIP presolve says only "unbounded or infeasible"; the run
-    # without presolve that follows tells which
-    assert solve(ray_model(INTEGER)).status == Status.UNBOUNDED
-
-
-@pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
-def test_infeasible_ray_model(kind):
-    m = ray_model(kind)
-    m.add_constr([(1, 1.0)], GE, 7.0)  # above y's upper bound of 5
-    assert solve(m).status == Status.INFEASIBLE
-
-
-def test_undecided_after_the_run_without_presolve_is_a_configuration_error(monkeypatch):
-    runs = []
-
-    def undecided(lp, time_limit, presolve=True):
-        runs.append(presolve)
-        return milp._MS.kUnboundedOrInfeasible, None, None
-
-    monkeypatch.setattr(milp, "_run_highs", undecided)
-    with pytest.raises(milp.ConfigurationError, match="unbounded or infeasible"):
-        solve(ray_model(INTEGER))
-    assert runs == [True, False]
-
-
-def test_a_call_past_its_deadline_starts_no_highs(monkeypatch):
+def counted_runs(monkeypatch, outcome=None):
+    """The time limits of the _run_highs calls from now on; with an
+    outcome, each call returns it instead of running HiGHS."""
     runs = []
     highs = milp._run_highs
 
-    def recorded(lp, time_limit, presolve=True):
+    def recorded(lp, time_limit):
         runs.append(time_limit)
-        return highs(lp, time_limit, presolve)
+        return outcome or highs(lp, time_limit)
 
     monkeypatch.setattr(milp, "_run_highs", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("kind", [CONTINUOUS, INTEGER])
+def test_infeasible_ray_model(monkeypatch, kind):
+    runs = counted_runs(monkeypatch)
+    assert solve(infeasible_ray_model(kind)).status == Status.INFEASIBLE
+    assert runs == [None]
+
+
+def test_unbounded_or_infeasible_is_infeasible_after_one_session(monkeypatch):
+    # HiGHS's MIP presolve may answer "unbounded or infeasible"; with every
+    # column bounded that is infeasible, and no second session runs.  HiGHS
+    # answers kInfeasible on the bounded infeasible models tried, so the
+    # outcome is patched in
+    runs = counted_runs(monkeypatch, (milp._MS.kUnboundedOrInfeasible, None,
+                                      None))
+    sol = solve(infeasible_ray_model(INTEGER), time.perf_counter() + 60.0)
+    assert sol.status == Status.INFEASIBLE and sol.values is None
+    assert len(runs) == 1
+
+
+def test_a_call_past_its_deadline_starts_no_highs(monkeypatch):
+    runs = counted_runs(monkeypatch)
     m = MilpModel()
     m.add_constr([(m.add_var(INTEGER, 0, 5, obj=1.0), 1.0)], GE, 2.0)
     sol = solve(m, deadline=time.perf_counter() - 1.0)
@@ -166,25 +182,12 @@ def test_a_call_past_its_deadline_starts_no_highs(monkeypatch):
     assert sol.best_bound is None and runs == []
 
 
-def test_a_rerun_past_the_deadline_starts_no_highs(monkeypatch):
-    runs = []
-    deadline = time.perf_counter() + 0.05
-
-    def undecided_at_the_deadline(lp, time_limit, presolve=True):
-        runs.append(presolve)
-        time.sleep(max(deadline - time.perf_counter(), 0.0))
-        return milp._MS.kUnboundedOrInfeasible, None, None
-
-    monkeypatch.setattr(milp, "_run_highs", undecided_at_the_deadline)
-    assert solve(ray_model(INTEGER), deadline).status == Status.TIME_LIMIT
-    assert runs == [True]
-
-
 # every HiGHS model status a solve reports; any other is a ConfigurationError
 REPORTED = {"kOptimal": Status.OPTIMAL, "kTimeLimit": Status.TIME_LIMIT,
             "kIterationLimit": Status.TIME_LIMIT,
-            "kInfeasible": Status.INFEASIBLE, "kModelError": Status.INFEASIBLE,
-            "kUnbounded": Status.UNBOUNDED}
+            "kInfeasible": Status.INFEASIBLE,
+            "kUnboundedOrInfeasible": Status.INFEASIBLE,
+            "kModelError": Status.INFEASIBLE}
 
 
 @pytest.mark.parametrize("name", list(milp._MS.__members__))
@@ -244,7 +247,7 @@ def test_resolve_with_cuts_stopped_keeps_the_larger_bound(monkeypatch,
 
 
 def test_pure_lp_reports_its_optimum_as_bound():
-    m = MilpModel("lp")
+    m = MilpModel()
     x = m.add_var(CONTINUOUS, 0, 4, obj=2.0)
     y = m.add_var(CONTINUOUS, 0, 4, obj=3.0)
     m.add_constr([(x, 1.0), (y, 1.0)], GE, 5.0)
@@ -255,14 +258,13 @@ def test_pure_lp_reports_its_optimum_as_bound():
     assert sol.values == pytest.approx([4.0, 1.0])
 
 
-@pytest.mark.parametrize("time_limit, presolve", [(None, True), (2.5, False)])
-def test_a_session_reads_back_every_option(time_limit, presolve):
+@pytest.mark.parametrize("time_limit", [None, 2.5])
+def test_a_session_reads_back_every_option(time_limit):
     # scipy.optimize.milp's options, with Feasibility Jump off
     want = {"log_to_console": False, "mip_rel_gap": 1e-9,
-            "mip_heuristic_run_feasibility_jump": False,
-            "presolve": "on" if presolve else "off",
+            "mip_heuristic_run_feasibility_jump": False, "presolve": "on",
             "time_limit": np.inf if time_limit is None else time_limit}
-    highs = milp._session(time_limit, presolve)
+    highs = milp._session(time_limit)
     for name, value in want.items():
         assert highs.getOptionValue(name) == (milp.highs_core.HighsStatus.kOk,
                                               value), name
@@ -350,9 +352,9 @@ def random_model(rng, nr, nv, dups):
     """A model whose rows name random columns; each cell named at all is
     named once or, with dups, up to three times.  Columns beyond those
     drawn stay empty, as do rows that draw no column."""
-    m = MilpModel("random")
+    m = MilpModel()
     for j in range(nv):
-        m.add_var()
+        m.add_var(CONTINUOUS, 0.0, 1.0)
     for r in range(nr):
         cells = rng.choice(nv, size=rng.integers(0, min(nv, 6) + 1), replace=False)
         coeffs = []
@@ -370,8 +372,8 @@ def test_colwise_matrix_equals_scipys():
     rng = np.random.default_rng(7)
     models = [random_model(rng, int(rng.integers(0, 30)), int(rng.integers(1, 30)),
                            dups=k % 2 == 1) for k in range(40)]
-    no_entries = MilpModel("no entries")
-    no_entries.add_var()
+    no_entries = MilpModel()
+    no_entries.add_var(CONTINUOUS, 0.0, 1.0)
     no_entries.add_constr([], GE, 0.0)
     models.append(no_entries)
     counts = set()  # entries per named cell, over all models

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,22 +10,12 @@ from darpsv.fragments import enumerate_fragments, feasible_schedule, start_inter
 from darpsv.events import enumerate_events
 from darpsv.instance import (DatasetParams, build_dataset2, random_instance,
                              tighten_windows)
-from darpsv.timespace import (DEPOT_IN, DEPOT_OUT, IDLE, MOVE, TimeGrid,
-                              TsArc, expand_events, expand_fragments)
+from darpsv.timespace import (DEPOT_IN, DEPOT_OUT, GRID_TOL, IDLE, MOVE,
+                              TimeGrid, TsArc, expand_events,
+                              expand_fragments)
 
-from conftest import loc_of_node, make_instance
-from test_acceptance import synthetic_base
+from conftest import integerized, loc_of_node, make_instance, synthetic_base
 from test_graph import landing
-
-
-def integerized(seed, n=3, **kw):
-    inst = random_instance(seed, n=n, **kw)
-    T = np.ceil(inst.travel_time)
-    np.fill_diagonal(T, 0.0)
-    return inst.replace(travel_time=T, travel_cost=T.copy(),
-                        earliest=np.floor(inst.earliest),
-                        latest=np.ceil(inst.latest),
-                        ride=np.ceil(inst.ride))
 
 
 def test_fixed_grid_values():
@@ -34,6 +25,26 @@ def test_fixed_grid_values():
     assert grid[1] == [3, 8, 13, 17]  # e + k*delta, plus l
     assert grid[2] == [10, 15, 20, 25, 30]
     assert grid[1][0] == inst.earliest[1]
+
+
+def test_fixed_grid_keeps_one_point_per_tolerance_and_stops_at_its_deadline():
+    # steps of 0.4 * GRID_TOL over 1e-6-minute windows: points closer than
+    # GRID_TOL to the last kept one are skipped
+    narrow = make_instance(1, np.ones((4, 4)), [0, 3, 10, 0],
+                           [1e-6, 3 + 1e-6, 10 + 1e-6, 1e-6], [0, 100],
+                           [0, 1, -1, 0])
+    tiny = TimeGrid.fixed(narrow, 4e-10)
+    assert all(700 < len(ts) < 1100 for ts in tiny.times.values())
+    assert all(b - a > GRID_TOL for ts in tiny.times.values()
+               for a, b in zip(ts, ts[1:]))
+    inst = make_instance(1, np.ones((4, 4)), [0, 3, 10, 0], [50, 17, 30, 50],
+                         [0, 100], [0, 1, -1, 0])
+    # past the deadline each window keeps its two ends
+    late = TimeGrid.fixed(inst, 5.0, deadline=time.perf_counter())
+    assert late.times == {loc: [inst.earliest[loc], inst.latest[loc]]
+                          for loc in range(4)}
+    assert TimeGrid.fixed(inst, 5.0, deadline=time.perf_counter() + 60.0
+                          ).times == TimeGrid.fixed(inst, 5.0).times
 
 
 @pytest.mark.parametrize("delta", [0.0, -5.0, float("nan")])

@@ -151,3 +151,49 @@ def test_route_set_dict_round_trip(sync_instance):
         again = RouteSet.from_dict(json.loads(json.dumps(rs.to_dict())))
         assert again == rs
         assert check(inst, again) == check(inst, rs)
+
+
+def two_customers():
+    """Customers 1 and 2 (pickups 1, 2; deliveries 3, 4) on a 5-minute
+    matrix with loose windows; customer 1 may ride 12 minutes."""
+    T = np.full((6, 6), 5.0)
+    np.fill_diagonal(T, 0.0)
+    return make_instance(2, T, [0.0] * 6, [1000.0] * 6, [0, 12, 500],
+                         [0, 1, 1, -1, -1, 0], capacity=2, vehicles=2)
+
+
+ROUTE_CASES = {
+    # name: (stops of vehicle 0, its violations as (kind, location))
+    "starts-off-the-depot": ([(1, 0), (3, 5), (5, 10)],
+                             [("Precedence", 1), ("SyncCount", 2),
+                              ("SyncCount", 4)]),
+    "visits-twice": ([(0, 0), (1, 5), (3, 10), (1, 15), (3, 20), (2, 25),
+                      (4, 30), (5, 35)],
+                     [("Precedence", 1), ("Precedence", 3),
+                      ("SyncCount", 1), ("SyncTime", 1), ("SyncCount", 3),
+                      ("SyncTime", 3)]),
+    "delivers-before-loading": ([(0, 0), (3, 5), (1, 10), (2, 15), (4, 20),
+                                 (5, 25)],
+                                [("Precedence", 3), ("Precedence", 1)]),
+    "rides-too-long": ([(0, 0), (1, 5), (2, 10), (4, 15), (3, 20), (5, 25)],
+                       [("RideTime", 1)]),
+    "delivers-before-its-pickup": ([(0, 0), (2, 5), (3, 10), (1, 15),
+                                    (4, 20), (5, 25)],
+                                   [("Precedence", 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CASES))
+def test_each_route_rule_flags_its_location(name):
+    stops, want = ROUTE_CASES[name]
+    inst = two_customers()
+    rs = RouteSet([Route(0, stops)], 0.0)
+    rs.objective = rs.recost(inst)
+    assert [(v.kind, v.location) for v in check(inst, rs)] == want
+
+
+def test_sync_group_that_names_other_vehicles_is_flagged(sync_instance):
+    inst, rs = sync_instance
+    rs.sync_groups = {4: (0, 1)}  # vehicles 1 and 2 serve the large customer
+    assert [(v.kind, v.route, v.location) for v in check(inst, rs)] == [
+        ("SyncCount", -1, 4)]
