@@ -18,6 +18,7 @@ from .formulations import MethodError, SolveReport
 from .fragments import dump_fragments, enumerate_fragments
 from .instance import DatasetParams, Instance, load_instance, tighten_windows
 from .milp import Status
+from .timespace import GridBudgetError
 from .validate import RouteSet, check
 
 EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE, EXIT_TIME = 0, 1, 2, 3
@@ -301,7 +302,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (inst_mod.InfeasibleCustomerError, inst_mod.InstanceError,
-            MethodError, OSError) as exc:  # OSError: a path that cannot be opened
+            MethodError, GridBudgetError,
+            OSError) as exc:  # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         infeasible = isinstance(exc, inst_mod.InfeasibleCustomerError)
         return EXIT_INFEASIBLE if infeasible else EXIT_USAGE

@@ -42,8 +42,8 @@ from .fragments import enumerate_fragments, feasible_schedule
 from .graph import decompose_flow
 from .instance import EPS, Instance
 from .milp import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, MilpModel, Status
-from .timespace import (IDLE, TimeGrid, TsEventNetwork, TsFragNetwork,
-                        expand_events, expand_fragments)
+from .timespace import (GRID_TOL, IDLE, TimeGrid, TsEventNetwork,
+                        TsFragNetwork, expand_events, expand_fragments)
 from .validate import RouteSet, check, timed_routes
 
 
@@ -54,8 +54,17 @@ def _flow(sol, idx):
     return np.rint(sol.values[idx]).astype(int).tolist()
 
 
-def big_m(inst, i, j):
-    return max(0.0, inst.latest[i] + inst.travel_time[i, j] - inst.earliest[j])
+def big_m_row(inst, i, j):
+    """(M, b) of the time row t_i - t_j + M*y_ij <= b, b = M - T_ij, with
+    M = max(0, l_i + T_ij - e_j): the row reads t_j >= t_i + T_ij when the
+    arc is used and is slack over both windows otherwise.  b is computed as
+    max(l_i - e_j, -T_ij), its value in exact arithmetic, and one within
+    GRID_TOL of 0 is 0: tightened windows that meet can differ in the last
+    bit, and HiGHS warns of such tiny bounds."""
+    T = inst.travel_time[i, j]
+    b = max(inst.latest[i] - inst.earliest[j], -T)
+    return (max(0.0, inst.latest[i] + T - inst.earliest[j]),
+            0.0 if abs(b) <= GRID_TOL else b)
 
 
 # -- reports ------------------------------------------------------------------
@@ -208,10 +217,10 @@ def build_ebf(inst: Instance, net: EventNetwork):
     t = {loc: m.add_var(CONTINUOUS, inst.earliest[loc], inst.latest[loc])
          for loc in range(inst.num_locations)}
     for (i, j), aids in sorted(net.by_loc_arc.items()):
-        M = big_m(inst, i, j)
+        M, b = big_m_row(inst, i, j)
         coeffs = [(t[i], 1.0), (t[j], -1.0)]
         coeffs += [(y[a], M) for a in aids]
-        m.add_constr(coeffs, LE, M - inst.travel_time[i, j])
+        m.add_constr(coeffs, LE, b)
     for i in inst.pickups:
         m.add_constr([(t[i + inst.n], 1.0), (t[i], -1.0)], LE, float(inst.ride[i]))
     return m, ArcFlowVars(x, y)
@@ -333,9 +342,9 @@ def build_abf(inst: Instance):
         for i in large_locs:
             m.add_constr([(t[i, v], 1.0), (tt[i], -1.0)], EQ, 0.0)
         for (i, j) in arcs:
-            M = big_m(inst, i, j)
+            M, b = big_m_row(inst, i, j)
             m.add_constr([(t[i, v], 1.0), (t[j, v], -1.0), (f[i, j, v], M)],
-                         LE, M - inst.travel_time[i, j])
+                         LE, b)
             W = min(Q, Q + vq[i])
             m.add_constr([(load[i, v], 1.0), (load[j, v], -1.0), (f[i, j, v], W)],
                          LE, W - vq[j])

@@ -10,6 +10,21 @@ TSFrag+DDD on the benchmark's seven DDD instances took 0.78-0.85 s in
 HiGHS with it and 0.42-0.43 s without (median 15-19 ms and 8 ms a call,
 two runs each on a 2-vCPU VM), with the same statuses, objectives and
 iteration counts.
+A model whose columns are all binary (every TSFrag and TSEF model of an
+instance without large customers, DDD masters included) also gets
+PROBING_OFF: its MIP presolve skips probing, which was most of such a
+master's HiGHS time and changed the presolved model by at most one row
+and column.  The last master of the benchmark's darp-n24-q6-ddd
+instance seed 5 (876 binaries, 327 rows) presolved to 683 x 172 either
+way, in 29 ms with probing and 6 ms without, and the whole run took 69
+and 39 ms; over that workload's 9 masters the summed medians went from
+279 to 163 ms (5 runs each, HiGHS 1.12.0, 2-vCPU VM).  Other models keep
+HiGHS's default.  EBF and ABF link continuous times to binaries by big-M
+rows, and there probing pays: the EBF model of sync-n24-q3 instance
+seed 5 took 56 ms with it and 191 ms without.  A large customer's
+synchronized flows are integers up to 2, and with probing off on those
+masters too the benchmark's sync-n24-q3 solve_s_max rose from 0.080 to
+0.102 s (medians of 10 runs).
 _STATUS maps HiGHS's model status to a Status; a status it lacks is a
 ConfigurationError, and a MIP stopped at a limit with an incumbent is
 FEASIBLE_WITH_GAP.  add_var rejects a non-finite column bound, so no
@@ -56,6 +71,10 @@ _HIGHS_OPTIONS = {"log_to_console": False,
                   "presolve": "on",
                   "mip_rel_gap": MIP_REL_GAP,
                   "mip_heuristic_run_feasibility_jump": False}
+# presolve_rule_off bit 15: HiGHS's "Probing" presolve rule (the 16th name
+# of the rule table in HiGHS 1.12.0), set for models whose columns are all
+# binary
+PROBING_OFF = 1 << 15
 
 
 class Status:
@@ -224,26 +243,32 @@ class MilpSolution:
 
 # -- solving -----------------------------------------------------------------
 
-def _session(time_limit):
-    """A HiGHS session with _HIGHS_OPTIONS and time_limit seconds (None: no
-    limit).  Raises ConfigurationError naming an option HiGHS does not
-    accept: HiGHS itself only logs it and goes on without it."""
+def _session(time_limit, model):
+    """A HiGHS session for model with _HIGHS_OPTIONS and time_limit seconds
+    (None: no limit); when every column of model is binary, presolve also
+    skips probing (PROBING_OFF).  Raises ConfigurationError naming an
+    option HiGHS does not accept: HiGHS itself only logs it and goes on
+    without it."""
     highs = highs_core._Highs()
     options = dict(_HIGHS_OPTIONS)
     if time_limit is not None:
         options["time_limit"] = time_limit
+    if (CONTINUOUS not in model.col_kind and min(model.col_lb) >= 0
+            and max(model.col_ub) <= 1):
+        options["presolve_rule_off"] = PROBING_OFF
     for name, value in options.items():
         if highs.setOptionValue(name, value) != highs_core.HighsStatus.kOk:
             raise ConfigurationError(f"HiGHS rejected option {name} = {value!r}")
     return highs
 
 
-def _run_highs(lp, time_limit):
-    """One HiGHS session on lp (_session's options and time limit).
-    Returns the model status, the info record and the column values; both
-    are None when HiGHS failed before it finished, and the values are None
-    too unless _STATUS reads the status as optimal or a limit."""
-    highs = _session(time_limit)
+def _run_highs(lp, time_limit, model):
+    """One HiGHS session on lp, the HighsLp of model (_session's options and
+    time limit).  Returns the model status, the info record and the column
+    values; both are None when HiGHS failed before it finished, and the
+    values are None too unless _STATUS reads the status as optimal or a
+    limit."""
+    highs = _session(time_limit, model)
     if highs.passModel(lp) == highs_core.HighsStatus.kError:
         return _MS.kModelError, None, None
     if highs.run() == highs_core.HighsStatus.kError:
@@ -282,7 +307,7 @@ def solve(model: MilpModel, deadline=None) -> MilpSolution:
     start = time.perf_counter()
     # a call at or past its deadline starts no HiGHS session
     status, info, x = ((_MS.kTimeLimit, None, None) if time_limit == 0
-                       else _run_highs(lp, time_limit))
+                       else _run_highs(lp, time_limit, model))
     elapsed = time.perf_counter() - start
     mip = INTEGER in model.col_kind or BINARY in model.col_kind
     return _solution(status, info, x, mip, elapsed)

@@ -42,6 +42,15 @@ from .fragments import FragmentSet
 from .graph import reachable
 
 GRID_TOL = 1e-9
+# most points a fixed grid may ask for, (l_p - e_p) / delta summed over
+# locations: a step just above GRID_TOL would fill memory long before a
+# solve's deadline, so a step that asks for more is refused up front
+GRID_POINT_BUDGET = 10 ** 6
+
+
+class GridBudgetError(ValueError):
+    """A fixed grid step that asks for more than GRID_POINT_BUDGET points
+    (a usage error)."""
 
 
 class TimeGrid:
@@ -57,9 +66,16 @@ class TimeGrid:
         within GRID_TOL of the one before (contains() reads them as one).
         At the time.perf_counter() deadline (None: no limit) the steps
         stop, and each location keeps e_p, the points so far and l_p: the
-        solve the grid is built for stops at the same deadline."""
+        solve the grid is built for stops at the same deadline.  Raises
+        GridBudgetError, before making any point, when the windows over
+        delta ask for more than GRID_POINT_BUDGET points."""
         if not delta > 0:
             raise ValueError(f"grid step must be positive, got {delta!r}")
+        asked = float((inst.latest - inst.earliest).sum()) / delta
+        if asked > GRID_POINT_BUDGET:
+            raise GridBudgetError(
+                f"grid step {delta:g} asks for {asked:.3g} time points, more "
+                f"than the {GRID_POINT_BUDGET:,} a fixed grid may have")
         times = {}
         for loc in range(inst.num_locations):
             e, l = inst.earliest[loc], inst.latest[loc]  # e <= l

@@ -438,10 +438,10 @@ def test_every_highs_call_of_a_ddd_solve_stops_at_one_deadline(monkeypatch):
     budgets = []
     highs = milp._run_highs
 
-    def highs_recorded(lp, time_limit):
+    def highs_recorded(lp, time_limit, model):
         budgets.append((time_limit, time.perf_counter(), solves[-1][2],
                         len(expanded)))
-        return highs(lp, time_limit)
+        return highs(lp, time_limit, model)
 
     monkeypatch.setattr(milp, "_run_highs", highs_recorded)
     limit = 30.0

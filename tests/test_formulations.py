@@ -6,8 +6,8 @@ import pytest
 from darpsv import METHODS, formulations, milp, run_method
 from darpsv.ddd import ddd_solve
 from darpsv.events import enumerate_events
-from darpsv.formulations import (build_ebf, build_tsfrag, solve_abf, solve_ebf,
-                                 solve_tsef, solve_tsfrag)
+from darpsv.formulations import (build_abf, build_ebf, build_tsfrag, solve_abf,
+                                 solve_ebf, solve_tsef, solve_tsfrag)
 from darpsv.fragments import enumerate_fragments, joint_schedule
 from darpsv.instance import (DatasetParams, InfeasibleCustomerError,
                              build_dataset2, random_instance, tighten_windows)
@@ -16,6 +16,7 @@ from darpsv.validate import brute_optimum, check
 
 from conftest import (integerized, loc_of_node, make_instance,
                       synthetic_base, two_customer_matrix)
+from suites import WORKLOADS, build_instance
 
 
 def test_single_customer_forced_route(single_customer):
@@ -134,6 +135,48 @@ def test_ebf_cuts_a_zero_length_cycle():
     assert report.status == "optimal" and report.cuts == 1
     assert report.objective == pytest.approx(100.0)
     assert report.objective == pytest.approx(brute_optimum(inst)[0])
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_big_m_rows_have_no_tiny_bounds(workload):
+    # M - T_ij left a rounding residue of up to 7.1e-15 where the bound is
+    # 0 on every bench instance, and HiGHS warned of the tiny row bounds
+    for seed in WORKLOADS[workload].instance_seeds:
+        inst = build_instance(WORKLOADS[workload], seed)
+        for model, _ in (build_ebf(inst, enumerate_events(inst, timed=True)),
+                         build_abf(inst)):
+            bounds = np.abs(np.r_[model.row_lower, model.row_upper])
+            assert not ((bounds > 0) & (bounds < 1e-9)).any(), (seed, bounds[
+                (bounds > 0) & (bounds < 1e-9)])
+
+
+def test_presolve_probes_only_models_with_a_non_binary_column(monkeypatch):
+    # without large customers every TSFrag column is binary; a large
+    # customer's synchronized flows are integers up to 2, and EBF and ABF
+    # link continuous times to binaries by big-M rows
+    rules_off = []
+    session = milp._session
+
+    def recorded(time_limit, model):
+        highs = session(time_limit, model)
+        rules_off.append(highs.getOptionValue("presolve_rule_off")[1])
+        return highs
+
+    monkeypatch.setattr(milp, "_session", recorded)
+    darp = tighten_windows(random_instance(1, n=4, vehicles=2, capacity=2,
+                                           large_share=0.0))
+    sync = tighten_windows(random_instance(1, n=4, vehicles=2, capacity=2,
+                                           large_share=0.5))
+    assert not darp.large_pickups and sync.large_pickups
+    for solver, want in (
+            (lambda: ddd_solve(darp, "tsfrag"), milp.PROBING_OFF),
+            (lambda: solve_tsfrag(darp, 10.0), milp.PROBING_OFF),
+            (lambda: ddd_solve(sync, "tsfrag"), 0),
+            (lambda: solve_ebf(darp), 0),
+            (lambda: solve_abf(darp), 0)):
+        rules_off.clear()
+        assert solver().status == "optimal"
+        assert rules_off and set(rules_off) == {want}
 
 
 def test_exact_grid_never_needs_cuts():

@@ -29,11 +29,16 @@ def test_a_model_without_columns_is_decided_by_its_rows(sense, rhs, want):
     assert solve(m).status == want
 
 
-def test_min_integer_above_threshold():
+def integer_model():
+    """min x over x >= 3, x integer in [0, 10]."""
     m = MilpModel()
     x = m.add_var(INTEGER, 0, 10, obj=1.0)
     m.add_constr([(x, 1.0)], GE, 3.0)
-    sol = solve(m)
+    return m
+
+
+def test_min_integer_above_threshold():
+    sol = solve(integer_model())
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(3.0)
     assert sol.best_bound == pytest.approx(3.0)
@@ -146,9 +151,9 @@ def counted_runs(monkeypatch, outcome=None):
     runs = []
     highs = milp._run_highs
 
-    def recorded(lp, time_limit):
+    def recorded(lp, time_limit, model):
         runs.append(time_limit)
-        return outcome or highs(lp, time_limit)
+        return outcome or highs(lp, time_limit, model)
 
     monkeypatch.setattr(milp, "_run_highs", recorded)
     return runs
@@ -260,14 +265,19 @@ def test_pure_lp_reports_its_optimum_as_bound():
 
 @pytest.mark.parametrize("time_limit", [None, 2.5])
 def test_a_session_reads_back_every_option(time_limit):
-    # scipy.optimize.milp's options, with Feasibility Jump off
-    want = {"log_to_console": False, "mip_rel_gap": 1e-9,
-            "mip_heuristic_run_feasibility_jump": False, "presolve": "on",
-            "time_limit": np.inf if time_limit is None else time_limit}
-    highs = milp._session(time_limit)
-    for name, value in want.items():
-        assert highs.getOptionValue(name) == (milp.highs_core.HighsStatus.kOk,
-                                              value), name
+    # scipy.optimize.milp's options, with Feasibility Jump off, and presolve
+    # probing off for a model whose columns are all binary
+    for model, rules_off in ((knapsack_model(), 1 << 15),
+                             (integer_model(), 0),
+                             (infeasible_ray_model(INTEGER), 0)):
+        want = {"log_to_console": False, "mip_rel_gap": 1e-9,
+                "mip_heuristic_run_feasibility_jump": False, "presolve": "on",
+                "presolve_rule_off": rules_off,
+                "time_limit": np.inf if time_limit is None else time_limit}
+        highs = milp._session(time_limit, model)
+        for name, value in want.items():
+            assert highs.getOptionValue(name) == (
+                milp.highs_core.HighsStatus.kOk, value), (name, rules_off)
 
 
 @pytest.mark.parametrize("name, value", [("no_such_option", 1),

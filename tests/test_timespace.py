@@ -4,14 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from darpsv import milp
+from darpsv import milp, timespace
 from darpsv.formulations import build_tsef, build_tsfrag
 from darpsv.fragments import enumerate_fragments, feasible_schedule, start_interval
 from darpsv.events import enumerate_events
 from darpsv.instance import (DatasetParams, build_dataset2, random_instance,
                              tighten_windows)
 from darpsv.timespace import (DEPOT_IN, DEPOT_OUT, GRID_TOL, IDLE, MOVE,
-                              TimeGrid, TsArc, expand_events,
+                              GridBudgetError, TimeGrid, TsArc, expand_events,
                               expand_fragments)
 
 from conftest import integerized, loc_of_node, make_instance, synthetic_base
@@ -45,6 +45,17 @@ def test_fixed_grid_keeps_one_point_per_tolerance_and_stops_at_its_deadline():
                           for loc in range(4)}
     assert TimeGrid.fixed(inst, 5.0, deadline=time.perf_counter() + 60.0
                           ).times == TimeGrid.fixed(inst, 5.0).times
+
+
+def test_fixed_grid_refuses_a_step_past_its_point_budget(monkeypatch):
+    # the windows sum to 134 minutes: a 5-minute step asks for 26.8 points
+    inst = make_instance(1, np.ones((4, 4)), [0, 3, 10, 0], [50, 17, 30, 50],
+                         [0, 100], [0, 1, -1, 0])
+    monkeypatch.setattr(timespace, "GRID_POINT_BUDGET", 27)
+    assert TimeGrid.fixed(inst, 5.0).size() == 31  # with e_p and l_p
+    for delta in (4.9, 1e-9, 1e-300):
+        with pytest.raises(GridBudgetError, match="more than the 27"):
+            TimeGrid.fixed(inst, delta)
 
 
 @pytest.mark.parametrize("delta", [0.0, -5.0, float("nan")])

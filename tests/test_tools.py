@@ -1,5 +1,6 @@
-"""Smoke tests of tools/fingerprint.py on one draw and of
-tools/compare_reports.py on two small record lists."""
+"""Smoke tests of tools/fingerprint.py on one draw, of
+tools/compare_reports.py on two small record lists and of tools/ladder.py
+on its smallest rung."""
 import importlib.util
 import json
 from pathlib import Path
@@ -63,3 +64,11 @@ def test_compare_reports_flags_outcome_changes_and_lists_moved_iterations(
                         ("b", "report", True, False)], [])}
     assert tool.main([_write_jsonl(tmp_path / "old.jsonl", old),
                       _write_jsonl(tmp_path / "new.jsonl", changed)]) == 1
+
+
+def test_ladder_runs_its_smallest_rung(capsys):
+    tool = load_tool("ladder")
+    assert tool.main(["sync-n24-v3-s2"]) == 0
+    line, total = capsys.readouterr().out.splitlines()
+    assert line.startswith("sync-n24-v3-s2 ") and total.startswith("total ")
+    assert line.endswith("optimal  check ok") and "iterations" in line
