@@ -2,10 +2,11 @@ import itertools
 import json
 import os
 import sys
+import time
 
 import pytest
 
-from darpsv import METHODS, cli
+from darpsv import METHODS, cli, milp
 from darpsv.cli import main
 from darpsv.formulations import SolveReport
 from darpsv.instance import from_json, parse_cordeau, to_json
@@ -317,12 +318,15 @@ def test_bench_empty_instance_list_header_only(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("instance,")
 
 
-@pytest.mark.parametrize("step", ["2e-9", "1e-300"])
-@pytest.mark.parametrize("flags", [
+GRID_STEP_FLAGS = pytest.mark.parametrize("flags", [
     ["--formulation", "tsfrag", "--resolution"],
     ["--formulation", "tsef", "--resolution"],
     ["--formulation", "tsfrag", "--ddd", "--initial-delta"],
 ], ids=["tsfrag", "tsef", "tsfrag+ddd"])
+
+
+@pytest.mark.parametrize("step", ["2e-9", "1e-300"])
+@GRID_STEP_FLAGS
 def test_a_grid_step_past_the_point_budget_is_a_usage_error(sample_file,
                                                             capsys, flags,
                                                             step):
@@ -332,3 +336,19 @@ def test_a_grid_step_past_the_point_budget_is_a_usage_error(sample_file,
     assert main(["solve", sample_file, "--set1", *flags, step,
                  "--time-limit", "1"]) == 2
     assert "time points" in capsys.readouterr().err
+
+
+@GRID_STEP_FLAGS
+def test_a_limit_that_passes_while_the_grid_is_built_stops_the_solve(
+        sample_file, capsys, monkeypatch, flags):
+    # every clock read takes 10 ms and a 0.1-minute step asks for about
+    # 11,000 points: the 1 s limit passes after the grid's first hundred
+    # steps only if the grid is built against the solve's deadline, and
+    # then the solve stops before any HiGHS run
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.01 * next(ticks))
+    monkeypatch.setattr(milp, "_run_highs",
+                        lambda *args: pytest.fail("HiGHS ran"))
+    assert main(["solve", sample_file, "--set1", *flags, "0.1",
+                 "--time-limit", "1"]) == 3
+    assert "time_limit" in capsys.readouterr().out

@@ -7,10 +7,10 @@ runs, the DDD iterations, the objective and the verdict of an independent
 check() of the routes ("ok", or the number of violations).  The ladder is
 a record of how the solver scales, not a gate: its times are single runs.
 
-    python3 tools/ladder.py [RUNG ...] [--time-limit SECONDS]
+    python3 tools/ladder.py [RUNG ...]
 
-RUNG names pick rungs (default: all six).  All six take 17-25 s on a
-2-vCPU VM.
+RUNG names pick rungs (default: all six).  Each solve has TIME_LIMIT
+seconds; all six take 17-25 s on a 2-vCPU VM.
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ from darpsv import milp  # noqa: E402
 from darpsv.ddd import ddd_solve  # noqa: E402
 from darpsv.validate import check  # noqa: E402
 from suites import WORKLOADS, build_instance  # noqa: E402
+
+TIME_LIMIT = 150.0  # seconds a rung's solve may take
 
 
 class Rung(NamedTuple):
@@ -52,7 +54,7 @@ def rung_instance(rung):
     return build_instance(workload, rung.seed)
 
 
-def solve_rung(rung, time_limit=150.0):
+def solve_rung(rung):
     """{seconds, highs_s, iterations, objective, verdict} of one TSFrag+DDD
     solve of the rung's instance."""
     inst = rung_instance(rung)
@@ -69,7 +71,7 @@ def solve_rung(rung, time_limit=150.0):
 
     milp._run_highs = timed
     try:
-        report = ddd_solve(inst, "tsfrag", time_limit)
+        report = ddd_solve(inst, "tsfrag", TIME_LIMIT)
     finally:
         milp._run_highs = run_highs
     if report.routes is None:
@@ -87,7 +89,6 @@ def main(argv=None):
     names = [rung.name for rung in RUNGS]
     ap.add_argument("rungs", nargs="*", metavar="RUNG",
                     help=f"rungs to run, of {', '.join(names)}")
-    ap.add_argument("--time-limit", type=float, default=150.0)
     args = ap.parse_args(argv)
     unknown = sorted(set(args.rungs) - set(names))
     if unknown:
@@ -96,7 +97,7 @@ def main(argv=None):
     for rung in RUNGS:
         if args.rungs and rung.name not in args.rungs:
             continue
-        r = solve_rung(rung, args.time_limit)
+        r = solve_rung(rung)
         total += r["seconds"]
         objective = "-" if r["objective"] is None else f"{r['objective']:.6f}"
         print(f"{rung.name:<16} {r['seconds']:7.2f} s  highs {r['highs_s']:6.2f} s"
