@@ -41,9 +41,8 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from . import milp
 from .events import enumerate_events
-from .formulations import (SolveReport, TsefMaster, TsfragMaster,
+from .formulations import (SolveReport, TsefMaster, TsfragMaster, _stopped,
                            separate_subtours, solve_report)
 from .fragments import enumerate_fragments, feasible_schedule, joint_schedule
 from .instance import Instance
@@ -117,7 +116,7 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
         master, base_stats = TsefMaster(inst, enet), enet.stats()
     else:
         raise ValueError(f"DDD is defined for time-space modes, not {mode!r}")
-    grid = TimeGrid.fixed(inst, initial_delta, deadline)
+    grid = TimeGrid.fixed(inst, initial_delta)
     history = []
     bound = paths = None
     stats = base_stats
@@ -143,7 +142,6 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
             # relaxation, so the instance itself is infeasible; an inexact
             # master's ride rows may have cut every plan, and solve_report
             # makes that a RELAXATION.  No bound either way
-            sol = _stopped(sol.status, None)
             break
         if (sol.ok and bound is not None and master.exact
                 and sol.objective < bound - 1e-6):
@@ -183,10 +181,4 @@ def ddd_solve(inst: Instance, mode="tsfrag", time_limit=1800.0,
     return solve_report(inst, master.method + "+ddd", sol, paths, start,
                         stats, total_cuts, exact=master.exact, iterations=k,
                         history=history)
-
-
-def _stopped(status, bound):
-    """A DDD exit without a schedulable master solution, as a solution
-    with only a status and a bound."""
-    return milp.MilpSolution(status, None, None, bound, 0.0)
 

@@ -26,8 +26,9 @@ APPROXIMATE, its bound can exceed the optimum, and its infeasible MILP
 proves nothing about the instance: status RELAXATION with no bound.
 
 Each solve_* turns its time_limit (seconds) into one time.perf_counter()
-deadline when it starts, and every layer below takes that deadline, so
-network building counts against the limit.
+deadline when it starts, so network building counts against the limit.
+Only _solve_grid and DDD, before they build a master, and milp.solve,
+before HiGHS starts, compare the clock with it.
 """
 from __future__ import annotations
 
@@ -130,6 +131,11 @@ def solve_report(inst, method, sol, paths, start, stats, cuts, exact=True,
     return SolveReport(method, status, objective, bound, routes,
                        time.perf_counter() - start, gap=gap, cuts=cuts,
                        stats=stats, **fields)
+
+
+def _stopped(status, bound):
+    """A solution with only a status and a bound."""
+    return milp.MilpSolution(status, None, None, bound, 0.0)
 
 
 # -- subtour separation -----------------------------------------------------
@@ -376,15 +382,14 @@ def paths_abf(inst, sol, vars_):
 
 
 def solve_abf(inst: Instance, time_limit=None) -> SolveReport:
-    """ABF adds no cuts: the cut loop checks the deadline and solves
-    once, so the model's build counts against time_limit."""
+    """ABF adds no cuts: one solve, whose deadline counts the build."""
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     model, vars_ = build_abf(inst)
-    sol, info = milp.resolve_with_cuts(model, lambda sol: [], deadline)
+    sol = milp.solve(model, deadline)
     paths = paths_abf(inst, sol, vars_) if sol.ok else None
     return solve_report(inst, "abf", sol, paths, start,
-                        {"arcs": len(vars_.arcs)}, info.num_cuts)
+                        {"arcs": len(vars_.arcs)}, 0)
 
 
 # -- TSFrag ---------------------------------------------------------------------
@@ -465,8 +470,8 @@ def solve_tsfrag(inst: Instance, resolution=1.0, time_limit=None,
         raise MethodError("infeasible-path callbacks need independent route "
                           "schedules; large customers require DDD")
     master = TsfragMaster(inst, enumerate_fragments(inst), callbacks)
-    return _solve_grid(master, TimeGrid.fixed(inst, resolution, deadline),
-                       deadline, start)
+    return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline,
+                       start)
 
 
 # -- TSEF -----------------------------------------------------------------------
@@ -504,14 +509,17 @@ def solve_tsef(inst: Instance, resolution=1.0, time_limit=None) -> SolveReport:
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     master = TsefMaster(inst, enumerate_events(inst, timed=True))
-    return _solve_grid(master, TimeGrid.fixed(inst, resolution, deadline),
-                       deadline, start)
+    return _solve_grid(master, TimeGrid.fixed(inst, resolution), deadline,
+                       start)
 
 
 # -- time-space masters ----------------------------------------------------------
 
 def _solve_grid(master, grid, deadline, start):
-    """Fixed-grid solve of a time-space master."""
+    """Fixed-grid solve of a time-space master, not built past the deadline."""
+    if deadline is not None and time.perf_counter() >= deadline:
+        sol = _stopped(Status.TIME_LIMIT, None)
+        return solve_report(master.inst, master.method, sol, None, start, {}, 0)
     net, model = master.build(grid)
     sol, info, walks, _ = separate_subtours(
         model, master.decompose, master.physical, master.cut, deadline,

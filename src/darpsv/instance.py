@@ -71,8 +71,21 @@ def _cast(to, **kwargs):
     return dataclasses.field(metadata={"cast": to}, **kwargs)
 
 
+def _whole(value):
+    """value as an int, or an int array for a sequence (an int array is not
+    copied).  A number that is not integral (2.5, NaN) is an InstanceError
+    where int() would truncate it; an integral float such as 3.0 passes."""
+    given = np.asarray(value)
+    if given.dtype.kind != "i":
+        given = given.astype(float)
+        bad = given[~(np.isfinite(given) & (given == np.rint(given)))]
+        if bad.size:
+            raise InstanceError(f"{bad[0]:g} is not an integer")
+    whole = given.astype(int, copy=False)
+    return whole if whole.ndim else int(whole)
+
+
 _floats = functools.partial(np.asarray, dtype=float)
-_ints = functools.partial(np.asarray, dtype=int)
 
 
 @dataclass(eq=False)
@@ -95,12 +108,12 @@ class Instance:
     """
 
     name: str = _cast(str)
-    n: int = _cast(int)
-    vehicles: int = _cast(int)
-    capacity: int = _cast(int)
+    n: int = _cast(_whole)
+    vehicles: int = _cast(_whole)
+    capacity: int = _cast(_whole)
     xy: np.ndarray = _cast(_floats)
     service: np.ndarray = _cast(_floats)
-    demand: np.ndarray = _cast(_ints)
+    demand: np.ndarray = _cast(_whole)
     earliest: np.ndarray = _cast(_floats)
     latest: np.ndarray = _cast(_floats)
     ride: np.ndarray = _cast(_floats)
@@ -110,7 +123,11 @@ class Instance:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            setattr(self, f.name, f.metadata["cast"](getattr(self, f.name)))
+            try:
+                value = f.metadata["cast"](getattr(self, f.name))
+            except InstanceError as exc:
+                raise InstanceError(f"{f.name}: {exc}") from None
+            setattr(self, f.name, value)
         self._validate()
         # a window inverted within EPS becomes the point e: HiGHS rejects
         # inverted bounds, and a grid on it would hold only l < e
@@ -261,9 +278,9 @@ def parse_cordeau(text: str, name: str = "instance") -> Instance:
     try:
         vehicles = int(header[0])
         count = int(header[1])
-        capacity = int(float(header[3]))
+        capacity = _whole(float(header[3]))
         ride_limit = float(header[4])
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise InstanceError(f"line 1: bad header value ({exc})") from exc
 
     rows = []
@@ -273,8 +290,8 @@ def parse_cordeau(text: str, name: str = "instance") -> Instance:
             raise InstanceError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         try:
             row = [float(p) for p in parts]
-            row[0], row[4] = int(row[0]), int(row[4])  # id, load
-        except (ValueError, OverflowError) as exc:
+            row[0], row[4] = _whole(row[0]), _whole(row[4])  # id, load
+        except ValueError as exc:
             raise InstanceError(f"line {lineno}: bad value ({exc})") from exc
         rows.append(row)
 

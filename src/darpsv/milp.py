@@ -31,8 +31,8 @@ FEASIBLE_WITH_GAP.  add_var rejects a non-finite column bound, so no
 model is unbounded: the "unbounded or infeasible" of HiGHS's MIP presolve
 reads as infeasible, and each solve is one HiGHS session.  HiGHS answers
 kModelEmpty for any model with no columns, so solve() decides one
-itself: infeasible when some row's bounds exclude 0.  A call made at
-or past its deadline returns TIME_LIMIT without starting HiGHS.
+itself: infeasible when some row's bounds exclude 0.  Only solve() reads
+the clock here: a call at or past its deadline returns TIME_LIMIT at once.
 The core is SciPy's extension module scipy.optimize._highspy._core,
 loaded from its file by path: darpsv never imports scipy.optimize, whose
 package import (with scipy.sparse and scipy.linalg) costs more than most
@@ -347,7 +347,6 @@ def _solution(status, info, x, mip, elapsed) -> MilpSolution:
 class CutLoop:
     """Bookkeeping of a resolve_with_cuts run."""
 
-    solves: int = 0
     num_cuts: int = 0
 
 
@@ -356,18 +355,13 @@ def resolve_with_cuts(model: MilpModel, cut_generator, deadline=None):
 
     cut_generator(solution) returns a list of (coeffs, sense, rhs) cuts,
     add_constr's arguments; an empty list terminates the loop.  Emulates
-    lazy-constraint callbacks, which scipy does not expose.  At the deadline the loop
-    returns TIME_LIMIT with the best bound so far, its last solve's
-    included.
+    lazy-constraint callbacks, which scipy does not expose.  At the deadline
+    solve() stops, and the loop returns TIME_LIMIT with the best bound so far.
     """
     info = CutLoop()
     prev_bound = -np.inf
     while True:
-        if deadline is not None and time.perf_counter() >= deadline:
-            sol = MilpSolution(Status.TIME_LIMIT, None, None, None, 0.0)
-        else:
-            sol = solve(model, deadline)
-            info.solves += 1
+        sol = solve(model, deadline)
         if sol.best_bound is not None:
             # valid cuts never push the relaxation below a previous bound
             prev_bound = max(prev_bound, sol.best_bound)

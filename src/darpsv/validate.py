@@ -197,7 +197,7 @@ def check(inst: Instance, rs: RouteSet) -> list:
                                  f"sync group {group} != visitors {visitors.get(i)}"))
 
     recost = rs.recost(inst)
-    if abs(recost - rs.objective) > 1e-6 * max(1.0, abs(recost)):
+    if not abs(recost - rs.objective) <= 1e-6 * max(1.0, abs(recost)):  # NaN fails too
         out.append(Violation(COST_MISMATCH, -1, -1,
                              f"reported {rs.objective:.6f} != recomputed {recost:.6f}"))
     return out

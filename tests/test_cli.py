@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from darpsv import METHODS, cli, milp
+from darpsv import METHODS, cli, formulations, milp
 from darpsv.cli import main
 from darpsv.formulations import SolveReport
 from darpsv.instance import from_json, parse_cordeau, to_json
+from darpsv.timespace import TimeGrid
 from darpsv.validate import timed_routes
 
 from conftest import CORDEAU_SAMPLE
@@ -162,6 +163,9 @@ MALFORMED = {
     "json-negative-fleet": lambda tmp, sample: ["solve", _write(
         tmp / "fleet.json", json.dumps(dict(json.loads(to_json(
             parse_cordeau(CORDEAU_SAMPLE))), vehicles=-1)))],
+    "json-fractional-capacity": lambda tmp, sample: ["solve", _write(
+        tmp / "cap.json", json.dumps(dict(json.loads(to_json(
+            parse_cordeau(CORDEAU_SAMPLE))), capacity=2.5)))],
     "r-l-above-one": lambda tmp, sample: [
         "solve", sample, "--set1", "--r-l", "5"],
     "r-l-nan": lambda tmp, sample: ["solve", sample, "--set1", "--r-l", "nan"],
@@ -214,6 +218,16 @@ def test_validate_rejects_stop_times_that_are_not_numbers(single_customer,
     assert main(["validate", inst_file,
                  _write(tmp_path / "nan.json", json.dumps(sol))]) == 1
     assert "[Window]" in capsys.readouterr().out
+
+
+def test_validate_rejects_an_objective_that_is_not_a_number(single_customer,
+                                                            tmp_path, capsys):
+    inst_file = _write(tmp_path / "inst.json", to_json(single_customer))
+    sol = timed_routes(single_customer, [[0, 1, 2, 3]], 12.0).to_dict()
+    sol["objective"] = float("nan")  # json writes NaN
+    assert main(["validate", inst_file,
+                 _write(tmp_path / "sol.json", json.dumps(sol))]) == 1
+    assert "[CostMismatch]" in capsys.readouterr().out
 
 
 def test_ddd_trace_on_stderr(sample_file, capsys):
@@ -341,14 +355,23 @@ def test_a_grid_step_past_the_point_budget_is_a_usage_error(sample_file,
 @GRID_STEP_FLAGS
 def test_a_limit_that_passes_while_the_grid_is_built_stops_the_solve(
         sample_file, capsys, monkeypatch, flags):
-    # every clock read takes 10 ms and a 0.1-minute step asks for about
-    # 11,000 points: the 1 s limit passes after the grid's first hundred
-    # steps only if the grid is built against the solve's deadline, and
-    # then the solve stops before any HiGHS run
-    ticks = itertools.count()
-    monkeypatch.setattr(time, "perf_counter", lambda: 0.01 * next(ticks))
+    # the clock jumps past the 1 s limit while the grid is built: the solve
+    # checks its deadline before it builds a master, so nothing is expanded
+    # and no HiGHS runs
+    late, clock, fixed = [0.0], time.perf_counter, TimeGrid.fixed
+
+    def slow_grid(inst, delta):
+        grid = fixed(inst, delta)
+        late[0] = 2.0
+        return grid
+
+    monkeypatch.setattr(time, "perf_counter", lambda: clock() + late[0])
+    monkeypatch.setattr(TimeGrid, "fixed", slow_grid)
+    for name in ("expand_fragments", "expand_events"):
+        monkeypatch.setattr(formulations, name,
+                            lambda *args: pytest.fail("grid expanded"))
     monkeypatch.setattr(milp, "_run_highs",
                         lambda *args: pytest.fail("HiGHS ran"))
-    assert main(["solve", sample_file, "--set1", *flags, "0.1",
+    assert main(["solve", sample_file, "--set1", *flags, "5",
                  "--time-limit", "1"]) == 3
     assert "time_limit" in capsys.readouterr().out

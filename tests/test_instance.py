@@ -138,6 +138,39 @@ def test_zero_capacity_is_malformed():
         parse_cordeau("\n".join([" ".join(header)] + text[1:]))
 
 
+def _sample_json(**changes):
+    payload = json.loads(to_json(parse_cordeau(CORDEAU_SAMPLE)))
+    return json.dumps(dict(payload, **changes))
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("capacity", 2.5, "2.5"), ("vehicles", 1.9, "1.9"),
+    ("n", 3.5, "3.5"), ("capacity", float("nan"), "nan"),
+    ("demand", [0, 1.5, 1, 1, -1.5, -1, -1, 0], "1.5")],
+    ids=["capacity-2.5", "vehicles-1.9", "n-3.5", "capacity-nan", "demand-1.5"])
+def test_a_fractional_integer_field_is_an_instance_error(field, value, shown):
+    # int() would truncate these: a capacity of 2.5 became 2
+    with pytest.raises(InstanceError, match=f"{field}: {shown} is not an"):
+        from_json(_sample_json(**{field: value}))
+
+
+def test_integral_floats_pass_as_integers():
+    inst = from_json(_sample_json(capacity=3.0, vehicles=2.0, n=3.0))
+    assert (inst.capacity, inst.vehicles, inst.n) == (3, 2, 3)
+    assert all(type(v) is int for v in (inst.capacity, inst.vehicles, inst.n))
+    header = CORDEAU_SAMPLE.replace("2 3 480 3 30", "2 3 480 3.0 30")
+    assert parse_cordeau(header).capacity == 3
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("2 3 480 3 30", "2 3 480 2.5 30", "line 1"),
+    ("1   2.0   1.0   3  1    0  480", "1   2.0   1.0   3  1.5  0  480",
+     "line 3")], ids=["header-capacity", "row-load"])
+def test_classic_integer_fields_are_not_truncated(old, new, line):
+    with pytest.raises(InstanceError, match=f"{line}.*not an integer"):
+        parse_cordeau(CORDEAU_SAMPLE.replace(old, new))
+
+
 def test_designate_large_every_third():
     inst = parse_cordeau(CORDEAU_SAMPLE)
     out = designate_large(inst, 1.0 / 3.0)

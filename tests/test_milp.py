@@ -112,16 +112,19 @@ def test_model_validation():
     assert (m.col_lb[1], m.col_ub[1]) == (0.0, 1.0)
 
 
-def test_resolve_with_cuts_silent_generator_solves_once():
+def test_resolve_with_cuts_silent_generator_solves_once(monkeypatch):
+    runs = counted_runs(monkeypatch)
     m = MilpModel()
     x = m.add_var(INTEGER, 0, 5, obj=1.0)
     m.add_constr([(x, 1.0)], GE, 2.0)
     sol, info = resolve_with_cuts(m, lambda s: [])
-    assert sol.status == Status.OPTIMAL and info.solves == 1 and info.num_cuts == 0
+    assert sol.status == Status.OPTIMAL and len(runs) == 1
+    assert info.num_cuts == 0
 
 
-def test_resolve_with_cuts_accounting_and_bound_monotonicity():
+def test_resolve_with_cuts_accounting_and_bound_monotonicity(monkeypatch):
     # min x, x in [0,10]; cuts push the lower bound up one unit at a time
+    runs = counted_runs(monkeypatch)
     m = MilpModel()
     x = m.add_var(INTEGER, 0, 10, obj=1.0)
     bounds = []
@@ -135,7 +138,7 @@ def test_resolve_with_cuts_accounting_and_bound_monotonicity():
 
     sol, info = resolve_with_cuts(m, generator)
     assert sol.objective == pytest.approx(4.0)
-    assert info.num_cuts == 4 and info.solves == 5
+    assert info.num_cuts == 4 and len(runs) == 5
     assert bounds == sorted(bounds)  # valid cuts never regress the bound
 
 
@@ -243,11 +246,17 @@ def test_resolve_with_cuts_stopped_keeps_the_larger_bound(monkeypatch,
     sols = iter([milp.MilpSolution(Status.OPTIMAL, np.zeros(1), 4.0, 4.0, 0.0),
                  milp.MilpSolution(Status.TIME_LIMIT, None, None, last_bound,
                                    0.0)])
-    monkeypatch.setattr(milp, "solve", lambda model, deadline=None: next(sols))
+    calls = []
+
+    def solved(model, deadline=None):
+        calls.append(deadline)
+        return next(sols)
+
+    monkeypatch.setattr(milp, "solve", solved)
     m = MilpModel()
     x = m.add_var(INTEGER, 0, 10, obj=1.0)
     sol, info = resolve_with_cuts(m, lambda s: [([(x, 1.0)], GE, 5.0)])
-    assert sol.status == Status.TIME_LIMIT and info.solves == 2
+    assert sol.status == Status.TIME_LIMIT and len(calls) == 2
     assert sol.best_bound == want
 
 
@@ -304,12 +313,15 @@ def test_duplicate_entries_of_a_row_are_summed():
     assert solve(m).objective == pytest.approx(2.0)
 
 
-def test_resolve_with_cuts_exhausted_budget_returns_time_limit():
+def test_resolve_with_cuts_exhausted_budget_returns_time_limit(monkeypatch):
+    # the loop reads no clock itself: solve() stops it without HiGHS
+    runs = counted_runs(monkeypatch)
     m = MilpModel()
     x = m.add_var(INTEGER, 0, 5, obj=1.0)
     m.add_constr([(x, 1.0)], GE, 2.0)
     sol, info = resolve_with_cuts(m, lambda s: [], deadline=time.perf_counter())
-    assert sol.status == Status.TIME_LIMIT and info.solves == 0
+    assert sol.status == Status.TIME_LIMIT and sol.best_bound is None
+    assert runs == [] and info.num_cuts == 0
 
 
 def run_python(code):

@@ -1,11 +1,10 @@
 import math
-import time
 
 import numpy as np
 import pytest
 
 from darpsv import milp, timespace
-from darpsv.formulations import build_tsef, build_tsfrag
+from darpsv.formulations import build_tsef, build_tsfrag, solve_tsfrag
 from darpsv.fragments import enumerate_fragments, feasible_schedule, start_interval
 from darpsv.events import enumerate_events
 from darpsv.instance import (DatasetParams, build_dataset2, random_instance,
@@ -27,7 +26,7 @@ def test_fixed_grid_values():
     assert grid[1][0] == inst.earliest[1]
 
 
-def test_fixed_grid_keeps_one_point_per_tolerance_and_stops_at_its_deadline():
+def test_fixed_grid_keeps_one_point_per_tolerance():
     # steps of 0.4 * GRID_TOL over 1e-6-minute windows: points closer than
     # GRID_TOL to the last kept one are skipped
     narrow = make_instance(1, np.ones((4, 4)), [0, 3, 10, 0],
@@ -37,14 +36,6 @@ def test_fixed_grid_keeps_one_point_per_tolerance_and_stops_at_its_deadline():
     assert all(700 < len(ts) < 1100 for ts in tiny.times.values())
     assert all(b - a > GRID_TOL for ts in tiny.times.values()
                for a, b in zip(ts, ts[1:]))
-    inst = make_instance(1, np.ones((4, 4)), [0, 3, 10, 0], [50, 17, 30, 50],
-                         [0, 100], [0, 1, -1, 0])
-    # past the deadline each window keeps its two ends
-    late = TimeGrid.fixed(inst, 5.0, deadline=time.perf_counter())
-    assert late.times == {loc: [inst.earliest[loc], inst.latest[loc]]
-                          for loc in range(4)}
-    assert TimeGrid.fixed(inst, 5.0, deadline=time.perf_counter() + 60.0
-                          ).times == TimeGrid.fixed(inst, 5.0).times
 
 
 def test_fixed_grid_refuses_a_step_past_its_point_budget(monkeypatch):
@@ -56,6 +47,15 @@ def test_fixed_grid_refuses_a_step_past_its_point_budget(monkeypatch):
     for delta in (4.9, 1e-9, 1e-300):
         with pytest.raises(GridBudgetError, match="more than the 27"):
             TimeGrid.fixed(inst, delta)
+    # windows that are points ask for no length, but the loop steps up to
+    # GRID_TOL past each: a 1e-300 step would never leave e_p
+    monkeypatch.undo()  # the real budget
+    points = make_instance(1, np.ones((4, 4)), [0, 3, 10, 50],
+                           [0, 3, 10, 50], [0, 100], [0, 1, -1, 0])
+    with pytest.raises(GridBudgetError):
+        TimeGrid.fixed(points, 1e-300)
+    with pytest.raises(GridBudgetError):
+        solve_tsfrag(points, 1e-300)
 
 
 @pytest.mark.parametrize("delta", [0.0, -5.0, float("nan")])

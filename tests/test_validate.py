@@ -67,6 +67,16 @@ def test_window_ride_increment_and_cost_checks():
     assert "Window" in kinds and "Increment" in kinds and "CostMismatch" in kinds
 
 
+@pytest.mark.parametrize("objective", [float("nan"), float("inf"),
+                                       -float("inf")])
+def test_an_objective_that_is_not_a_number_mismatches(sync_instance,
+                                                      objective):
+    # abs(recost - NaN) > tol is False: a NaN must not pass as the cost
+    inst, rs = sync_instance
+    rs.objective = objective
+    assert [v.kind for v in check(inst, rs)] == ["CostMismatch"]
+
+
 def test_capacity_empty_before_large_and_immediate_delivery():
     T = np.full((6, 6), 5.0)
     np.fill_diagonal(T, 0.0)
